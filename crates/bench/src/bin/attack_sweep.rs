@@ -29,6 +29,7 @@ use ctfl_fl::aggregate::{Aggregator, CoordinateMedian, MultiKrum, TrimmedMean, W
 use ctfl_fl::faults::FaultPlan;
 use ctfl_fl::fedavg::{ByzantineSetup, FlConfig};
 use ctfl_fl::guard::{FederationLog, GuardConfig};
+use ctfl_nn::extract::{extract_rules, ExtractOptions};
 use ctfl_testkit::json;
 use ctfl_valuation::spearman_rho;
 
@@ -44,16 +45,19 @@ fn run_cell(
     rule: &dyn Aggregator,
 ) -> (Vec<f64>, FederationLog) {
     let setup = ByzantineSetup { faults, adversary, guard, aggregator: rule };
-    let (_, model, log) = fed.train_global_byzantine(fl, &setup);
+    let mut engine = fed.engine(fl, &setup);
+    engine.run_to_completion().expect("federation runs");
+    let run = engine.finish();
+    let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
     let report = CtflEstimator::new(model, CtflConfig::default())
         .estimate_with_participation(
             &fed.train,
             &fed.partition.client_of,
             &fed.test,
-            &log.participation(),
+            &run.log.participation(),
         )
         .expect("federation inputs are valid");
-    (report.micro_effective, log)
+    (report.micro_effective, run.log)
 }
 
 fn spearman_honest(base: &[f64], attacked: &[f64], adversaries: &[usize]) -> f64 {

@@ -18,8 +18,10 @@ use ctfl_bench::datasets::DatasetSpec;
 use ctfl_bench::federation::{Federation, FederationConfig, SkewMode};
 use ctfl_core::estimator::{CtflConfig, CtflEstimator};
 use ctfl_fl::faults::{CorruptionKind, FaultPlan, FaultSpec};
-use ctfl_fl::fedavg::FlConfig;
+use ctfl_fl::fedavg::{ByzantineSetup, FlConfig};
 use ctfl_fl::guard::GuardConfig;
+use ctfl_fl::{AdversaryPlan, WeightedFedAvg};
+use ctfl_nn::extract::{extract_rules, ExtractOptions};
 
 fn main() {
     let mut args = CommonArgs::parse();
@@ -41,8 +43,19 @@ fn main() {
     )
     .with_persistent_corruption(corrupted, CorruptionKind::NaN);
     let guard = GuardConfig::default();
+    let adversary = AdversaryPlan::none(args.clients);
+    let setup = ByzantineSetup {
+        faults: &plan,
+        adversary: &adversary,
+        guard: &guard,
+        aggregator: &WeightedFedAvg,
+    };
 
-    let (_, model, log) = fed.train_global_faulty(&fl, &plan, &guard);
+    let mut engine = fed.engine(&fl, &setup);
+    engine.run_to_completion().expect("federation runs");
+    let run = engine.finish();
+    let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
+    let log = run.log;
     println!("chaos scenario: 5 clients, 30% dropout, client {corrupted} persistently NaN");
     println!("seed {}  faults planned {}", args.seed, plan.events().len());
     println!();

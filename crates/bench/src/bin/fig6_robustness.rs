@@ -28,8 +28,10 @@ use ctfl_core::robustness::relative_change;
 use ctfl_data::adverse::{flip_labels, inject_low_quality, replicate};
 use ctfl_data::partition::Partition;
 use ctfl_fl::faults::{CorruptionKind, FaultPlan, FaultSpec};
-use ctfl_fl::fedavg::FlConfig;
+use ctfl_fl::fedavg::{ByzantineSetup, FlConfig};
 use ctfl_fl::guard::GuardConfig;
+use ctfl_fl::{AdversaryPlan, WeightedFedAvg};
+use ctfl_nn::extract::{extract_rules, ExtractOptions};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::seq::SliceRandom;
 use ctfl_rng::SeedableRng;
@@ -202,9 +204,21 @@ fn main() {
             "corrupted client eff. score".to_string(),
             "extra trainings".to_string(),
         ]);
+        let adversary = AdversaryPlan::none(fed.partition.n_clients);
+        let guard = GuardConfig::default();
         for (name, plan, corrupted) in &scenarios {
-            let (_, model, log) =
-                fed.train_global_faulty(&fl, plan, &GuardConfig::default());
+            let setup = ByzantineSetup {
+                faults: plan,
+                adversary: &adversary,
+                guard: &guard,
+                aggregator: &WeightedFedAvg,
+            };
+            let mut engine = fed.engine(&fl, &setup);
+            engine.run_to_completion().expect("federation runs");
+            let run = engine.finish();
+            let model =
+                extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
+            let log = run.log;
             let report = CtflEstimator::new(model, CtflConfig::default())
                 .estimate_with_participation(
                     &fed.train,

@@ -48,6 +48,7 @@ use ctfl_fl::fedavg::ByzantineSetup;
 use ctfl_fl::guard::GuardConfig;
 use ctfl_fl::privacy::{ActivationUpload, PrivacyConfig, PrivateScoring};
 use ctfl_fl::score_attack::{ScoreAttackInjector, ScoreAttackKind, ScoreAttackPlan};
+use ctfl_nn::extract::{extract_rules, ExtractOptions};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::SeedableRng;
 use ctfl_testkit::json;
@@ -348,7 +349,12 @@ fn main() {
         guard: &guard,
         aggregator: &WeightedFedAvg,
     };
-    let (_, fr_model, fr_log) = fed.train_global_byzantine(&fl, &setup);
+    let mut engine = fed.engine(&fl, &setup);
+    engine.run_to_completion().expect("federation runs");
+    let fr_run = engine.finish();
+    let fr_model =
+        extract_rules(&fr_run.net, ExtractOptions::default()).expect("extraction succeeds");
+    let fr_log = fr_run.log;
     let signatures = analyze_signatures(
         &fr_log.update_signatures(),
         N_CLIENTS,

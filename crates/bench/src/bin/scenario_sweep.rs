@@ -37,7 +37,8 @@ use ctfl_core::data::Dataset;
 use ctfl_core::estimator::{CtflConfig, CtflEstimator};
 use ctfl_fl::adversary::AdversaryPlan;
 use ctfl_fl::faults::FaultPlan;
-use ctfl_fl::fedavg::{train_federated_scheduled, ByzantineSetup, FlConfig};
+use ctfl_fl::engine::FederationEngine;
+use ctfl_fl::fedavg::{ByzantineSetup, FlConfig};
 use ctfl_fl::guard::{GuardConfig, Participation};
 use ctfl_fl::{Schedule, Topology, WeightedFedAvg};
 use ctfl_nn::extract::{extract_rules, ExtractOptions};
@@ -137,16 +138,17 @@ impl UtilityFn for ScenarioUtility {
             guard: &guard,
             aggregator: &WeightedFedAvg,
         };
-        let run = train_federated_scheduled(
+        let mut engine = FederationEngine::from_datasets(
             &shards,
             self.test.n_classes(),
             &self.net_config,
             &self.fl,
             &setup,
-            self.schedule,
-            topology,
         )
+        .and_then(|e| e.with_schedule(self.schedule)?.with_topology(topology))
         .expect("coalition shards are valid");
+        engine.run_to_completion().expect("coalition federation runs");
+        let run = engine.finish();
         let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
         model.accuracy(&self.test).expect("non-empty test set")
     }
@@ -170,7 +172,15 @@ fn run_ctfl_cell(fed: &Federation, fl: &FlConfig, regime: &Regime) -> CtflRun {
         guard: &guard,
         aggregator: &WeightedFedAvg,
     };
-    let (_, model, log) = fed.train_global_scheduled(fl, &setup, regime.schedule, regime.topology);
+    let mut engine = fed
+        .engine(fl, &setup)
+        .with_schedule(regime.schedule)
+        .and_then(|e| e.with_topology(regime.topology))
+        .expect("regime is valid");
+    engine.run_to_completion().expect("federation runs");
+    let run = engine.finish();
+    let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
+    let log = run.log;
     let part = log.participation();
     let report = CtflEstimator::new(model, CtflConfig::default())
         .estimate_with_participation(&fed.train, &fed.partition.client_of, &fed.test, &part)

@@ -11,8 +11,8 @@
 //!    least 2x the naive path's.
 //! 3. **Coalition parity** — one federated coalition retraining stepped
 //!    round-by-round through a [`FederationEngine`] session must reproduce
-//!    the one-shot driver's parameter bits (and the one-shot timing is
-//!    reported as the per-coalition figure).
+//!    the bits and log of a session driven by `run_to_completion` (and
+//!    `train_federated`'s timing is reported as the per-coalition figure).
 //!
 //! Output discipline: everything on **stdout** is deterministic (workload
 //! shape, parameter hashes, gate verdicts) so `run_experiments.sh --check`
@@ -26,7 +26,7 @@ use ctfl_fl::adversary::AdversaryPlan;
 use ctfl_fl::aggregate::WeightedFedAvg;
 use ctfl_fl::faults::FaultPlan;
 use ctfl_fl::engine::FederationEngine;
-use ctfl_fl::fedavg::{train_federated_with_views, ByzantineSetup, FlConfig};
+use ctfl_fl::fedavg::{train_federated, ByzantineSetup, FlConfig};
 use ctfl_fl::guard::GuardConfig;
 use ctfl_nn::{LogicalNet, LogicalNetConfig};
 use ctfl_rng::rngs::StdRng;
@@ -175,7 +175,10 @@ fn main() {
     };
     let one_shot = {
         let views: Vec<_> = shards.iter().map(Dataset::view).collect();
-        train_federated_with_views(&views, 2, &cfg, &fl, &plan, &guard).expect("federation runs")
+        let mut engine = FederationEngine::from_views(&views, 2, &cfg, &fl, &setup)
+            .expect("engine session opens");
+        engine.run_to_completion().expect("federation runs");
+        engine.finish()
     };
     let stepped = {
         let views: Vec<_> = shards.iter().map(Dataset::view).collect();
@@ -200,10 +203,8 @@ fn main() {
     );
     println!("coalition parity ok");
 
-    let coalition_ns = median_ns(3, || {
-        let views: Vec<_> = shards.iter().map(Dataset::view).collect();
-        train_federated_with_views(&views, 2, &cfg, &fl, &plan, &guard).expect("federation runs")
-    });
+    let coalition_ns =
+        median_ns(3, || train_federated(&shards, 2, &cfg, &fl).expect("federation runs"));
     eprintln!("coalition retrain median {:>10.3} ms", coalition_ns as f64 / 1e6);
 
     let report = ctfl_testkit::json!({

@@ -4,14 +4,8 @@ use ctfl_core::data::Dataset;
 use ctfl_core::model::RuleModel;
 use ctfl_data::partition::{skew_label, skew_sample, Partition};
 use ctfl_data::split::train_test_split;
-use ctfl_fl::faults::FaultPlan;
-use ctfl_fl::fedavg::{
-    train_federated, train_federated_byzantine, train_federated_scheduled, train_federated_with,
-    ByzantineSetup, FlConfig,
-};
-use ctfl_fl::guard::{FederationLog, GuardConfig};
-use ctfl_fl::schedule::Schedule;
-use ctfl_fl::topology::Topology;
+use ctfl_fl::engine::FederationEngine;
+use ctfl_fl::fedavg::{train_federated, ByzantineSetup, FlConfig};
 use ctfl_nn::extract::{extract_rules, ExtractOptions};
 use ctfl_nn::net::{LogicalNet, LogicalNetConfig};
 use ctfl_valuation::utility::ModelUtility;
@@ -158,61 +152,14 @@ impl Federation {
         (net, model)
     }
 
-    /// Like [`Federation::train_global`], but under a system-level fault
-    /// plan and server guard; also returns the per-round federation log.
-    pub fn train_global_faulty(
-        &self,
-        fl: &FlConfig,
-        plan: &FaultPlan,
-        guard: &GuardConfig,
-    ) -> (LogicalNet, RuleModel, FederationLog) {
+    /// Opens a FedAvg session over the client shards under `setup` (faults,
+    /// adversaries, guard, aggregation rule). Callers install a schedule or
+    /// topology, drive the rounds, and extract rules from the finished run.
+    pub fn engine<'a>(&self, fl: &FlConfig, setup: &ByzantineSetup<'a>) -> FederationEngine<'a> {
         let shards = self.client_datasets();
-        let run =
-            train_federated_with(&shards, self.train.n_classes(), &self.net_config, fl, plan, guard)
-                .expect("federation shards are valid");
-        let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
-        (run.net, model, run.log)
-    }
-
-    /// Like [`Federation::train_global_faulty`], but under the full
-    /// Byzantine runtime: system faults, update-level adversaries, and a
-    /// pluggable aggregation rule.
-    pub fn train_global_byzantine(
-        &self,
-        fl: &FlConfig,
-        setup: &ByzantineSetup<'_>,
-    ) -> (LogicalNet, RuleModel, FederationLog) {
-        let shards = self.client_datasets();
-        let run =
-            train_federated_byzantine(&shards, self.train.n_classes(), &self.net_config, fl, setup)
-                .expect("federation shards are valid");
-        let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
-        (run.net, model, run.log)
-    }
-
-    /// Like [`Federation::train_global_byzantine`], but under an explicit
-    /// round schedule and aggregation topology (sampled / asynchronous /
-    /// gossip federations).
-    pub fn train_global_scheduled(
-        &self,
-        fl: &FlConfig,
-        setup: &ByzantineSetup<'_>,
-        schedule: Schedule,
-        topology: Topology,
-    ) -> (LogicalNet, RuleModel, FederationLog) {
-        let shards = self.client_datasets();
-        let run = train_federated_scheduled(
-            &shards,
-            self.train.n_classes(),
-            &self.net_config,
-            fl,
-            setup,
-            schedule,
-            topology,
-        )
-        .expect("federation shards are valid");
-        let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
-        (run.net, model, run.log)
+        let n_classes = self.train.n_classes();
+        FederationEngine::from_datasets(&shards, n_classes, &self.net_config, fl, setup)
+            .expect("federation shards are valid")
     }
 
     /// The coalition utility function the baselines evaluate (Eq. 1):

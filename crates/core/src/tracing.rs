@@ -134,78 +134,14 @@ pub struct TraceInputs<'a> {
 }
 
 impl<'a> TraceInputs<'a> {
-    fn validate(&self) -> Result<()> {
-        let m = self.train_acts.n_bits();
-        if self.test_acts.n_bits() != m {
-            return Err(CoreError::LengthMismatch {
-                what: "test activation width",
-                expected: m,
-                actual: self.test_acts.n_bits(),
-            });
+    fn test_side(&self) -> TestSide<'a> {
+        TestSide {
+            acts: self.test_acts,
+            labels: self.test_labels,
+            predictions: self.predictions,
+            weights: self.weights,
+            class_masks: self.class_masks,
         }
-        if self.train_labels.len() != self.train_acts.n_rows() {
-            return Err(CoreError::LengthMismatch {
-                what: "train labels",
-                expected: self.train_acts.n_rows(),
-                actual: self.train_labels.len(),
-            });
-        }
-        if self.client_of.len() != self.train_acts.n_rows() {
-            return Err(CoreError::LengthMismatch {
-                what: "client assignment",
-                expected: self.train_acts.n_rows(),
-                actual: self.client_of.len(),
-            });
-        }
-        if self.test_labels.len() != self.test_acts.n_rows() {
-            return Err(CoreError::LengthMismatch {
-                what: "test labels",
-                expected: self.test_acts.n_rows(),
-                actual: self.test_labels.len(),
-            });
-        }
-        if self.predictions.len() != self.test_acts.n_rows() {
-            return Err(CoreError::LengthMismatch {
-                what: "predictions",
-                expected: self.test_acts.n_rows(),
-                actual: self.predictions.len(),
-            });
-        }
-        if self.weights.len() != m {
-            return Err(CoreError::LengthMismatch {
-                what: "rule weights",
-                expected: m,
-                actual: self.weights.len(),
-            });
-        }
-        for &c in self.client_of {
-            if c as usize >= self.n_clients {
-                return Err(CoreError::InvalidParameter {
-                    name: "client_of",
-                    message: format!("client {c} >= n_clients {}", self.n_clients),
-                });
-            }
-        }
-        let n_classes = self.class_masks.len();
-        for (&l, what) in self
-            .train_labels
-            .iter()
-            .map(|l| (l, "train label"))
-            .chain(self.test_labels.iter().map(|l| (l, "test label")))
-        {
-            if l as usize >= n_classes {
-                return Err(CoreError::InvalidParameter {
-                    name: "labels",
-                    message: format!("{what} {l} >= n_classes {n_classes}"),
-                });
-            }
-        }
-        for &p in self.predictions {
-            if p >= n_classes {
-                return Err(CoreError::ClassOutOfRange { class: p, n_classes });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -341,50 +277,73 @@ impl TraceOutcome {
 
 /// Borrowed row-level access to the training side of a trace.
 ///
-/// Implemented by the monolithic [`TraceInputs`] triple and by
-/// [`ShardedActivations`]: the kernel is generic over this trait, so both
-/// stores run the *same* code and therefore produce identical output
-/// bytes (pinned by property tests).
+/// Implemented by the monolithic [`TraceInputs`] and by
+/// [`ShardedActivations`]: the validator and the kernel are generic over
+/// this trait, so both stores run the *same* code and therefore produce
+/// identical output bytes and errors (pinned by property tests).
 pub trait TrainAccess: Sync {
     /// Number of training rows.
     fn n_rows(&self) -> usize;
+    /// Activation width (rule count) of every row.
+    fn n_bits(&self) -> usize;
     /// Packed activation words of a global row.
     fn row_words(&self, row: usize) -> &[u64];
     /// Label of a global row.
     fn label(&self, row: usize) -> u32;
     /// Owning client of a global row.
     fn client(&self, row: usize) -> u32;
+    /// Checks that per-row side arrays supplied apart from the activations
+    /// cover every row. A store whose construction guarantees this keeps
+    /// the default.
+    fn check_lengths(&self) -> Result<()> {
+        Ok(())
+    }
+    /// Every row's `(client, label)`, in row order: the validator's scan.
+    /// A store with cheaper sequential access than per-row lookups
+    /// overrides it.
+    fn owners_and_labels(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.n_rows()).map(|r| (self.client(r), self.label(r)))
+    }
 }
 
-/// The monolithic training store: one matrix plus parallel label/client
-/// vectors.
-struct MonoTrain<'a> {
-    acts: &'a ActivationMatrix,
-    labels: &'a [u32],
-    client_of: &'a [u32],
-}
-
-impl TrainAccess for MonoTrain<'_> {
+impl TrainAccess for TraceInputs<'_> {
     fn n_rows(&self) -> usize {
-        self.acts.n_rows()
+        self.train_acts.n_rows()
+    }
+    fn n_bits(&self) -> usize {
+        self.train_acts.n_bits()
     }
     #[inline]
     fn row_words(&self, row: usize) -> &[u64] {
-        self.acts.row_words(row)
+        self.train_acts.row_words(row)
     }
     #[inline]
     fn label(&self, row: usize) -> u32 {
-        self.labels[row]
+        self.train_labels[row]
     }
     #[inline]
     fn client(&self, row: usize) -> u32 {
         self.client_of[row]
+    }
+    fn check_lengths(&self) -> Result<()> {
+        let n = self.train_acts.n_rows();
+        for (what, actual) in
+            [("train labels", self.train_labels.len()), ("client assignment", self.client_of.len())]
+        {
+            if actual != n {
+                return Err(CoreError::LengthMismatch { what, expected: n, actual });
+            }
+        }
+        Ok(())
     }
 }
 
 impl TrainAccess for ShardedActivations {
     fn n_rows(&self) -> usize {
         ShardedActivations::n_rows(self)
+    }
+    fn n_bits(&self) -> usize {
+        ShardedActivations::n_bits(self)
     }
     #[inline]
     fn row_words(&self, row: usize) -> &[u64] {
@@ -398,15 +357,83 @@ impl TrainAccess for ShardedActivations {
     fn client(&self, row: usize) -> u32 {
         ShardedActivations::client(self, row)
     }
+    fn owners_and_labels(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.shards().iter().flat_map(|s| s.labels.iter().map(move |&l| (s.client, l)))
+    }
 }
 
-/// The test side of a trace, bundled for the generic kernel.
+/// The federation-owned test side of a trace plus the model's rule weights
+/// and per-class masks.
 struct TestSide<'a> {
     acts: &'a ActivationMatrix,
     labels: &'a [u32],
     predictions: &'a [usize],
     weights: &'a [f64],
     class_masks: &'a [Vec<u64>],
+}
+
+/// The one input validator, shared by every trace entry point: widths,
+/// lengths, class-mask word counts, and every owner, label and prediction
+/// in range. Everything the kernel indexes by is checked here, so valid
+/// inputs cannot panic it.
+fn validate(train: &impl TrainAccess, n_clients: usize, test: &TestSide<'_>) -> Result<()> {
+    let m = train.n_bits();
+    let n_test = test.acts.n_rows();
+    train.check_lengths()?;
+    for (what, expected, actual) in [
+        ("test activation width", m, test.acts.n_bits()),
+        ("test labels", n_test, test.labels.len()),
+        ("predictions", n_test, test.predictions.len()),
+        ("rule weights", m, test.weights.len()),
+    ] {
+        if actual != expected {
+            return Err(CoreError::LengthMismatch { what, expected, actual });
+        }
+    }
+    let words = m.div_ceil(64);
+    if let Some(mask) = test.class_masks.iter().find(|mask| mask.len() != words) {
+        return Err(CoreError::LengthMismatch {
+            what: "class mask words",
+            expected: words,
+            actual: mask.len(),
+        });
+    }
+    let n_classes = test.class_masks.len();
+    let label_error = |what: &str, l: u32| CoreError::InvalidParameter {
+        name: "labels",
+        message: format!("{what} {l} >= n_classes {n_classes}"),
+    };
+    // One pass over the training rows, owner before label.
+    let bad = |&(c, l): &(u32, u32)| c as usize >= n_clients || l as usize >= n_classes;
+    if let Some((c, l)) = train.owners_and_labels().find(bad) {
+        return Err(if c as usize >= n_clients {
+            CoreError::InvalidParameter {
+                name: "client_of",
+                message: format!("client {c} >= n_clients {n_clients}"),
+            }
+        } else {
+            label_error("train label", l)
+        });
+    }
+    if let Some(&l) = test.labels.iter().find(|&&l| l as usize >= n_classes) {
+        return Err(label_error("test label", l));
+    }
+    if let Some(&p) = test.predictions.iter().find(|&&p| p >= n_classes) {
+        return Err(CoreError::ClassOutOfRange { class: p, n_classes });
+    }
+    Ok(())
+}
+
+/// Validates both the configuration and the inputs, then runs the kernel.
+fn trace_checked<T: TrainAccess>(
+    train: &T,
+    n_clients: usize,
+    test: &TestSide<'_>,
+    config: &TraceConfig,
+) -> Result<TraceOutcome> {
+    config.validate()?;
+    validate(train, n_clients, test)?;
+    Ok(trace_kernel(train, n_clients, test, config))
 }
 
 /// Minimum `|D_te| × |D_N|` pair volume before the kernel spawns worker
@@ -421,22 +448,11 @@ const PAIR_FLOOR: usize = 65_536;
 /// thread count, and for [`trace_sharded`] over the same rows — the
 /// aggregate tables are defined as `weight × exact integer match-count`,
 /// so merges are integer sums that no thread interleaving can perturb.
+/// Malformed inputs (mismatched widths or lengths, out-of-range owners,
+/// labels or predictions, class masks of the wrong word count) are typed
+/// errors.
 pub fn trace(inputs: &TraceInputs<'_>, config: &TraceConfig) -> Result<TraceOutcome> {
-    config.validate()?;
-    inputs.validate()?;
-    let train = MonoTrain {
-        acts: inputs.train_acts,
-        labels: inputs.train_labels,
-        client_of: inputs.client_of,
-    };
-    let test = TestSide {
-        acts: inputs.test_acts,
-        labels: inputs.test_labels,
-        predictions: inputs.predictions,
-        weights: inputs.weights,
-        class_masks: inputs.class_masks,
-    };
-    Ok(trace_kernel(&train, inputs.n_clients, &test, config))
+    trace_checked(inputs, inputs.n_clients, &inputs.test_side(), config)
 }
 
 /// Inputs for tracing directly over a sharded per-client store: the
@@ -460,80 +476,13 @@ pub struct ShardedTraceInputs<'a> {
     pub class_masks: &'a [Vec<u64>],
 }
 
-impl ShardedTraceInputs<'_> {
-    fn validate(&self) -> Result<()> {
-        let m = self.train.n_bits();
-        if self.test_acts.n_bits() != m {
-            return Err(CoreError::LengthMismatch {
-                what: "test activation width",
-                expected: m,
-                actual: self.test_acts.n_bits(),
-            });
-        }
-        if self.test_labels.len() != self.test_acts.n_rows() {
-            return Err(CoreError::LengthMismatch {
-                what: "test labels",
-                expected: self.test_acts.n_rows(),
-                actual: self.test_labels.len(),
-            });
-        }
-        if self.predictions.len() != self.test_acts.n_rows() {
-            return Err(CoreError::LengthMismatch {
-                what: "predictions",
-                expected: self.test_acts.n_rows(),
-                actual: self.predictions.len(),
-            });
-        }
-        if self.weights.len() != m {
-            return Err(CoreError::LengthMismatch {
-                what: "rule weights",
-                expected: m,
-                actual: self.weights.len(),
-            });
-        }
-        let n_classes = self.class_masks.len();
-        for shard in self.train.shards() {
-            if shard.client as usize >= self.n_clients {
-                return Err(CoreError::InvalidParameter {
-                    name: "client_of",
-                    message: format!("client {} >= n_clients {}", shard.client, self.n_clients),
-                });
-            }
-            for &l in &shard.labels {
-                if l as usize >= n_classes {
-                    return Err(CoreError::InvalidParameter {
-                        name: "labels",
-                        message: format!("train label {l} >= n_classes {n_classes}"),
-                    });
-                }
-            }
-        }
-        for &l in self.test_labels {
-            if l as usize >= n_classes {
-                return Err(CoreError::InvalidParameter {
-                    name: "labels",
-                    message: format!("test label {l} >= n_classes {n_classes}"),
-                });
-            }
-        }
-        for &p in self.predictions {
-            if p >= n_classes {
-                return Err(CoreError::ClassOutOfRange { class: p, n_classes });
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Runs the tracing pass zero-copy over a sharded per-client store.
 ///
 /// Bit-identical to flattening the store with
 /// [`ShardedActivations::to_matrix`] and calling [`trace`] — both paths
-/// run the same generic kernel and global row order is preserved by
-/// construction.
+/// run the same validator and generic kernel, and global row order is
+/// preserved by construction.
 pub fn trace_sharded(inputs: &ShardedTraceInputs<'_>, config: &TraceConfig) -> Result<TraceOutcome> {
-    config.validate()?;
-    inputs.validate()?;
     let test = TestSide {
         acts: inputs.test_acts,
         labels: inputs.test_labels,
@@ -541,7 +490,7 @@ pub fn trace_sharded(inputs: &ShardedTraceInputs<'_>, config: &TraceConfig) -> R
         weights: inputs.weights,
         class_masks: inputs.class_masks,
     };
-    Ok(trace_kernel(inputs.train, inputs.n_clients, &test, config))
+    trace_checked(inputs.train, inputs.n_clients, &test, config)
 }
 
 /// Pinned naive oracle for [`trace`]: pair-by-pair, per-bit matrix reads,
@@ -554,7 +503,7 @@ pub fn trace_sharded(inputs: &ShardedTraceInputs<'_>, config: &TraceConfig) -> R
 /// gate both compare against this function.
 pub fn trace_reference(inputs: &TraceInputs<'_>, config: &TraceConfig) -> Result<TraceOutcome> {
     config.validate()?;
-    inputs.validate()?;
+    validate(inputs, inputs.n_clients, &inputs.test_side())?;
 
     let n_test = inputs.test_acts.n_rows();
     let n_train = inputs.train_acts.n_rows();
@@ -1149,6 +1098,62 @@ mod tests {
             ..TraceConfig::default()
         };
         assert!(trace(&inputs, &bad_cfg).is_err());
+
+        // A 70-rule model needs two mask words per class. One train and one
+        // test row both fire rule 65, which supports class 0: with full
+        // masks the test row relates to the train row; a mask cut to one
+        // word is a typed error for every entry point, never a silently
+        // empty trace or an out-of-bounds panic.
+        let mut acts = ActivationMatrix::zeros(0, 70);
+        acts.push_row(&(0..70).map(|b| b == 65).collect::<Vec<_>>()).unwrap();
+        let full = vec![ActivationMatrix::build_mask(70, [65usize])];
+        let cut = vec![vec![full[0][0]]];
+        let weights = vec![1.0; 70];
+        let store = ShardedActivations::from_shards(vec![ActivationShard {
+            client: 0,
+            acts: acts.clone(),
+            labels: vec![0],
+        }])
+        .unwrap();
+        let cfg = TraceConfig { parallel: false, ..TraceConfig::default() };
+        for (masks, ok) in [(&full, true), (&cut, false)] {
+            let mono = TraceInputs {
+                train_acts: &acts,
+                train_labels: &[0],
+                client_of: &[0],
+                n_clients: 1,
+                test_acts: &acts,
+                test_labels: &[0],
+                predictions: &[0],
+                weights: &weights,
+                class_masks: masks,
+            };
+            let sharded = ShardedTraceInputs {
+                train: &store,
+                n_clients: 1,
+                test_acts: &acts,
+                test_labels: &[0],
+                predictions: &[0],
+                weights: &weights,
+                class_masks: masks,
+            };
+            for out in
+                [trace(&mono, &cfg), trace_sharded(&sharded, &cfg), trace_reference(&mono, &cfg)]
+            {
+                if ok {
+                    let out = out.unwrap();
+                    assert_eq!(out.per_test[0].related_per_client, vec![1]);
+                    assert_eq!(out.per_test[0].denom, 1.0);
+                } else {
+                    let err = CoreError::LengthMismatch {
+                        what: "class mask words",
+                        expected: 2,
+                        actual: 1,
+                    };
+                    assert_eq!(out.unwrap_err(), err);
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! but a single colluding coalition can steer it; coordinate-wise median,
 //! trimmed mean, and (Multi-)Krum trade a little efficiency for a bounded
 //! breakdown point. The [`Aggregator`] trait makes the rule a parameter of
-//! the round loop — `train_federated_byzantine` threads any implementation
-//! through the guards, quorum retries, and the parallel/serial
-//! bit-identical paths.
+//! the round loop — a [`crate::engine::FederationEngine`] session threads
+//! any implementation through the guards, quorum retries, and the
+//! parallel/serial bit-identical paths.
 //!
 //! [`WeightedFedAvg`] is the bit-compatible default: it delegates to the
 //! exact [`crate::server::aggregate`] arithmetic, so seeded runs through

@@ -1,10 +1,10 @@
-//! The federation engine: one composable round-loop runtime.
+//! The federation engine: the one round loop.
 //!
 //! [`FederationEngine`] is a *session*: it owns the global model, the client
 //! replicas, the fault injector, the adversary injector, the guard policy,
-//! the aggregation rule, and the reusable round buffers. Instead of a batch
-//! `main()` that rebuilds the world per run, callers drive the session with
-//! an explicit state machine:
+//! the borrowed aggregation rule, and the reusable round buffers. Instead
+//! of a batch `main()` that rebuilds the world per run, callers drive the
+//! session with an explicit state machine:
 //!
 //! ```text
 //! from_views/from_datasets        step_round()*             finish()
@@ -14,21 +14,25 @@
 //! ```
 //!
 //! Each [`FederationEngine::step_round`] call executes exactly one
-//! communication round — local client computation (parallel or serial),
-//! system-fault injection, in-flight adversarial rewriting, server-side
-//! guarding, quorum retries, and aggregation — and returns the committed
-//! [`RoundReport`] so the caller can pause, inspect, and resume
-//! mid-federation. [`FederationEngine::run_to_completion`] drives the
+//! communication round as one phase sequence — plan → compute → interpret
+//! → rewrite → guard → fuse — for every [`Schedule`] and [`Topology`], and
+//! returns the committed [`RoundReport`] so the caller can pause, inspect,
+//! and resume mid-federation. Decentralized (gossip) FL differs from the
+//! star only in who fuses the updates, so the topology decides just three
+//! things: the round-start reference, whether a late update is parked or
+//! lost, and the fuse. [`FederationEngine::run_to_completion`] drives the
 //! remaining rounds; [`FederationEngine::finish`] consumes the session into
-//! the legacy [`FederationRun`].
+//! a [`FederationRun`]. Every training entry point — `train_federated`, the
+//! service's jobs, the benchmarks' and baselines' retrainings — is such a
+//! session.
 //!
 //! **Determinism contract** (inherited bit-for-bit from the drivers this
-//! engine replaced): the same inputs produce bit-identical parameters and a
-//! byte-identical [`FederationLog`], with the parallel and serial paths
-//! agreeing exactly, however the rounds are interleaved with other sessions.
-//! Many engines can run concurrently on a worker pool
-//! (`crate::server::FederationService`) and each reproduces its solo run —
-//! sessions share no mutable state.
+//! engine replaced, and pinned by `tests/engine_equivalence.rs`): the same
+//! inputs produce bit-identical parameters and a byte-identical
+//! [`FederationLog`], with the parallel and serial paths agreeing exactly,
+//! however the rounds are interleaved with other sessions. Many engines can
+//! run concurrently on a worker pool (`crate::server::FederationService`)
+//! and each reproduces its solo run — sessions share no mutable state.
 
 use ctfl_core::data::{Dataset, DatasetView, FeatureSchema};
 use ctfl_core::error::{CoreError, Result};
@@ -91,27 +95,11 @@ fn run_local(client: &mut Client, fate: Fate, global: &[f32], epochs: usize) -> 
     .map_err(|_| ())
 }
 
-/// Borrow adapter so the legacy entry points (which hold `&dyn Aggregator`
-/// in a [`ByzantineSetup`]) can hand their rule to an engine that owns its
-/// aggregator. Pure delegation — bit-identical to calling the rule directly.
-#[derive(Debug)]
-struct AggRef<'a>(&'a dyn Aggregator);
-
-impl Aggregator for AggRef<'_> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn aggregate(&self, client_params: &[Vec<f32>], weights: &[usize]) -> Result<Vec<f32>> {
-        self.0.aggregate(client_params, weights)
-    }
-    fn aggregate_into(
-        &self,
-        client_params: &[Vec<f32>],
-        weights: &[usize],
-        out: &mut Vec<f32>,
-    ) -> Result<()> {
-        self.0.aggregate_into(client_params, weights, out)
-    }
+/// Client `c`'s round-start model: its own node model under gossip, the
+/// global model under the star (where no node models exist). It is also
+/// the reference a corrupted upload is measured from.
+fn start_of<'p>(global: &'p [f32], nodes: &'p [Vec<f32>], c: usize) -> &'p [f32] {
+    nodes.get(c).map_or(global, Vec::as_slice)
 }
 
 /// Where a session is in its round loop.
@@ -138,7 +126,7 @@ pub struct FederationEngine<'a> {
     injector: FaultInjector,
     adversary: AdversaryInjector,
     guard: GuardConfig,
-    aggregator: Box<dyn Aggregator + 'a>,
+    aggregator: &'a dyn Aggregator,
     schedule: Schedule,
     topology: Topology,
     log: FederationLog,
@@ -237,8 +225,7 @@ impl<'a> FederationEngine<'a> {
         Self::from_clients(&schema, clients, n_classes, net_config, fl_config, setup)
     }
 
-    /// [`FederationEngine::from_views`] over owned datasets — the
-    /// convenience constructor behind `train_federated_byzantine`.
+    /// [`FederationEngine::from_views`] over owned datasets.
     pub fn from_datasets(
         client_data: &[Dataset],
         n_classes: usize,
@@ -272,7 +259,7 @@ impl<'a> FederationEngine<'a> {
             injector: FaultInjector::new(setup.faults.clone()),
             adversary: AdversaryInjector::new(setup.adversary.clone()),
             guard: *setup.guard,
-            aggregator: Box::new(AggRef(setup.aggregator)),
+            aggregator: setup.aggregator,
             schedule: Schedule::Full,
             topology: Topology::Star,
             log: FederationLog::new(n),
@@ -283,17 +270,6 @@ impl<'a> FederationEngine<'a> {
             aggregated: Vec::new(),
             next_round: 0,
         })
-    }
-
-    /// Replaces the borrowed aggregation rule with an owned one — for
-    /// long-lived sessions (the service layer) that must not borrow from
-    /// their surroundings. Call before the first [`step_round`]; swapping
-    /// rules mid-run would break the determinism contract.
-    ///
-    /// [`step_round`]: FederationEngine::step_round
-    pub fn with_owned_aggregator(mut self, aggregator: Box<dyn Aggregator + 'a>) -> Self {
-        self.aggregator = aggregator;
-        self
     }
 
     /// Installs a round-scheduling policy ([`Schedule::Full`] is the
@@ -380,24 +356,180 @@ impl<'a> FederationEngine<'a> {
         &self.node_params
     }
 
-    /// Runs exactly one communication round — scheduling, local
-    /// computation, fault injection, adversarial rewriting, guarding,
-    /// quorum retries, aggregation (star or per-node gossip) — and returns
-    /// the committed report. Returns `Ok(None)` when the session is
-    /// already finished.
+    /// Runs exactly one communication round and returns the committed
+    /// report, or `Ok(None)` when the session is already finished.
     ///
-    /// Errors propagate exactly as in the legacy drivers: a genuine local
-    /// training failure, a panic under [`PanicPolicy::Error`], a fail-fast
-    /// guard rejection, or a quorum failure under `fail_fast` abort the
-    /// session.
+    /// The round is one phase sequence for every schedule and topology:
+    /// **plan** (round-start reference, schedule, due late arrivals) →
+    /// **compute** (local training under injected fates) → **interpret**
+    /// (outcomes into fresh, parked and non-reporting entries) →
+    /// **rewrite** (in-flight adversaries) → **guard** (signatures,
+    /// validation, quorum retries) → **fuse** (aggregation). The topology
+    /// decides only three things: the round-start reference (the global
+    /// model, or the consensus of the gossip node models), whether a late
+    /// update is parked for a later round or lost, and the fuse.
+    ///
+    /// A genuine local training failure, a panic under
+    /// [`PanicPolicy::Error`], a fail-fast guard rejection, or a quorum
+    /// failure under `fail_fast` aborts the session with a typed error.
     pub fn step_round(&mut self) -> Result<Option<&RoundReport>> {
         if self.is_finished() {
             return Ok(None);
         }
+        let round = self.next_round;
+        let n = self.clients.len();
+
+        // Plan. Under gossip the reference is the row-weighted consensus of
+        // the node models (a snapshot no real node computes); the guard,
+        // the adversaries and the signatures all measure against it.
         if self.topology.is_star() {
-            self.step_round_star()?;
+            self.global.params_into(&mut self.global_params);
         } else {
-            self.step_round_gossip()?;
+            if self.node_params.is_empty() {
+                self.node_params = vec![self.global.params(); n];
+            }
+            let consensus = &mut self.global_params;
+            WeightedFedAvg.aggregate_into(&self.node_params, &self.weights, consensus)?;
+        }
+        let plan = self.schedule.plan_round(round, &self.weights);
+        let decay = self.schedule.staleness_decay();
+        let stale_arrivals = self.drain_due(round);
+        let mut attempt = 0usize;
+        loop {
+            // Fates are drawn for unscheduled clients too, so persistent
+            // crashes register on time.
+            let fates: Vec<Fate> =
+                (0..n).map(|c| self.injector.fate(round, attempt, c)).collect();
+            let outcomes = self.compute(&fates, &plan.scheduled);
+
+            // Interpret.
+            let mut entries: Vec<ParticipationEntry> = Vec::new();
+            let mut fresh: Vec<UpdateCandidate> = Vec::new();
+            let mut deferred: Vec<DelayedUpdate> = Vec::new();
+            for (c, ((&fate, outcome), &scheduled)) in
+                fates.iter().zip(outcomes).zip(&plan.scheduled).enumerate()
+            {
+                let absent = |outcome| ParticipationEntry { client: c, stale: false, outcome };
+                if !scheduled {
+                    entries.push(absent(Participation::Unscheduled));
+                    continue;
+                }
+                match (fate, outcome) {
+                    (Fate::Crashed, _) => entries.push(absent(Participation::Crashed)),
+                    (Fate::Dropout, _) => entries.push(absent(Participation::Dropout)),
+                    (_, Some(Err(()))) => {
+                        if self.guard.panic_policy == PanicPolicy::Error {
+                            return Err(CoreError::ClientPanicked { client: c });
+                        }
+                        entries.push(absent(Participation::Panicked));
+                    }
+                    // A genuine error from local training (not a fault) is a
+                    // programming error and always propagates.
+                    (_, Some(Ok(Err(e)))) => return Err(e),
+                    (fate, Some(Ok(Ok(mut params)))) => {
+                        if let Fate::Corrupt(kind) = fate {
+                            let start = start_of(&self.global_params, &self.node_params, c);
+                            FaultInjector::corrupt(kind, &mut params, start);
+                        }
+                        // Arrival lag: the schedule's asynchronous delay,
+                        // plus one round when the straggler fault fired.
+                        let lag = plan.delay[c] + usize::from(fate == Fate::Straggler);
+                        if lag == 0 {
+                            fresh.push(UpdateCandidate {
+                                client: c,
+                                stale: false,
+                                params,
+                                weight: self.weights[c],
+                            });
+                            continue;
+                        }
+                        entries.push(absent(Participation::Straggling));
+                        // Only a star server buffers a late update; in a
+                        // gossip round nobody waits for it and it is lost.
+                        if self.topology.is_star() {
+                            deferred.push(DelayedUpdate {
+                                deliver_round: round + lag,
+                                candidate: UpdateCandidate {
+                                    client: c,
+                                    stale: true,
+                                    params,
+                                    weight: staleness_weight(self.weights[c], lag, decay),
+                                },
+                            });
+                        }
+                    }
+                    (_, None) => unreachable!("computing fate without an outcome"),
+                }
+            }
+
+            // Rewrite: update-level adversaries rewrite their fresh
+            // submissions in-flight, between computation and the guard.
+            self.adversary.rewrite_round(
+                &mut fresh,
+                &self.global_params,
+                &self.prev_global,
+                self.global.n_classes(),
+            );
+
+            // Guard: stale arrivals + fresh updates in a fixed order, so
+            // aggregation arithmetic is deterministic. Signatures fingerprint
+            // the submissions as submitted (pre-clipping, read-only).
+            let mut candidates = stale_arrivals.clone();
+            candidates.extend(fresh);
+            candidates.sort_by_key(|c| (c.client, c.stale));
+            let signatures = sign_updates(&candidates, &self.global_params, &self.prev_global);
+            let judged = judge_round(&self.global_params, candidates, &self.guard)?;
+            for j in &judged {
+                entries.push(ParticipationEntry {
+                    client: j.candidate.client,
+                    stale: j.candidate.stale,
+                    outcome: j.outcome,
+                });
+            }
+            entries.sort_by_key(|e| (e.client, e.stale));
+            let accepted: Vec<UpdateCandidate> = judged
+                .into_iter()
+                .filter(|j| matches!(j.outcome, Participation::Accepted { .. }))
+                .map(|j| j.candidate)
+                .collect();
+            let n_accepted = accepted.len();
+            // Quorum is measured against the clients actually asked to
+            // train: scheduled and not crashed.
+            let n_active = fates
+                .iter()
+                .zip(&plan.scheduled)
+                .filter(|(f, s)| **s && **f != Fate::Crashed)
+                .count();
+            let needed = ((self.guard.quorum_frac * n_active as f64).ceil() as usize).max(1);
+            let quorum_met = n_accepted >= needed;
+            if !quorum_met && attempt < self.guard.max_round_retries && n_active > 0 {
+                // Re-run the round against the remaining clients; the
+                // aborted attempt's in-flight packets are lost with it.
+                attempt += 1;
+                continue;
+            }
+
+            if quorum_met {
+                self.fuse(round, &fates, accepted)?;
+            } else if self.guard.fail_fast {
+                return Err(CoreError::InvalidParameter {
+                    name: "quorum",
+                    message: format!(
+                        "round {round}: {n_accepted}/{needed} required updates accepted"
+                    ),
+                });
+            }
+            // else: graceful degradation — every model carries forward.
+
+            self.delayed.extend(deferred);
+            self.log.rounds.push(RoundReport {
+                round,
+                attempts: attempt + 1,
+                degraded: !quorum_met,
+                entries,
+                signatures,
+            });
+            break;
         }
         // This round's starting params become the stale-echo reference; the
         // old `prev_global` allocation is recycled as next round's
@@ -429,443 +561,75 @@ impl<'a> FederationEngine<'a> {
         due
     }
 
-    /// One round under [`Topology::Star`]: a single logical server judges
-    /// and aggregates every surviving update into the one global model.
-    /// With [`Schedule::Full`] this is bit-identical to the pre-scheduler
-    /// engine (pinned by `tests/engine_equivalence.rs`).
-    fn step_round_star(&mut self) -> Result<()> {
-        let round = self.next_round;
-        let n = self.clients.len();
-        self.global.params_into(&mut self.global_params);
-        let plan = self.schedule.plan_round(round, &self.weights);
-        let decay = self.schedule.staleness_decay();
-        let stale_arrivals = self.drain_due(round);
-        let mut attempt = 0usize;
-        loop {
-            let fates: Vec<Fate> =
-                (0..n).map(|c| self.injector.fate(round, attempt, c)).collect();
-
-            // Local work for every *scheduled* client whose fate requires
-            // compute. Unscheduled clients never train; their fates are
-            // still drawn so persistent crashes register on time.
-            let n_computing = fates
-                .iter()
-                .zip(&plan.scheduled)
-                .filter(|(f, s)| **s && needs_compute(**f))
-                .count();
-            let global_params = &self.global_params;
-            let local_epochs = self.fl.local_epochs;
-            let outcomes: Vec<Option<LocalOutcome>> = if self.fl.parallel && n_computing > 1 {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .clients
-                        .iter_mut()
-                        .zip(&fates)
-                        .zip(&plan.scheduled)
-                        .map(|((c, &fate), &sch)| {
-                            if !sch || !needs_compute(fate) {
-                                return None;
-                            }
-                            Some(s.spawn(move || run_local(c, fate, global_params, local_epochs)))
+    /// Compute phase: local work for every *scheduled* client whose fate
+    /// requires it, each from its round-start model, on scoped threads when
+    /// `parallel` is set and more than one client computes. `None` marks a
+    /// client that did no work.
+    fn compute(&mut self, fates: &[Fate], scheduled: &[bool]) -> Vec<Option<LocalOutcome>> {
+        let n_computing =
+            fates.iter().zip(scheduled).filter(|(f, s)| **s && needs_compute(**f)).count();
+        let (global, nodes) = (&self.global_params, &self.node_params);
+        let epochs = self.fl.local_epochs;
+        let jobs = self.clients.iter_mut().zip(fates).zip(scheduled).enumerate().map(
+            move |(c, ((client, &fate), &scheduled))| {
+                let start = start_of(global, nodes, c);
+                (scheduled && needs_compute(fate)).then_some((client, fate, start))
+            },
+        );
+        if self.fl.parallel && n_computing > 1 {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = jobs
+                    .map(|job| {
+                        job.map(|(client, fate, start)| {
+                            s.spawn(move || run_local(client, fate, start, epochs))
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.map(|h| h.join().unwrap_or(Err(()))))
-                        .collect()
-                })
-            } else {
-                self.clients
-                    .iter_mut()
-                    .zip(&fates)
-                    .zip(&plan.scheduled)
-                    .map(|((c, &fate), &sch)| {
-                        (sch && needs_compute(fate))
-                            .then(|| run_local(c, fate, global_params, local_epochs))
                     })
-                    .collect()
-            };
-
-            // Interpret outcomes: build fresh candidates, deferred delayed
-            // updates, and the non-reporting entries.
-            let mut entries: Vec<ParticipationEntry> = Vec::new();
-            let mut fresh: Vec<UpdateCandidate> = Vec::new();
-            let mut deferred: Vec<DelayedUpdate> = Vec::new();
-            for (c, ((fate, outcome), &sch)) in
-                fates.iter().zip(outcomes).zip(&plan.scheduled).enumerate()
-            {
-                if !sch {
-                    entries.push(ParticipationEntry {
-                        client: c,
-                        stale: false,
-                        outcome: Participation::Unscheduled,
-                    });
-                    continue;
-                }
-                match (fate, outcome) {
-                    (Fate::Crashed, _) => entries.push(ParticipationEntry {
-                        client: c,
-                        stale: false,
-                        outcome: Participation::Crashed,
-                    }),
-                    (Fate::Dropout, _) => entries.push(ParticipationEntry {
-                        client: c,
-                        stale: false,
-                        outcome: Participation::Dropout,
-                    }),
-                    (_, Some(Err(()))) => {
-                        if self.guard.panic_policy == PanicPolicy::Error {
-                            return Err(CoreError::ClientPanicked { client: c });
-                        }
-                        entries.push(ParticipationEntry {
-                            client: c,
-                            stale: false,
-                            outcome: Participation::Panicked,
-                        });
-                    }
-                    // A genuine error from local training (not a fault) is a
-                    // programming error and always propagates.
-                    (_, Some(Ok(Err(e)))) => return Err(e),
-                    (&fate, Some(Ok(Ok(mut params)))) => {
-                        if let Fate::Corrupt(kind) = fate {
-                            FaultInjector::corrupt(kind, &mut params, &self.global_params);
-                        }
-                        // Arrival lag: the schedule's asynchronous delay,
-                        // plus one round when the straggler fault fired.
-                        let lag = plan.delay[c] + usize::from(fate == Fate::Straggler);
-                        if lag > 0 {
-                            deferred.push(DelayedUpdate {
-                                deliver_round: round + lag,
-                                candidate: UpdateCandidate {
-                                    client: c,
-                                    stale: true,
-                                    params,
-                                    weight: staleness_weight(self.weights[c], lag, decay),
-                                },
-                            });
-                            entries.push(ParticipationEntry {
-                                client: c,
-                                stale: false,
-                                outcome: Participation::Straggling,
-                            });
-                        } else {
-                            fresh.push(UpdateCandidate {
-                                client: c,
-                                stale: false,
-                                params,
-                                weight: self.weights[c],
-                            });
-                        }
-                    }
-                    (_, None) => unreachable!("computing fate without an outcome"),
-                }
-            }
-
-            // Update-level adversaries rewrite their fresh submissions
-            // in-flight, between client computation and the server guard.
-            self.adversary.rewrite_round(
-                &mut fresh,
-                &self.global_params,
-                &self.prev_global,
-                self.global.n_classes(),
-            );
-
-            // Server-side validation over stale arrivals + fresh updates, in
-            // a fixed order so aggregation arithmetic is deterministic.
-            let mut candidates = stale_arrivals.clone();
-            candidates.extend(fresh);
-            candidates.sort_by_key(|c| (c.client, c.stale));
-            // Fingerprint the submissions as-submitted (pre-clipping); the
-            // computation is read-only and RNG-free.
-            let signatures = sign_updates(&candidates, &self.global_params, &self.prev_global);
-            let judged = judge_round(&self.global_params, candidates, &self.guard)?;
-            for j in &judged {
-                entries.push(ParticipationEntry {
-                    client: j.candidate.client,
-                    stale: j.candidate.stale,
-                    outcome: j.outcome,
-                });
-            }
-            entries.sort_by_key(|e| (e.client, e.stale));
-
-            let n_accepted = judged
-                .iter()
-                .filter(|j| matches!(j.outcome, Participation::Accepted { .. }))
-                .count();
-            // Quorum is measured against the clients actually asked to
-            // train: scheduled and not crashed.
-            let n_active = fates
-                .iter()
-                .zip(&plan.scheduled)
-                .filter(|(f, s)| **s && **f != Fate::Crashed)
-                .count();
-            let needed = ((self.guard.quorum_frac * n_active as f64).ceil() as usize).max(1);
-            let quorum_met = n_accepted >= needed;
-
-            if !quorum_met && attempt < self.guard.max_round_retries && n_active > 0 {
-                // Re-run the round against the remaining clients; the
-                // aborted attempt's in-flight packets are lost with it.
-                attempt += 1;
-                continue;
-            }
-
-            if quorum_met {
-                let (updates, agg_weights): (Vec<Vec<f32>>, Vec<usize>) = judged
-                    .into_iter()
-                    .filter(|j| matches!(j.outcome, Participation::Accepted { .. }))
-                    .map(|j| (j.candidate.params, j.candidate.weight))
-                    .unzip();
-                self.aggregator.aggregate_into(&updates, &agg_weights, &mut self.aggregated)?;
-                self.global.set_params(&self.aggregated)?;
-            } else if self.guard.fail_fast {
-                return Err(CoreError::InvalidParameter {
-                    name: "quorum",
-                    message: format!(
-                        "round {round}: {n_accepted}/{needed} required updates accepted"
-                    ),
-                });
-            }
-            // else: graceful degradation — carry the global params forward.
-
-            self.delayed.extend(deferred);
-            self.log.rounds.push(RoundReport {
-                round,
-                attempts: attempt + 1,
-                degraded: !quorum_met,
-                entries,
-                signatures,
-            });
-            break;
+                    .collect();
+                handles.into_iter().map(|h| h.map(|h| h.join().unwrap_or(Err(())))).collect()
+            })
+        } else {
+            jobs.map(|job| job.map(|(client, fate, start)| run_local(client, fate, start, epochs)))
+                .collect()
         }
-        Ok(())
     }
 
-    /// One round under [`Topology::Gossip`]: every node keeps its own model
-    /// and aggregates only the accepted updates of its seeded neighborhood
-    /// (itself plus its pulled peers); no server ever sees the full update
-    /// set. The engine's `global` tracks the row-weighted *consensus mean*
-    /// of the node models — a diagnostic snapshot no real node computes —
-    /// and that consensus is also the reference the guard, the adversaries,
-    /// and the update signatures measure against (the simulator is
-    /// omniscient even though the topology is not).
-    ///
-    /// Differences from the star path, by construction of the regime:
-    /// there is no server-side delay buffer, so straggler faults and
-    /// asynchronous lags *lose* the update (logged as
-    /// [`Participation::Straggling`]); crashed nodes freeze — they neither
-    /// train nor pull, but their last model stays in the consensus mean.
-    fn step_round_gossip(&mut self) -> Result<()> {
-        let round = self.next_round;
-        let n = self.clients.len();
-        // First gossip round: split the global into per-node replicas.
-        if self.node_params.is_empty() {
-            let p = self.global.params();
-            self.node_params = vec![p; n];
-        }
-        // Consensus snapshot of the node models at round start.
-        WeightedFedAvg.aggregate_into(&self.node_params, &self.weights, &mut self.global_params)?;
-        let plan = self.schedule.plan_round(round, &self.weights);
-        let mut attempt = 0usize;
-        loop {
-            let fates: Vec<Fate> =
-                (0..n).map(|c| self.injector.fate(round, attempt, c)).collect();
-
-            let n_computing = fates
-                .iter()
-                .zip(&plan.scheduled)
-                .filter(|(f, s)| **s && needs_compute(**f))
-                .count();
-            let local_epochs = self.fl.local_epochs;
-            let node_params = &self.node_params;
-            // Each node trains from its OWN model, not the consensus.
-            let outcomes: Vec<Option<LocalOutcome>> = if self.fl.parallel && n_computing > 1 {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .clients
-                        .iter_mut()
-                        .zip(&fates)
-                        .zip(&plan.scheduled)
-                        .enumerate()
-                        .map(|(c, ((cl, &fate), &sch))| {
-                            if !sch || !needs_compute(fate) {
-                                return None;
-                            }
-                            let own = &node_params[c];
-                            Some(s.spawn(move || run_local(cl, fate, own, local_epochs)))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.map(|h| h.join().unwrap_or(Err(()))))
-                        .collect()
-                })
-            } else {
-                self.clients
-                    .iter_mut()
-                    .zip(&fates)
-                    .zip(&plan.scheduled)
-                    .enumerate()
-                    .map(|(c, ((cl, &fate), &sch))| {
-                        (sch && needs_compute(fate))
-                            .then(|| run_local(cl, fate, &node_params[c], local_epochs))
-                    })
-                    .collect()
-            };
-
-            let mut entries: Vec<ParticipationEntry> = Vec::new();
-            let mut fresh: Vec<UpdateCandidate> = Vec::new();
-            for (c, ((fate, outcome), &sch)) in
-                fates.iter().zip(outcomes).zip(&plan.scheduled).enumerate()
-            {
-                if !sch {
-                    entries.push(ParticipationEntry {
-                        client: c,
-                        stale: false,
-                        outcome: Participation::Unscheduled,
-                    });
+    /// Fuse phase. The star server folds every accepted update into the
+    /// global model. Under gossip every live node folds the accepted
+    /// updates of its neighborhood (itself plus its pulled peers) into its
+    /// own model — a node whose neighborhood produced nothing, or that has
+    /// crashed, keeps its model — and the global becomes the new consensus.
+    fn fuse(&mut self, round: usize, fates: &[Fate], accepted: Vec<UpdateCandidate>) -> Result<()> {
+        if self.topology.is_star() {
+            let (updates, weights): (Vec<Vec<f32>>, Vec<usize>) =
+                accepted.into_iter().map(|u| (u.params, u.weight)).unzip();
+            self.aggregator.aggregate_into(&updates, &weights, &mut self.aggregated)?;
+        } else {
+            let n = self.clients.len();
+            let mut next: Vec<Option<Vec<f32>>> = vec![None; n];
+            for (i, next_i) in next.iter_mut().enumerate() {
+                if fates[i] == Fate::Crashed {
                     continue;
                 }
-                match (fate, outcome) {
-                    (Fate::Crashed, _) => entries.push(ParticipationEntry {
-                        client: c,
-                        stale: false,
-                        outcome: Participation::Crashed,
-                    }),
-                    (Fate::Dropout, _) => entries.push(ParticipationEntry {
-                        client: c,
-                        stale: false,
-                        outcome: Participation::Dropout,
-                    }),
-                    (_, Some(Err(()))) => {
-                        if self.guard.panic_policy == PanicPolicy::Error {
-                            return Err(CoreError::ClientPanicked { client: c });
-                        }
-                        entries.push(ParticipationEntry {
-                            client: c,
-                            stale: false,
-                            outcome: Participation::Panicked,
-                        });
-                    }
-                    (_, Some(Ok(Err(e)))) => return Err(e),
-                    (&fate, Some(Ok(Ok(mut params)))) => {
-                        let lag = plan.delay[c] + usize::from(fate == Fate::Straggler);
-                        if lag > 0 {
-                            // No server buffer exists in a decentralized
-                            // round: a late packet has no one to wait for it.
-                            entries.push(ParticipationEntry {
-                                client: c,
-                                stale: false,
-                                outcome: Participation::Straggling,
-                            });
-                        } else {
-                            if let Fate::Corrupt(kind) = fate {
-                                FaultInjector::corrupt(kind, &mut params, &self.node_params[c]);
-                            }
-                            fresh.push(UpdateCandidate {
-                                client: c,
-                                stale: false,
-                                params,
-                                weight: self.weights[c],
-                            });
-                        }
-                    }
-                    (_, None) => unreachable!("computing fate without an outcome"),
+                let nbrs = self.topology.neighbors(round, i, n);
+                let (updates, weights): (Vec<Vec<f32>>, Vec<usize>) = accepted
+                    .iter()
+                    .filter(|u| u.client == i || nbrs.contains(&u.client))
+                    .map(|u| (u.params.clone(), u.weight))
+                    .unzip();
+                if !updates.is_empty() {
+                    let mut out = Vec::new();
+                    self.aggregator.aggregate_into(&updates, &weights, &mut out)?;
+                    *next_i = Some(out);
                 }
             }
-
-            self.adversary.rewrite_round(
-                &mut fresh,
-                &self.global_params,
-                &self.prev_global,
-                self.global.n_classes(),
-            );
-
-            fresh.sort_by_key(|c| (c.client, c.stale));
-            let signatures = sign_updates(&fresh, &self.global_params, &self.prev_global);
-            // One guard pass against the consensus reference decides the
-            // round's accepted set; every node then pulls from it.
-            let judged = judge_round(&self.global_params, fresh, &self.guard)?;
-            for j in &judged {
-                entries.push(ParticipationEntry {
-                    client: j.candidate.client,
-                    stale: j.candidate.stale,
-                    outcome: j.outcome,
-                });
-            }
-            entries.sort_by_key(|e| (e.client, e.stale));
-
-            let accepted: Vec<(usize, Vec<f32>, usize)> = judged
-                .into_iter()
-                .filter(|j| matches!(j.outcome, Participation::Accepted { .. }))
-                .map(|j| (j.candidate.client, j.candidate.params, j.candidate.weight))
-                .collect();
-            let n_accepted = accepted.len();
-            let n_active = fates
-                .iter()
-                .zip(&plan.scheduled)
-                .filter(|(f, s)| **s && **f != Fate::Crashed)
-                .count();
-            let needed = ((self.guard.quorum_frac * n_active as f64).ceil() as usize).max(1);
-            let quorum_met = n_accepted >= needed;
-
-            if !quorum_met && attempt < self.guard.max_round_retries && n_active > 0 {
-                attempt += 1;
-                continue;
-            }
-
-            if quorum_met {
-                // Every live node pulls the accepted updates of its
-                // neighborhood into its own model; nodes whose neighborhood
-                // produced nothing keep their current model.
-                let mut next: Vec<Option<Vec<f32>>> = vec![None; n];
-                for (i, next_i) in next.iter_mut().enumerate() {
-                    if fates[i] == Fate::Crashed {
-                        continue;
-                    }
-                    let nbrs = self.topology.neighbors(round, i, n);
-                    let (updates, agg_weights): (Vec<Vec<f32>>, Vec<usize>) = accepted
-                        .iter()
-                        .filter(|(c, _, _)| *c == i || nbrs.contains(c))
-                        .map(|(_, p, w)| (p.clone(), *w))
-                        .unzip();
-                    if !updates.is_empty() {
-                        let mut out = Vec::new();
-                        self.aggregator.aggregate_into(&updates, &agg_weights, &mut out)?;
-                        *next_i = Some(out);
-                    }
+            for (slot, fresh_params) in self.node_params.iter_mut().zip(next) {
+                if let Some(p) = fresh_params {
+                    *slot = p;
                 }
-                for (slot, fresh_params) in self.node_params.iter_mut().zip(next) {
-                    if let Some(p) = fresh_params {
-                        *slot = p;
-                    }
-                }
-                // Refresh the diagnostic global to the new consensus mean.
-                WeightedFedAvg.aggregate_into(
-                    &self.node_params,
-                    &self.weights,
-                    &mut self.aggregated,
-                )?;
-                self.global.set_params(&self.aggregated)?;
-            } else if self.guard.fail_fast {
-                return Err(CoreError::InvalidParameter {
-                    name: "quorum",
-                    message: format!(
-                        "round {round}: {n_accepted}/{needed} required updates accepted"
-                    ),
-                });
             }
-            // else: graceful degradation — every node keeps its model.
-
-            self.log.rounds.push(RoundReport {
-                round,
-                attempts: attempt + 1,
-                degraded: !quorum_met,
-                entries,
-                signatures,
-            });
-            break;
+            WeightedFedAvg.aggregate_into(&self.node_params, &self.weights, &mut self.aggregated)?;
         }
-        Ok(())
+        self.global.set_params(&self.aggregated)
     }
 
     /// Drives every remaining round. A no-op on a finished session.
@@ -876,8 +640,8 @@ impl<'a> FederationEngine<'a> {
         Ok(())
     }
 
-    /// Consumes the session into the legacy [`FederationRun`] (trained
-    /// global model + full log). Callable at any point — finishing early
+    /// Consumes the session into a [`FederationRun`]: the trained global
+    /// model and the full log. Callable at any point — finishing early
     /// yields the model as of the last committed round.
     pub fn finish(self) -> FederationRun {
         FederationRun { net: self.global, log: self.log }
@@ -888,9 +652,7 @@ impl<'a> FederationEngine<'a> {
 mod tests {
     use super::*;
     use crate::adversary::AdversaryPlan;
-    use crate::aggregate::WeightedFedAvg;
     use crate::faults::{FaultKind, FaultPlan};
-    use crate::fedavg::train_federated_byzantine;
     use ctfl_core::data::{FeatureKind, FeatureSchema};
 
     fn shards(n: usize) -> Vec<Dataset> {
@@ -918,6 +680,18 @@ mod tests {
         }
     }
 
+    fn one_shot(
+        shards: &[Dataset],
+        seed: u64,
+        fl: &FlConfig,
+        setup: &ByzantineSetup<'_>,
+    ) -> FederationRun {
+        let mut engine =
+            FederationEngine::from_datasets(shards, 2, &cfg(seed), fl, setup).unwrap();
+        engine.run_to_completion().unwrap();
+        engine.finish()
+    }
+
     #[test]
     fn stepping_matches_one_shot_run() {
         let shards = shards(3);
@@ -931,7 +705,7 @@ mod tests {
             guard: &guard,
             aggregator: &WeightedFedAvg,
         };
-        let one_shot = train_federated_byzantine(&shards, 2, &cfg(5), &fl, &setup).unwrap();
+        let solo = one_shot(&shards, 5, &fl, &setup);
 
         let mut engine = FederationEngine::from_datasets(&shards, 2, &cfg(5), &fl, &setup).unwrap();
         assert_eq!(engine.state(), EngineState::Running { next_round: 0 });
@@ -947,8 +721,8 @@ mod tests {
         assert!(engine.is_finished());
         assert!(engine.step_round().unwrap().is_none(), "finished sessions stay finished");
         let stepped = engine.finish();
-        assert_eq!(stepped.net.params(), one_shot.net.params());
-        assert_eq!(stepped.log, one_shot.log);
+        assert_eq!(stepped.net.params(), solo.net.params());
+        assert_eq!(stepped.log, solo.log);
     }
 
     #[test]
@@ -975,8 +749,8 @@ mod tests {
             guard: &guard,
             aggregator: &WeightedFedAvg,
         };
-        let solo_a = train_federated_byzantine(&shards_a, 2, &cfg(6), &fl, &setup_a).unwrap();
-        let solo_b = train_federated_byzantine(&shards_b, 2, &cfg(7), &fl, &setup_b).unwrap();
+        let solo_a = one_shot(&shards_a, 6, &fl, &setup_a);
+        let solo_b = one_shot(&shards_b, 7, &fl, &setup_b);
 
         let mut a = FederationEngine::from_datasets(&shards_a, 2, &cfg(6), &fl, &setup_a).unwrap();
         let mut b = FederationEngine::from_datasets(&shards_b, 2, &cfg(7), &fl, &setup_b).unwrap();
@@ -1020,7 +794,7 @@ mod tests {
             guard: &guard,
             aggregator: &WeightedFedAvg,
         };
-        let two = train_federated_byzantine(&shards, 2, &cfg(8), &fl2, &setup2).unwrap();
+        let two = one_shot(&shards, 8, &fl2, &setup2);
         assert_eq!(partial.net.params(), two.net.params());
     }
 

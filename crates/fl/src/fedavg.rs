@@ -1,32 +1,22 @@
-//! The FedAvg training loop (McMahan et al. 2017), fault-tolerant edition.
+//! FedAvg (McMahan et al. 2017): configuration, run output, and the one
+//! convenience entry point.
 //!
-//! Trains a global [`LogicalNet`] over client shards: each round, every
-//! live client loads the global parameters, runs local gradient-grafting
-//! epochs, and the server aggregates the accepted updates weighted by shard
-//! size. Clients run concurrently with scoped threads — they are
-//! independent within a round.
+//! Each round, every live client loads the global parameters, runs local
+//! gradient-grafting epochs on its shard, and the server fuses the accepted
+//! updates weighted by shard size. The round loop itself lives in one
+//! runtime, [`crate::engine::FederationEngine`]: open a session over the
+//! client shards under a [`ByzantineSetup`] (a [`crate::faults::FaultPlan`]
+//! of system faults, an [`crate::adversary::AdversaryPlan`] of in-flight
+//! update rewrites, a [`GuardConfig`] for server-side validation and
+//! quorum, and a pluggable [`Aggregator`]), optionally install a
+//! [`crate::schedule::Schedule`] and [`crate::topology::Topology`], then
+//! step it round by round or call `run_to_completion` and `finish` for the
+//! trained model plus its [`FederationLog`].
 //!
-//! Every entry point here is a thin wrapper over one runtime,
-//! [`crate::engine::FederationEngine`] — they build a session and drive it
-//! to completion. Callers who want to pause, inspect round reports, or
-//! multiplex federations use the engine directly (or through the service
-//! layer in [`crate::server`]); callers who just want a trained model use
-//! these.
-//!
-//! [`train_federated_byzantine`] is the full runtime: a [`FaultPlan`]
-//! injects system-level faults (dropout, crash, straggling, corrupted
-//! uploads, panics), an [`AdversaryPlan`] rewrites strategic clients'
-//! updates in-flight (sign-flip, collusion, free-riding, …), a
-//! [`GuardConfig`] validates every update server-side and enforces the
-//! quorum/degradation policy, a pluggable [`Aggregator`] fuses the accepted
-//! updates, and the returned [`FederationLog`] records what happened each
-//! round — including per-update similarity signatures for the update-level
-//! detectors. [`train_federated_with`] is the fault-only entry point
-//! (no adversaries, weighted FedAvg), and [`train_federated`] the
-//! zero-fault back-compat wrapper: no injected faults, strict guard (any
-//! panic or non-finite upload is a typed error).
+//! [`train_federated`] is the one shortcut: a zero-fault, strict-guard
+//! session driven to completion, returning only the trained network.
 
-use ctfl_core::data::{Dataset, DatasetView};
+use ctfl_core::data::Dataset;
 use ctfl_core::error::Result;
 use ctfl_nn::net::{LogicalNet, LogicalNetConfig};
 
@@ -35,8 +25,6 @@ use crate::aggregate::{Aggregator, WeightedFedAvg};
 use crate::engine::FederationEngine;
 use crate::faults::FaultPlan;
 use crate::guard::{FederationLog, GuardConfig};
-use crate::schedule::Schedule;
-use crate::topology::Topology;
 
 /// Federated-training configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,9 +58,9 @@ pub struct FederationRun {
 /// faults fire, which clients rewrite their updates, how the guard judges
 /// candidates, and which rule fuses the survivors.
 ///
-/// `faults: FaultPlan::none + adversary: AdversaryPlan::none + aggregator:
-/// WeightedFedAvg` reproduces the plain fault-tolerant runtime bit for bit —
-/// [`train_federated_with`] is exactly that delegation.
+/// `faults: FaultPlan::none + adversary: AdversaryPlan::none + guard:
+/// GuardConfig::strict() + aggregator: WeightedFedAvg` is the zero-fault
+/// session [`train_federated`] drives.
 #[derive(Debug, Clone, Copy)]
 pub struct ByzantineSetup<'a> {
     /// System-level fault schedule (dropout, crash, straggle, corrupt,
@@ -86,127 +74,15 @@ pub struct ByzantineSetup<'a> {
     pub aggregator: &'a dyn Aggregator,
 }
 
-/// Trains a global model with FedAvg over per-client datasets, under an
-/// explicit fault plan and server-side guard.
-///
-/// All client datasets must share a schema; `net_config.seed` fixes the
-/// encoder so every replica agrees on the literal layout. `plan` must cover
-/// exactly `client_data.len()` clients (rounds beyond the plan's horizon are
-/// fault-free).
-///
-/// The run is fully deterministic: the same inputs produce bit-identical
-/// parameters and a byte-identical [`FederationLog`], with the parallel and
-/// serial paths agreeing exactly (clients are independent within a round
-/// and aggregation order is fixed by client id).
-pub fn train_federated_with(
-    client_data: &[Dataset],
-    n_classes: usize,
-    net_config: &LogicalNetConfig,
-    fl_config: &FlConfig,
-    plan: &FaultPlan,
-    guard: &GuardConfig,
-) -> Result<FederationRun> {
-    let views: Vec<DatasetView<'_>> = client_data.iter().map(Dataset::view).collect();
-    train_federated_with_views(&views, n_classes, net_config, fl_config, plan, guard)
-}
-
-/// Trains a global model with FedAvg over zero-copy per-client views, under
-/// an explicit fault plan and server-side guard.
-///
-/// This is the primitive behind [`train_federated_with`]: client shards are
-/// [`DatasetView`]s (for example, index slices of one pooled dataset), so
-/// constructing a federation never clones cell data. Encoding reads the
-/// source columns through each view.
-pub fn train_federated_with_views(
-    client_data: &[DatasetView<'_>],
-    n_classes: usize,
-    net_config: &LogicalNetConfig,
-    fl_config: &FlConfig,
-    plan: &FaultPlan,
-    guard: &GuardConfig,
-) -> Result<FederationRun> {
-    let adversary = AdversaryPlan::none(client_data.len());
-    let setup =
-        ByzantineSetup { faults: plan, adversary: &adversary, guard, aggregator: &WeightedFedAvg };
-    train_federated_byzantine_views(client_data, n_classes, net_config, fl_config, &setup)
-}
-
-/// Trains a global model under the full Byzantine runtime: system faults,
-/// update-level adversaries, server guard, and a pluggable aggregation rule.
-///
-/// See [`train_federated_byzantine_views`] for the semantics; this is the
-/// owned-dataset convenience wrapper.
-pub fn train_federated_byzantine(
-    client_data: &[Dataset],
-    n_classes: usize,
-    net_config: &LogicalNetConfig,
-    fl_config: &FlConfig,
-    setup: &ByzantineSetup<'_>,
-) -> Result<FederationRun> {
-    let views: Vec<DatasetView<'_>> = client_data.iter().map(Dataset::view).collect();
-    train_federated_byzantine_views(&views, n_classes, net_config, fl_config, setup)
-}
-
-/// Trains a global model with a pluggable aggregator over zero-copy
-/// per-client views, under explicit fault *and* adversary plans.
-///
-/// Each round, after honest local computation and system-fault injection,
-/// the adversary rewrites its clients' *fresh* submissions in-flight
-/// (stale straggler arrivals pass unmodified — a late update was computed
-/// against an older global and is already handled by the staleness path).
-/// The server then fingerprints every finite fresh submission
-/// ([`crate::guard::sign_updates`] — recorded per round in the
-/// [`FederationLog`] for the collusion/free-riding detectors), judges
-/// candidates with the guard, and fuses the accepted survivors with
-/// `setup.aggregator`.
-///
-/// Determinism contract unchanged: same inputs → bit-identical parameters
-/// and a byte-identical log, parallel and serial paths agreeing exactly.
-pub fn train_federated_byzantine_views(
-    client_data: &[DatasetView<'_>],
-    n_classes: usize,
-    net_config: &LogicalNetConfig,
-    fl_config: &FlConfig,
-    setup: &ByzantineSetup<'_>,
-) -> Result<FederationRun> {
-    let mut engine =
-        FederationEngine::from_views(client_data, n_classes, net_config, fl_config, setup)?;
-    engine.run_to_completion()?;
-    Ok(engine.finish())
-}
-
-/// [`train_federated_byzantine`] under an explicit round
-/// [`Schedule`] and aggregation [`Topology`] — the one-shot driver for
-/// sampled, asynchronous, and gossip federations (DESIGN.md §13).
-///
-/// `Schedule::Full` + `Topology::Star` reproduces
-/// [`train_federated_byzantine`] bit-for-bit; every other combination is a
-/// new regime with the same determinism contract (same inputs →
-/// bit-identical parameters and a byte-identical log).
-pub fn train_federated_scheduled(
-    client_data: &[Dataset],
-    n_classes: usize,
-    net_config: &LogicalNetConfig,
-    fl_config: &FlConfig,
-    setup: &ByzantineSetup<'_>,
-    schedule: Schedule,
-    topology: Topology,
-) -> Result<FederationRun> {
-    let mut engine = FederationEngine::from_datasets(client_data, n_classes, net_config, fl_config, setup)?
-        .with_schedule(schedule)?
-        .with_topology(topology)?;
-    engine.run_to_completion()?;
-    Ok(engine.finish())
-}
-
 /// Trains a global model with FedAvg over per-client datasets — the
 /// zero-fault path.
 ///
-/// Equivalent to [`train_federated_with`] under [`FaultPlan::none`] and
-/// [`GuardConfig::strict`]: no faults are injected, every client must
-/// report every round, a client panic surfaces as
-/// [`ctfl_core::error::CoreError::ClientPanicked`] (never a process abort),
-/// and a non-finite upload as [`ctfl_core::error::CoreError::NonFinite`].
+/// Drives a [`FederationEngine`] under [`FaultPlan::none`],
+/// [`AdversaryPlan::none`], [`GuardConfig::strict`] and [`WeightedFedAvg`]:
+/// no faults are injected, every client must report every round, a client
+/// panic surfaces as [`ctfl_core::error::CoreError::ClientPanicked`] (never
+/// a process abort), and a non-finite upload as
+/// [`ctfl_core::error::CoreError::NonFinite`].
 ///
 /// Returns the trained global network.
 pub fn train_federated(
@@ -215,9 +91,19 @@ pub fn train_federated(
     net_config: &LogicalNetConfig,
     fl_config: &FlConfig,
 ) -> Result<LogicalNet> {
-    let plan = FaultPlan::none(client_data.len(), fl_config.rounds);
-    train_federated_with(client_data, n_classes, net_config, fl_config, &plan, &GuardConfig::strict())
-        .map(|run| run.net)
+    let faults = FaultPlan::none(client_data.len(), fl_config.rounds);
+    let adversary = AdversaryPlan::none(client_data.len());
+    let guard = GuardConfig::strict();
+    let setup = ByzantineSetup {
+        faults: &faults,
+        adversary: &adversary,
+        guard: &guard,
+        aggregator: &WeightedFedAvg,
+    };
+    let mut engine =
+        FederationEngine::from_datasets(client_data, n_classes, net_config, fl_config, &setup)?;
+    engine.run_to_completion()?;
+    Ok(engine.finish().net)
 }
 
 #[cfg(test)]
@@ -269,6 +155,27 @@ mod tests {
         }
     }
 
+    /// A fault-only session (no adversaries, weighted FedAvg) driven to
+    /// completion.
+    fn run_with(
+        shards: &[Dataset],
+        net_config: &LogicalNetConfig,
+        fl: &FlConfig,
+        plan: &FaultPlan,
+        guard: &GuardConfig,
+    ) -> Result<FederationRun> {
+        let adversary = AdversaryPlan::none(shards.len());
+        let setup = ByzantineSetup {
+            faults: plan,
+            adversary: &adversary,
+            guard,
+            aggregator: &WeightedFedAvg,
+        };
+        let mut engine = FederationEngine::from_datasets(shards, 2, net_config, fl, &setup)?;
+        engine.run_to_completion()?;
+        Ok(engine.finish())
+    }
+
     #[test]
     fn federated_training_learns_the_joint_task() {
         let shards = shards();
@@ -302,7 +209,7 @@ mod tests {
             .with_event(2, 0, FaultKind::Corrupt(CorruptionKind::NaN));
         let run = |parallel| {
             let fl = FlConfig { rounds: 3, local_epochs: 1, parallel };
-            train_federated_with(&shards, 2, &cfg(4), &fl, &plan, &GuardConfig::default()).unwrap()
+            run_with(&shards, &cfg(4), &fl, &plan, &GuardConfig::default()).unwrap()
         };
         let p = run(true);
         let s = run(false);
@@ -317,8 +224,7 @@ mod tests {
         let fl = FlConfig { rounds: 3, local_epochs: 1, parallel: true };
         let wrapped = train_federated(&shards, 2, &cfg(5), &fl).unwrap();
         let plan = FaultPlan::none(2, 3);
-        let run = train_federated_with(&shards, 2, &cfg(5), &fl, &plan, &GuardConfig::default())
-            .unwrap();
+        let run = run_with(&shards, &cfg(5), &fl, &plan, &GuardConfig::default()).unwrap();
         assert_eq!(wrapped.params(), run.net.params(), "guards must be inert without faults");
         assert_eq!(run.log.rounds.len(), 3);
         assert!(run.log.rounds.iter().all(|r| !r.degraded && r.attempts == 1));
@@ -332,9 +238,7 @@ mod tests {
         let plan = FaultPlan::none(4, 4)
             .with_event(1, 0, FaultKind::Dropout)
             .with_event(2, 3, FaultKind::Crash);
-        let run =
-            train_federated_with(&shards, 2, &fl_cfg_net(), &fl, &plan, &GuardConfig::default())
-                .unwrap();
+        let run = run_with(&shards, &fl_cfg_net(), &fl, &plan, &GuardConfig::default()).unwrap();
         let part = run.log.participation();
         assert_eq!(part[0].accepted, 3, "one dropout round");
         assert_eq!(part[3].accepted, 2, "crashed from round 2 on");
@@ -357,8 +261,7 @@ mod tests {
         let shards = many_shards(3);
         let fl = FlConfig { rounds: 3, local_epochs: 1, parallel: true };
         let plan = FaultPlan::none(3, 3).with_persistent_corruption(1, CorruptionKind::NaN);
-        let run = train_federated_with(&shards, 2, &cfg(7), &fl, &plan, &GuardConfig::default())
-            .unwrap();
+        let run = run_with(&shards, &cfg(7), &fl, &plan, &GuardConfig::default()).unwrap();
         assert!(run.net.params().iter().all(|p| p.is_finite()), "NaN leaked into global model");
         let part = run.log.participation();
         assert_eq!(part[1].rejected, 3);
@@ -374,8 +277,7 @@ mod tests {
         let shards = many_shards(3);
         let fl = FlConfig { rounds: 3, local_epochs: 1, parallel: false };
         let plan = FaultPlan::none(3, 3).with_event(0, 2, FaultKind::Straggler);
-        let run = train_federated_with(&shards, 2, &cfg(8), &fl, &plan, &GuardConfig::default())
-            .unwrap();
+        let run = run_with(&shards, &cfg(8), &fl, &plan, &GuardConfig::default()).unwrap();
         let r0 = &run.log.rounds[0];
         assert!(r0
             .entries
@@ -399,7 +301,7 @@ mod tests {
             .with_event(0, 0, FaultKind::Dropout)
             .with_event(0, 1, FaultKind::Dropout);
         let guard = GuardConfig { max_round_retries: 0, ..GuardConfig::default() };
-        let run = train_federated_with(&shards, 2, &cfg(9), &fl, &plan, &guard).unwrap();
+        let run = run_with(&shards, &cfg(9), &fl, &plan, &guard).unwrap();
         assert!(run.log.rounds[0].degraded);
         assert!(!run.log.rounds[1].degraded);
         assert_eq!(run.log.n_degraded(), 1);
@@ -407,7 +309,7 @@ mod tests {
         // With one retry the dropouts (transient) come back and the round
         // commits on the second attempt.
         let guard = GuardConfig { max_round_retries: 1, ..GuardConfig::default() };
-        let run = train_federated_with(&shards, 2, &cfg(9), &fl, &plan, &guard).unwrap();
+        let run = run_with(&shards, &cfg(9), &fl, &plan, &guard).unwrap();
         assert!(!run.log.rounds[0].degraded);
         assert_eq!(run.log.rounds[0].attempts, 2);
     }
@@ -419,9 +321,7 @@ mod tests {
         for parallel in [false, true] {
             let fl = FlConfig { rounds: 2, local_epochs: 1, parallel };
             // Record policy: the panic becomes a logged fault.
-            let run =
-                train_federated_with(&shards, 2, &cfg(10), &fl, &plan, &GuardConfig::default())
-                    .unwrap();
+            let run = run_with(&shards, &cfg(10), &fl, &plan, &GuardConfig::default()).unwrap();
             assert!(run.log.rounds[0]
                 .entries
                 .iter()
@@ -429,8 +329,7 @@ mod tests {
             // Error policy: the panic surfaces as a typed error, never an
             // abort.
             let guard = GuardConfig { panic_policy: PanicPolicy::Error, ..GuardConfig::default() };
-            let err =
-                train_federated_with(&shards, 2, &cfg(10), &fl, &plan, &guard).unwrap_err();
+            let err = run_with(&shards, &cfg(10), &fl, &plan, &guard).unwrap_err();
             assert_eq!(err, CoreError::ClientPanicked { client: 1 });
         }
     }
@@ -447,10 +346,8 @@ mod tests {
         };
         let plan = FaultPlan::generate(5, 4, &spec, 99);
         let fl = FlConfig { rounds: 4, local_epochs: 1, parallel: true };
-        let a = train_federated_with(&shards, 2, &cfg(11), &fl, &plan, &GuardConfig::default())
-            .unwrap();
-        let b = train_federated_with(&shards, 2, &cfg(11), &fl, &plan, &GuardConfig::default())
-            .unwrap();
+        let a = run_with(&shards, &cfg(11), &fl, &plan, &GuardConfig::default()).unwrap();
+        let b = run_with(&shards, &cfg(11), &fl, &plan, &GuardConfig::default()).unwrap();
         assert_eq!(a.log, b.log);
         assert_eq!(a.log.render(), b.log.render());
         assert_eq!(a.net.params(), b.net.params());
@@ -471,14 +368,7 @@ mod tests {
         assert!(train_federated(&[a.clone(), b], 2, &cfg(0), &FlConfig::default()).is_err());
         // Fault plan sized for the wrong federation.
         let plan = FaultPlan::none(3, 2);
-        assert!(train_federated_with(
-            &[a],
-            2,
-            &cfg(0),
-            &FlConfig::default(),
-            &plan,
-            &GuardConfig::default()
-        )
-        .is_err());
+        assert!(run_with(&[a], &cfg(0), &FlConfig::default(), &plan, &GuardConfig::default())
+            .is_err());
     }
 }

@@ -6,10 +6,9 @@
 //!   CTFL's micro allocation mirrors): clients run local gradient-grafting
 //!   epochs on their private shard; the server averages parameters weighted
 //!   by shard size.
-//! * [`engine`] — the composable round-loop runtime behind every entry
-//!   point: a [`engine::FederationEngine`] session driven by an explicit
-//!   `step_round()` state machine, so callers can pause, inspect round
-//!   reports, and resume mid-federation.
+//! * [`engine`] — the one round loop: a [`engine::FederationEngine`]
+//!   session driven by an explicit `step_round()` state machine, so callers
+//!   can pause, inspect round reports, and resume mid-federation.
 //! * [`wire`] — the length-prefixed binary protocol for submitting
 //!   federation jobs and client updates to a running service.
 //! * [`client`] / [`server`] — the two roles, separable so tests can drive
@@ -78,18 +77,13 @@ pub use adversary::{AdversaryInjector, AdversaryPlan, AttackKind};
 pub use aggregate::{Aggregator, CoordinateMedian, MultiKrum, TrimmedMean, WeightedFedAvg};
 pub use engine::{EngineState, FederationEngine};
 pub use faults::{CorruptionKind, FaultKind, FaultPlan, FaultSpec};
-pub use fedavg::{
-    train_federated, train_federated_byzantine, train_federated_scheduled, train_federated_with,
-    ByzantineSetup, FederationRun, FlConfig,
-};
+pub use fedavg::{train_federated, ByzantineSetup, FederationRun, FlConfig};
 pub use guard::{FederationLog, GuardConfig, PanicPolicy};
 pub use metrics::{accuracy_of, f1_binary, f1_macro};
 pub use schedule::{RoundPlan, Schedule};
 pub use topology::Topology;
 pub use privacy::{
-    assemble_sharded, assemble_trace_inputs, assemble_trace_inputs_excluding,
-    assemble_trace_inputs_reference, ActivationUpload, HardenedScores, PrivacyConfig,
-    PrivateScoring,
+    assemble_sharded, ActivationUpload, HardenedScores, PrivacyConfig, PrivateScoring,
 };
 pub use score_attack::{ScoreAttackInjector, ScoreAttackKind, ScoreAttackPlan};
 pub use chaos_net::{

@@ -25,7 +25,7 @@ use ctfl_core::error::{CoreError, Result};
 use ctfl_core::model::RuleModel;
 use ctfl_core::robustness::{audit_uploads, UploadAuditConfig, UploadAuditInput, UploadAuditReport};
 use ctfl_core::shard::{ActivationShard, ShardedActivations};
-use ctfl_core::tracing::{trace_sharded, ShardedTraceInputs, TraceConfig, TraceInputs, TraceParts};
+use ctfl_core::tracing::{trace_sharded, ShardedTraceInputs, TraceConfig};
 use ctfl_rng::Rng;
 
 /// Local-DP configuration for activation uploads.
@@ -126,32 +126,6 @@ impl ActivationUpload {
     }
 }
 
-/// Federation-side assembly: stitches client uploads into the pooled
-/// training-side tracing inputs.
-///
-/// Returns `(train_acts, train_labels, client_of)`; combine with the test
-/// set's activations (computed by the federation itself, which holds
-/// `D_te`) to build a [`TraceInputs`].
-pub fn assemble_trace_inputs(
-    uploads: &[ActivationUpload],
-) -> Result<(ActivationMatrix, Vec<u32>, Vec<u32>)> {
-    assemble_trace_inputs_excluding(uploads, &[])
-}
-
-/// [`assemble_trace_inputs`] with a quarantine list: uploads from
-/// `excluded` clients are skipped entirely, as if those clients had never
-/// uploaded. Their rows contribute nothing to tracing, so their scores are
-/// exactly zero — the hardened-scoring path after an audit.
-///
-/// Assembly goes through [`assemble_sharded`] and flattens word-for-word;
-/// a test pins it bit-identical to [`assemble_trace_inputs_reference`].
-pub fn assemble_trace_inputs_excluding(
-    uploads: &[ActivationUpload],
-    excluded: &[usize],
-) -> Result<(ActivationMatrix, Vec<u32>, Vec<u32>)> {
-    assemble_sharded(uploads, excluded)?.to_matrix()
-}
-
 /// Assembles uploads into a [`ShardedActivations`] store — each client's
 /// upload arena becomes one shard (a single word-level copy), no per-bit
 /// re-packing and no pooled re-layout. [`crate::privacy::PrivateScoring`]
@@ -161,7 +135,8 @@ pub fn assemble_trace_inputs_excluding(
 /// Every upload is validated (width, label count) in upload order *before*
 /// the quarantine filter is consulted — exclusion silences a client's
 /// rows, never its malformedness — matching the reference path's error
-/// behavior exactly.
+/// behavior exactly. [`ShardedActivations::to_matrix`] flattens the store
+/// into the pooled `(activations, labels, client_of)` triple word for word.
 pub fn assemble_sharded(
     uploads: &[ActivationUpload],
     excluded: &[usize],
@@ -198,60 +173,6 @@ pub fn assemble_sharded(
         return Err(CoreError::Empty { what: "unquarantined uploads" });
     }
     Ok(store)
-}
-
-/// Pinned reference for upload assembly: the historical per-bit, per-row
-/// re-pack through `ActivationMatrix::push_row`. Kept (not called on any
-/// hot path) so property tests can assert the sharded/word-level assembly
-/// is bit-identical, per the serial-reference discipline.
-pub fn assemble_trace_inputs_reference(
-    uploads: &[ActivationUpload],
-    excluded: &[usize],
-) -> Result<(ActivationMatrix, Vec<u32>, Vec<u32>)> {
-    let first = uploads.first().ok_or(CoreError::Empty { what: "uploads" })?;
-    let n_bits = first.activations.n_bits();
-    let mut acts = ActivationMatrix::zeros(0, n_bits);
-    let mut labels = Vec::new();
-    let mut client_of = Vec::new();
-    for up in uploads {
-        if up.activations.n_bits() != n_bits {
-            return Err(CoreError::LengthMismatch {
-                what: "upload activation width",
-                expected: n_bits,
-                actual: up.activations.n_bits(),
-            });
-        }
-        if up.labels.len() != up.activations.n_rows() {
-            return Err(CoreError::LengthMismatch {
-                what: "upload labels",
-                expected: up.activations.n_rows(),
-                actual: up.labels.len(),
-            });
-        }
-        if excluded.contains(&up.client) {
-            continue;
-        }
-        for row in 0..up.activations.n_rows() {
-            let bits: Vec<bool> =
-                (0..n_bits).map(|b| up.activations.get(row, b)).collect();
-            acts.push_row(&bits)?;
-        }
-        labels.extend_from_slice(&up.labels);
-        client_of.extend(std::iter::repeat_n(up.client as u32, up.activations.n_rows()));
-    }
-    if acts.n_rows() == 0 {
-        return Err(CoreError::Empty { what: "unquarantined uploads" });
-    }
-    Ok((acts, labels, client_of))
-}
-
-/// Builds complete [`TraceInputs`] borrowing from pre-assembled
-/// [`TraceParts`] — convenience for callers that keep the parts alive.
-pub fn trace_inputs_from_parts<'a>(
-    model: &'a RuleModel,
-    parts: TraceParts<'a>,
-) -> TraceInputs<'a> {
-    ctfl_core::tracing::inputs_from_model(model, parts)
 }
 
 /// Hardened scoring output: the audit that drove the quarantine plus the
@@ -380,6 +301,50 @@ mod tests {
     use ctfl_rng::SeedableRng;
     use std::sync::Arc;
 
+    /// Pinned reference for upload assembly: the historical per-bit, per-row
+    /// re-pack through `ActivationMatrix::push_row`, which the sharded,
+    /// word-level assembly must reproduce bit for bit.
+    fn assemble_trace_inputs_reference(
+        uploads: &[ActivationUpload],
+        excluded: &[usize],
+    ) -> Result<(ActivationMatrix, Vec<u32>, Vec<u32>)> {
+        let first = uploads.first().ok_or(CoreError::Empty { what: "uploads" })?;
+        let n_bits = first.activations.n_bits();
+        let mut acts = ActivationMatrix::zeros(0, n_bits);
+        let mut labels = Vec::new();
+        let mut client_of = Vec::new();
+        for up in uploads {
+            if up.activations.n_bits() != n_bits {
+                return Err(CoreError::LengthMismatch {
+                    what: "upload activation width",
+                    expected: n_bits,
+                    actual: up.activations.n_bits(),
+                });
+            }
+            if up.labels.len() != up.activations.n_rows() {
+                return Err(CoreError::LengthMismatch {
+                    what: "upload labels",
+                    expected: up.activations.n_rows(),
+                    actual: up.labels.len(),
+                });
+            }
+            if excluded.contains(&up.client) {
+                continue;
+            }
+            for row in 0..up.activations.n_rows() {
+                let bits: Vec<bool> =
+                    (0..n_bits).map(|b| up.activations.get(row, b)).collect();
+                acts.push_row(&bits)?;
+            }
+            labels.extend_from_slice(&up.labels);
+            client_of.extend(std::iter::repeat_n(up.client as u32, up.activations.n_rows()));
+        }
+        if acts.n_rows() == 0 {
+            return Err(CoreError::Empty { what: "unquarantined uploads" });
+        }
+        Ok((acts, labels, client_of))
+    }
+
     fn model_and_data() -> (RuleModel, Dataset, Dataset) {
         let schema = FeatureSchema::new(vec![("x", FeatureKind::continuous(0.0, 1.0))]);
         let rules = vec![
@@ -404,7 +369,8 @@ mod tests {
         let up_a = ActivationUpload::compute(0, &model, &a, &cfg, &mut rng).unwrap();
         let up_b = ActivationUpload::compute(1, &model, &b, &cfg, &mut rng).unwrap();
         assert_eq!(up_a.claimed_flip_probability, 0.0);
-        let (acts, labels, client_of) = assemble_trace_inputs(&[up_a, up_b]).unwrap();
+        let (acts, labels, client_of) =
+            assemble_sharded(&[up_a, up_b], &[]).unwrap().to_matrix().unwrap();
         assert_eq!(acts.n_rows(), 20);
         assert_eq!(labels.len(), 20);
         assert_eq!(client_of[..10], [0; 10]);
@@ -424,11 +390,11 @@ mod tests {
             ActivationUpload::compute(0, &model, &a, &cfg, &mut rng).unwrap(),
             ActivationUpload::compute(1, &model, &b, &cfg, &mut rng).unwrap(),
         ];
-        let (acts, _, client_of) = assemble_trace_inputs_excluding(&ups, &[0]).unwrap();
+        let (acts, _, client_of) = assemble_sharded(&ups, &[0]).unwrap().to_matrix().unwrap();
         assert_eq!(acts.n_rows(), 10);
         assert!(client_of.iter().all(|&c| c == 1));
         // Quarantining everyone is a typed error, not a zero-row trace.
-        assert!(assemble_trace_inputs_excluding(&ups, &[0, 1]).is_err());
+        assert!(assemble_sharded(&ups, &[0, 1]).is_err());
     }
 
     #[test]
@@ -443,7 +409,7 @@ mod tests {
             ActivationUpload::compute(2, &model, &a, &cfg, &mut rng).unwrap(),
         ];
         for excluded in [vec![], vec![1usize], vec![0, 2]] {
-            let fast = assemble_trace_inputs_excluding(&ups, &excluded).unwrap();
+            let fast = assemble_sharded(&ups, &excluded).unwrap().to_matrix().unwrap();
             let reference = assemble_trace_inputs_reference(&ups, &excluded).unwrap();
             assert_eq!(fast, reference, "excluded {excluded:?}");
             // The sharded store addresses the same rows without flattening.
@@ -457,7 +423,7 @@ mod tests {
         // Error behavior matches too: a malformed excluded upload still errors.
         let mut bad = ups.clone();
         bad[1].labels.pop();
-        assert!(assemble_trace_inputs_excluding(&bad, &[1]).is_err());
+        assert!(assemble_sharded(&bad, &[1]).is_err());
         assert!(assemble_trace_inputs_reference(&bad, &[1]).is_err());
     }
 
@@ -548,7 +514,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(3);
             assert!(ActivationUpload::compute(0, &model, &a, &cfg, &mut rng).is_err());
         }
-        assert!(assemble_trace_inputs(&[]).is_err());
+        assert!(assemble_sharded(&[], &[]).is_err());
     }
 
     /// A 4-rule model whose honest clients carry *distinct* activation

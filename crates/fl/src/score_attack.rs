@@ -12,7 +12,7 @@
 //! Mirroring [`crate::adversary::AdversaryPlan`], a [`ScoreAttackPlan`] is
 //! inspectable data (hand-built for tests or sampled once with a seed) and
 //! a [`ScoreAttackInjector`] replays it between local upload computation
-//! and [`crate::privacy::assemble_trace_inputs`]. The same plan and seed
+//! and [`crate::privacy::assemble_sharded`]. The same plan and seed
 //! always rewrite the same uploads byte for byte.
 
 use ctfl_core::error::{CoreError, Result};
@@ -253,7 +253,7 @@ impl ScoreAttackInjector {
     }
 
     /// Rewrites the uploads in-flight, between local computation and
-    /// [`crate::privacy::assemble_trace_inputs`].
+    /// [`crate::privacy::assemble_sharded`].
     ///
     /// `class_masks` is the public model's per-class rule-mask table
     /// (`RuleModel::class_masks_all`) — public knowledge a gamer uses to

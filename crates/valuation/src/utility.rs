@@ -1,6 +1,10 @@
 //! Data-utility functions `v : 2^N → ℝ` (paper Definition II.1).
 
 use ctfl_core::data::{Dataset, DatasetView};
+use ctfl_fl::{
+    AdversaryPlan, ByzantineSetup, FaultPlan, FederationEngine, FlConfig, GuardConfig,
+    WeightedFedAvg,
+};
 use ctfl_nn::encoding::{EncodedData, Encoder};
 use ctfl_nn::extract::{extract_rules, ExtractOptions};
 use ctfl_nn::net::{LogicalNet, LogicalNetConfig};
@@ -261,19 +265,21 @@ impl UtilityFn for ModelUtility {
                 let n_classes = self.pooled.n_classes();
                 // Coalition evaluations already run concurrently; avoid
                 // nested thread fan-out inside each FedAvg round.
-                let fl = ctfl_fl::fedavg::FlConfig { parallel: false, ..*fl };
-                let plan = ctfl_fl::faults::FaultPlan::none(views.len(), fl.rounds);
-                let guard = ctfl_fl::guard::GuardConfig::strict();
-                ctfl_fl::fedavg::train_federated_with_views(
-                    &views,
-                    n_classes,
-                    &self.net_config,
-                    &fl,
-                    &plan,
-                    &guard,
-                )
-                .expect("coalition shards are valid")
-                .net
+                let fl = FlConfig { parallel: false, ..*fl };
+                let faults = FaultPlan::none(views.len(), fl.rounds);
+                let adversary = AdversaryPlan::none(views.len());
+                let guard = GuardConfig::strict();
+                let setup = ByzantineSetup {
+                    faults: &faults,
+                    adversary: &adversary,
+                    guard: &guard,
+                    aggregator: &WeightedFedAvg,
+                };
+                let mut engine =
+                    FederationEngine::from_views(&views, n_classes, &self.net_config, &fl, &setup)
+                        .expect("coalition shards are valid");
+                engine.run_to_completion().expect("zero-fault rounds commit");
+                engine.finish().net
             }
         };
         let model = extract_rules(&net, ExtractOptions::default()).expect("extraction succeeds");

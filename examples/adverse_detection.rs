@@ -49,19 +49,33 @@ use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
 use ctfl::data::synthetic::adult_like;
 use ctfl::fl::adversary::{AdversaryPlan, AttackKind};
-use ctfl::fl::aggregate::CoordinateMedian;
+use ctfl::core::data::Dataset;
+use ctfl::fl::aggregate::{CoordinateMedian, WeightedFedAvg};
+use ctfl::fl::engine::FederationEngine;
 use ctfl::fl::faults::{CorruptionKind, FaultPlan, FaultSpec};
-use ctfl::fl::fedavg::{
-    train_federated, train_federated_byzantine, train_federated_scheduled, train_federated_with,
-    ByzantineSetup, FlConfig,
-};
+use ctfl::fl::fedavg::{train_federated, ByzantineSetup, FederationRun, FlConfig};
 use ctfl::fl::guard::GuardConfig;
 use ctfl::fl::schedule::Schedule;
-use ctfl::fl::topology::Topology;
 use ctfl::nn::extract::{extract_rules, ExtractOptions};
 use ctfl::nn::net::LogicalNetConfig;
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::SeedableRng;
+
+/// Opens a FedAvg session over `shards` under `setup` and `schedule`, and
+/// drives every round to completion.
+fn federate(
+    shards: &[Dataset],
+    net_config: &LogicalNetConfig,
+    fl: &FlConfig,
+    setup: &ByzantineSetup<'_>,
+    schedule: Schedule,
+) -> FederationRun {
+    let mut engine = FederationEngine::from_datasets(shards, 2, net_config, fl, setup)
+        .and_then(|engine| engine.with_schedule(schedule))
+        .expect("the federation is well-formed");
+    engine.run_to_completion().expect("training survives the injected behaviour");
+    engine.finish()
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -128,8 +142,14 @@ fn main() {
         (0..n_clients).map(|c| train.subset(&partition.client_indices(c))).collect();
     let plan = FaultPlan::generate(n_clients, fl.rounds, &FaultSpec::dropout_only(0.2), 42)
         .with_persistent_corruption(3, CorruptionKind::NaN);
-    let run = train_federated_with(&shards, 2, &net_config, &fl, &plan, &GuardConfig::default())
-        .expect("faulty training still succeeds");
+    let (honest, guard) = (AdversaryPlan::none(n_clients), GuardConfig::default());
+    let setup = ByzantineSetup {
+        faults: &plan,
+        adversary: &honest,
+        guard: &guard,
+        aggregator: &WeightedFedAvg,
+    };
+    let run = federate(&shards, &net_config, &fl, &setup, Schedule::Full);
     print!("{}", run.log.render());
 
     let model = extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
@@ -165,26 +185,22 @@ fn main() {
         .with_colluding_ring(1, &[4])
         .with_attacker(2, AttackKind::FreeRideZero);
     let faults = FaultPlan::none(n_clients, fl.rounds);
-    let guard = GuardConfig::default();
     let setup = ByzantineSetup {
         faults: &faults,
         adversary: &adversary,
         guard: &guard,
         aggregator: &CoordinateMedian,
     };
-    let run = train_federated_byzantine(&shards, 2, &net_config, &fl, &setup)
-        .expect("byzantine training still succeeds");
+    let run = federate(&shards, &net_config, &fl, &setup, Schedule::Full);
 
     // Honest control: same shards, same aggregator, nobody gaming. The
     // data-level detectors see the *data*, which is identical in both runs,
     // so whatever they report here is baseline noise of this tiny demo
     // federation — not evidence about the gamers.
-    let honest = AdversaryPlan::none(n_clients);
     let control_setup = ByzantineSetup { adversary: &honest, ..setup };
-    let control = train_federated_byzantine(&shards, 2, &net_config, &fl, &control_setup)
-        .expect("honest training succeeds");
+    let control = federate(&shards, &net_config, &fl, &control_setup, Schedule::Full);
 
-    let report_of = |run: &ctfl::fl::fedavg::FederationRun| {
+    let report_of = |run: &FederationRun| {
         let model =
             extract_rules(&run.net, ExtractOptions::default()).expect("extraction succeeds");
         CtflEstimator::new(model, CtflConfig::default())
@@ -269,26 +285,8 @@ fn main() {
     // remains is still unambiguous.
     println!("\n== the same gaming, but only 50% of clients scheduled per round ==\n");
     let sampled = Schedule::UniformSample { frac: 0.5, seed: 77 };
-    let sampled_run = train_federated_scheduled(
-        &shards,
-        2,
-        &net_config,
-        &fl,
-        &setup,
-        sampled,
-        Topology::Star,
-    )
-    .expect("sampled byzantine training still succeeds");
-    let sampled_control = train_federated_scheduled(
-        &shards,
-        2,
-        &net_config,
-        &fl,
-        &control_setup,
-        sampled,
-        Topology::Star,
-    )
-    .expect("sampled honest training succeeds");
+    let sampled_run = federate(&shards, &net_config, &fl, &setup, sampled);
+    let sampled_control = federate(&shards, &net_config, &fl, &control_setup, sampled);
 
     let k = 3.0; // scheduled per round
     let co_scheduling = (k - 1.0) / (n_clients as f64 - 1.0);

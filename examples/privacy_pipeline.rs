@@ -14,12 +14,12 @@
 
 use ctfl::core::allocation::{micro_scores, CreditDirection};
 use ctfl::core::estimator::{CtflConfig, CtflEstimator};
-use ctfl::core::tracing::{trace, TraceConfig, TraceParts};
+use ctfl::core::tracing::{inputs_from_model, trace, TraceConfig, TraceParts};
 use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
 use ctfl::data::tictactoe_endgame;
 use ctfl::fl::fedavg::{train_federated, FlConfig};
-use ctfl::fl::privacy::{assemble_trace_inputs, trace_inputs_from_parts, ActivationUpload, PrivacyConfig};
+use ctfl::fl::privacy::{assemble_sharded, ActivationUpload, PrivacyConfig};
 use ctfl::nn::extract::{extract_rules, ExtractOptions};
 use ctfl::nn::net::LogicalNetConfig;
 use ctfl_rng::rngs::StdRng;
@@ -67,9 +67,10 @@ fn main() {
             })
             .collect();
         // The federation assembles tracing inputs from uploads alone.
-        let (train_acts, train_labels, client_of) =
-            assemble_trace_inputs(&uploads).expect("uploads are consistent");
-        let inputs = trace_inputs_from_parts(
+        let (train_acts, train_labels, client_of) = assemble_sharded(&uploads, &[])
+            .and_then(|store| store.to_matrix())
+            .expect("uploads are consistent");
+        let inputs = inputs_from_model(
             &model,
             TraceParts {
                 train_acts: &train_acts,

@@ -5,9 +5,10 @@
 #
 #   ./run_experiments.sh           regenerate all artifacts into results/
 #   ./run_experiments.sh --check   hermetic verification: release build,
-#                                  full test suite, lints, and a battery of
-#                                  determinism gates that run each scenario
-#                                  binary twice and byte-diff the outputs.
+#                                  full test suite, lints, a benchmark smoke
+#                                  run, and a battery of determinism gates
+#                                  that run each scenario binary twice and
+#                                  byte-diff the outputs.
 #                                  Fails fast naming the broken gate and
 #                                  prints a per-gate wall-time summary.
 set -u
@@ -86,6 +87,12 @@ check() {
     cmd_gate "tests (entire workspace)" cargo test -q --workspace
     cmd_gate "lints (clippy, warnings are errors)" \
         cargo clippy --workspace --all-targets --offline -- -D warnings
+
+    # perfbench/ is a Cargo workspace of its own that builds against the
+    # library crates by path. Running every workload x mode once at tiny
+    # size (SMOKE_OK) catches an API change that breaks the benchmark here,
+    # before the benchmark pipeline does.
+    cmd_gate "benchmark smoke (perfbench)" python3 perfbench/smoke.py
 
     # fig7 exercises the full pipeline (partition -> FedAvg -> extraction ->
     # tracing -> interpretation) including the parallel code paths, in

@@ -2,7 +2,7 @@
 //! invariance of the robust aggregation rules, identical-update agreement
 //! with the weighted mean, bit-identity of the FedAvg `Aggregator` with the
 //! pre-trait `server::aggregate`, and bit-level reproducibility of the
-//! Byzantine runtime against the legacy fault-only path.
+//! Byzantine runtime against a golden of the legacy fault-only path.
 
 use std::sync::Arc;
 
@@ -10,9 +10,8 @@ use ctfl::core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl::fl::adversary::{AdversaryPlan, AttackKind};
 use ctfl::fl::aggregate::{Aggregator, CoordinateMedian, MultiKrum, TrimmedMean, WeightedFedAvg};
 use ctfl::fl::faults::{FaultKind, FaultPlan};
-use ctfl::fl::fedavg::{
-    train_federated_byzantine, train_federated_with, ByzantineSetup, FlConfig,
-};
+use ctfl::fl::engine::FederationEngine;
+use ctfl::fl::fedavg::{ByzantineSetup, FederationRun, FlConfig};
 use ctfl::fl::guard::GuardConfig;
 use ctfl::fl::server::aggregate;
 use ctfl::nn::net::LogicalNetConfig;
@@ -29,6 +28,22 @@ fn net_config(seed: u64) -> LogicalNetConfig {
         seed,
         ..LogicalNetConfig::default()
     }
+}
+
+fn run(shards: &[Dataset], seed: u64, fl: &FlConfig, setup: &ByzantineSetup<'_>) -> FederationRun {
+    let mut engine =
+        FederationEngine::from_datasets(shards, 2, &net_config(seed), fl, setup).unwrap();
+    engine.run_to_completion().unwrap();
+    engine.finish()
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
 }
 
 fn shards(n: usize, rows: usize) -> Vec<Dataset> {
@@ -146,23 +161,32 @@ fn fedavg_rule_is_bit_identical_through_the_trait() {
 
 /// A seeded training run through the Byzantine runtime with no adversaries
 /// and the default FedAvg rule reproduces the legacy fault-only path byte
-/// for byte — parameters and federation log alike.
+/// for byte — parameters and federation log alike, serial and parallel.
+/// The hashes were printed by the fault-only entry point before it was
+/// folded into the engine.
 #[test]
 fn byzantine_runtime_reproduces_the_legacy_path_bitwise() {
+    const LEGACY_PARAMS: u64 = 0xAE42_254A_8A1A_551D;
+    const LEGACY_LOG: u64 = 0x5063_9118_D3E0_F61A;
     let shards = shards(4, 40);
-    let fl = FlConfig { rounds: 3, local_epochs: 1, parallel: true };
     let plan = FaultPlan::none(4, 3)
         .with_event(0, 1, FaultKind::Dropout)
         .with_event(1, 2, FaultKind::Straggler);
     let guard = GuardConfig::default();
-    let legacy = train_federated_with(&shards, 2, &net_config(11), &fl, &plan, &guard).unwrap();
     let adversary = AdversaryPlan::none(4);
-    let setup =
-        ByzantineSetup { faults: &plan, adversary: &adversary, guard: &guard, aggregator: &WeightedFedAvg };
-    let byz = train_federated_byzantine(&shards, 2, &net_config(11), &fl, &setup).unwrap();
-    assert_eq!(legacy.net.params(), byz.net.params(), "parameter divergence");
-    assert_eq!(legacy.log, byz.log);
-    assert_eq!(legacy.log.render(), byz.log.render());
+    let setup = ByzantineSetup {
+        faults: &plan,
+        adversary: &adversary,
+        guard: &guard,
+        aggregator: &WeightedFedAvg,
+    };
+    for parallel in [true, false] {
+        let byz = run(&shards, 11, &FlConfig { rounds: 3, local_epochs: 1, parallel }, &setup);
+        let params = fnv1a(byz.net.params().iter().flat_map(|p| p.to_bits().to_le_bytes()));
+        assert_eq!(params, LEGACY_PARAMS, "parameter divergence (parallel {parallel})");
+        let log = fnv1a(byz.log.render().bytes());
+        assert_eq!(log, LEGACY_LOG, "log divergence (parallel {parallel})");
+    }
 }
 
 /// Parallel and serial execution stay bit-identical under active update
@@ -184,7 +208,7 @@ fn parallel_and_serial_are_bit_identical_under_attack() {
             guard: &guard,
             aggregator: &CoordinateMedian,
         };
-        train_federated_byzantine(&shards, 2, &net_config(13), &fl, &setup).unwrap()
+        run(&shards, 13, &fl, &setup)
     };
     let p = run(true);
     let s = run(false);

@@ -11,7 +11,10 @@ use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
 use ctfl::data::tictactoe_endgame;
 use ctfl::fl::faults::{CorruptionKind, FaultPlan, FaultSpec};
-use ctfl::fl::fedavg::{train_federated, train_federated_with, FederationRun, FlConfig};
+use ctfl::fl::adversary::AdversaryPlan;
+use ctfl::fl::aggregate::WeightedFedAvg;
+use ctfl::fl::engine::FederationEngine;
+use ctfl::fl::fedavg::{train_federated, ByzantineSetup, FederationRun, FlConfig};
 use ctfl::fl::guard::{GuardConfig, Participation};
 use ctfl::nn::extract::{extract_rules, ExtractOptions};
 use ctfl::nn::net::LogicalNetConfig;
@@ -57,16 +60,19 @@ fn chaos_plan() -> FaultPlan {
         .with_persistent_corruption(CORRUPTED, CorruptionKind::NaN)
 }
 
-fn run_chaos(fx: &Fixture) -> FederationRun {
-    train_federated_with(
-        &fx.shards,
-        2,
-        &net_config(),
-        &fl_config(),
-        &chaos_plan(),
-        &GuardConfig::default(),
-    )
-    .unwrap()
+fn run_chaos(fx: &Fixture, fl: &FlConfig) -> FederationRun {
+    let (plan, adversary, guard) =
+        (chaos_plan(), AdversaryPlan::none(N_CLIENTS), GuardConfig::default());
+    let setup = ByzantineSetup {
+        faults: &plan,
+        adversary: &adversary,
+        guard: &guard,
+        aggregator: &WeightedFedAvg,
+    };
+    let mut engine =
+        FederationEngine::from_datasets(&fx.shards, 2, &net_config(), fl, &setup).unwrap();
+    engine.run_to_completion().unwrap();
+    engine.finish()
 }
 
 fn score(fx: &Fixture, run: &FederationRun) -> ContributionReport {
@@ -86,7 +92,7 @@ fn honest_ranking(scores: &[f64]) -> Vec<usize> {
 #[test]
 fn chaotic_federation_converges_and_quarantines_the_corrupted_client() {
     let fx = fixture();
-    let run = run_chaos(&fx);
+    let run = run_chaos(&fx, &fl_config());
 
     // Convergence: the surviving federation still learns the task.
     let model = extract_rules(&run.net, ExtractOptions::default()).unwrap();
@@ -124,7 +130,7 @@ fn corrupted_client_scores_zero_and_honest_ranking_is_stable() {
         .estimate(&fx.train, &fx.client_of, &fx.test)
         .unwrap();
 
-    let run = run_chaos(&fx);
+    let run = run_chaos(&fx, &fl_config());
     let chaotic = score(&fx, &run);
 
     // Zero-element: every update rejected ⇒ effective contribution is
@@ -153,22 +159,14 @@ fn corrupted_client_scores_zero_and_honest_ranking_is_stable() {
 #[test]
 fn identical_seeds_produce_byte_identical_logs_and_params() {
     let fx = fixture();
-    let a = run_chaos(&fx);
-    let b = run_chaos(&fx);
+    let a = run_chaos(&fx, &fl_config());
+    let b = run_chaos(&fx, &fl_config());
     assert_eq!(a.log, b.log);
     assert_eq!(a.log.render(), b.log.render());
     assert_eq!(a.net.params(), b.net.params());
 
     // The serial path replays the exact same federation.
-    let serial = train_federated_with(
-        &fx.shards,
-        2,
-        &net_config(),
-        &FlConfig { parallel: false, ..fl_config() },
-        &chaos_plan(),
-        &GuardConfig::default(),
-    )
-    .unwrap();
+    let serial = run_chaos(&fx, &FlConfig { parallel: false, ..fl_config() });
     assert_eq!(a.log.render(), serial.log.render());
     assert_eq!(a.net.params(), serial.net.params());
 }

@@ -3,24 +3,32 @@
 //!
 //! The grid crosses fault plans × adversary plans × aggregation rules ×
 //! parallel/serial client execution. For every cell it runs the federation
-//! two ways — through `train_federated_byzantine` (the public one-shot
-//! driver) and through a manually stepped engine session — and checks both
-//! against **golden hashes captured from the pre-refactor drivers**, before
-//! the one-shot entry points were rewritten as engine wrappers. That makes
-//! the test non-tautological: it pins today's engine to yesterday's
-//! independent implementation, not to itself.
+//! two ways — one shot (`run_to_completion`) and through a manually stepped
+//! engine session — and checks both against **golden hashes captured from
+//! the pre-refactor drivers**, before the one-shot entry points were
+//! rewritten as engine wrappers. That makes the test non-tautological: it
+//! pins today's engine to yesterday's independent implementation, not to
+//! itself.
 //!
 //! Two hashes per cell: FNV-1a over the trained global parameter bits, and
 //! FNV-1a over the rendered federation log (so round-level decisions —
 //! quorum retries, guard verdicts, straggler buffering — are pinned too).
+//!
+//! A second grid crosses every [`Schedule`] with both [`Topology`] kinds
+//! under faults, an adversary plan and a retrying guard, pinned to goldens
+//! printed by the separate star and gossip round loops before they were
+//! merged into one phase sequence; it hashes the gossip node models too.
 
 use ctfl::fl::adversary::{AdversaryPlan, AttackKind};
 use ctfl::fl::aggregate::{Aggregator, CoordinateMedian, MultiKrum, TrimmedMean, WeightedFedAvg};
 use ctfl::fl::engine::{EngineState, FederationEngine};
 use ctfl::fl::faults::{CorruptionKind, FaultKind, FaultPlan, FaultSpec};
-use ctfl::fl::fedavg::{train_federated_byzantine, ByzantineSetup, FlConfig};
+use ctfl::fl::fedavg::{ByzantineSetup, FlConfig};
 use ctfl::fl::guard::GuardConfig;
+use ctfl::fl::schedule::Schedule;
+use ctfl::fl::topology::Topology;
 use ctfl::core::data::{Dataset, FeatureKind, FeatureSchema};
+use ctfl::core::error::CoreError;
 use ctfl::nn::LogicalNetConfig;
 use std::sync::Arc;
 
@@ -153,9 +161,13 @@ fn engine_matches_the_legacy_drivers_across_the_grid() {
             };
             let cell = format!("cell (fault {f}, adversary {a}, rule {r}, parallel {parallel})");
 
-            // Path 1: the public one-shot driver (now an engine wrapper).
-            let run = train_federated_byzantine(&shards, 2, &cfg, &fl, &setup)
-                .unwrap_or_else(|e| panic!("{cell}: one-shot driver failed: {e}"));
+            // Path 1: one shot, every round driven by `run_to_completion`.
+            let mut one_shot = FederationEngine::from_datasets(&shards, 2, &cfg, &fl, &setup)
+                .unwrap_or_else(|e| panic!("{cell}: engine session failed to open: {e}"));
+            one_shot
+                .run_to_completion()
+                .unwrap_or_else(|e| panic!("{cell}: one-shot run failed: {e}"));
+            let run = one_shot.finish();
             assert_eq!(
                 fnv1a_bits(&run.net.params()),
                 golden_params,
@@ -204,6 +216,172 @@ fn engine_matches_the_legacy_drivers_across_the_grid() {
                 golden_log,
                 "{cell}: stepped log diverged from the legacy golden"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Regime grid: every schedule × topology, pinned to goldens captured before
+// the star and gossip round loops were merged into one phase sequence.
+// ---------------------------------------------------------------------------
+
+const REGIME_ROUNDS: usize = 5;
+
+fn regime_schedule(id: usize) -> Schedule {
+    match id {
+        0 => Schedule::Full,
+        1 => Schedule::UniformSample { frac: 0.6, seed: 17 },
+        2 => Schedule::WeightedSample { frac: 0.6, seed: 23 },
+        3 => Schedule::Async { max_staleness: 2, staleness_decay: 0.5, seed: 29 },
+        _ => unreachable!(),
+    }
+}
+
+fn regime_topology(id: usize) -> Topology {
+    match id {
+        0 => Topology::Star,
+        1 => Topology::Gossip { degree: 1, seed: 8 },
+        _ => unreachable!(),
+    }
+}
+
+/// Straggling (twice), a transient dropout, a norm-exploding upload, a
+/// contained panic and a permanent crash.
+fn regime_faults() -> FaultPlan {
+    FaultPlan::none(N, REGIME_ROUNDS)
+        .with_event(0, 1, FaultKind::Straggler)
+        .with_event(0, 2, FaultKind::Dropout)
+        .with_event(1, 3, FaultKind::Corrupt(CorruptionKind::NormExplosion))
+        .with_event(1, 0, FaultKind::Panic)
+        .with_event(2, 2, FaultKind::Straggler)
+        .with_event(3, 3, FaultKind::Crash)
+}
+
+fn regime_adversary() -> AdversaryPlan {
+    AdversaryPlan::none(N)
+        .with_attacker(1, AttackKind::SignFlip { scale: 1.0 })
+        .with_attacker(2, AttackKind::FreeRideStale)
+}
+
+/// A guard whose quorum the first attempt of round 0 misses, so it retries.
+fn retrying_guard() -> GuardConfig {
+    GuardConfig { quorum_frac: 0.75, max_round_retries: 2, ..GuardConfig::default() }
+}
+
+fn regime_engine<'a>(
+    shards: &[Dataset],
+    setup: &ByzantineSetup<'a>,
+    parallel: bool,
+    schedule: Schedule,
+    topology: Topology,
+) -> ctfl::core::error::Result<FederationEngine<'a>> {
+    let fl = FlConfig { rounds: REGIME_ROUNDS, local_epochs: 1, parallel };
+    FederationEngine::from_datasets(shards, 2, &net_config(), &fl, setup)?
+        .with_schedule(schedule)?
+        .with_topology(topology)
+}
+
+/// `(params, rendered log, node models)` hashes of a finished session.
+fn session_hashes(engine: FederationEngine<'_>) -> (u64, u64, u64) {
+    let nodes: Vec<f32> = engine.node_models().concat();
+    let run = engine.finish();
+    (fnv1a_bits(&run.net.params()), fnv1a_bytes(run.log.render().as_bytes()), fnv1a_bits(&nodes))
+}
+
+/// One regime cell: `(schedule, topology)` paired with its golden
+/// `(params hash, log hash, node-models hash)`.
+type RegimeCell = ((usize, usize), (u64, u64, u64));
+
+/// Printed by the separate star and gossip round loops (serial, parallel,
+/// one-shot and stepped runs agreed in every cell).
+const REGIME_GOLDEN: &[RegimeCell] = &[
+    ((0, 0), (0xCF31_074C_11FE_B45A, 0xCD1B_E456_5EEF_0048, 0xCBF2_9CE4_8422_2325)),
+    ((0, 1), (0xC1FF_19BF_9A88_750A, 0xDB3C_8E12_D0F7_0BE1, 0xA583_811F_6AB3_1197)),
+    ((1, 0), (0xE600_E259_94C7_2B69, 0x4912_979D_E762_5737, 0xCBF2_9CE4_8422_2325)),
+    ((1, 1), (0xAAFA_7FD2_E666_2F21, 0x95B6_EB90_7026_6BE6, 0xF155_E83C_DD3A_3680)),
+    ((2, 0), (0x15D4_932E_5293_2898, 0xE13F_F7BA_F171_34F0, 0xCBF2_9CE4_8422_2325)),
+    ((2, 1), (0xB467_926E_ED10_B85C, 0x375B_B152_3AF7_E4E3, 0xBCBB_CD4A_ACE2_8A9F)),
+    ((3, 0), (0x73A3_BCC5_88FE_E499, 0x929B_7029_74CB_9C12, 0xCBF2_9CE4_8422_2325)),
+    ((3, 1), (0xB3CC_2B48_F5F0_C9AA, 0x9700_2CBA_58BB_5AB6, 0x247E_1A53_23BB_22BC)),
+];
+
+#[test]
+fn every_schedule_and_topology_matches_its_pre_merge_golden() {
+    let shards = shards();
+    let plan = regime_faults();
+    let adversary = regime_adversary();
+    let guard = retrying_guard();
+    let setup = ByzantineSetup {
+        faults: &plan,
+        adversary: &adversary,
+        guard: &guard,
+        aggregator: &WeightedFedAvg,
+    };
+    let mut actual: Vec<RegimeCell> = Vec::new();
+    for s in 0..4 {
+        for t in 0..2 {
+            let (schedule, topology) = (regime_schedule(s), regime_topology(t));
+            let mut seen = Vec::new();
+            for parallel in [false, true] {
+                let cell = format!("{schedule:?} / {topology:?} (parallel {parallel})");
+                let mut one_shot = regime_engine(&shards, &setup, parallel, schedule, topology)
+                    .unwrap_or_else(|e| panic!("{cell}: session failed to open: {e}"));
+                one_shot.run_to_completion().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                seen.push(session_hashes(one_shot));
+
+                let mut stepped = regime_engine(&shards, &setup, parallel, schedule, topology)
+                    .unwrap_or_else(|e| panic!("{cell}: session failed to open: {e}"));
+                while let Some(report) =
+                    stepped.step_round().unwrap_or_else(|e| panic!("{cell}: {e}"))
+                {
+                    assert_eq!(report.round + 1, stepped.rounds_done(), "{cell}");
+                }
+                seen.push(session_hashes(stepped));
+            }
+            assert!(
+                seen.windows(2).all(|w| w[0] == w[1]),
+                "{schedule:?} / {topology:?}: serial/parallel or one-shot/stepped differ: {seen:x?}"
+            );
+            actual.push(((s, t), seen[0]));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|((s, t), (p, l, n))| format!("(({s}, {t}), ({p:#018X}, {l:#018X}, {n:#018X})),\n"))
+        .collect();
+    assert_eq!(actual, REGIME_GOLDEN, "regime goldens diverged; this run printed:\n{table}");
+}
+
+/// A fail-fast guard aborts the session with the same typed error in each
+/// topology: a quorum miss under the star, a client panic under gossip.
+#[test]
+fn fail_fast_cells_abort_with_their_pre_merge_errors() {
+    let shards = shards();
+    let adversary = AdversaryPlan::none(N);
+    let guard = GuardConfig::strict();
+    let cells = [
+        (Topology::Star, FaultKind::Dropout, CoreError::InvalidParameter {
+            name: "quorum",
+            message: "round 1: 3/4 required updates accepted".into(),
+        }),
+        (Topology::Gossip { degree: 1, seed: 8 }, FaultKind::Panic, CoreError::ClientPanicked {
+            client: 2,
+        }),
+    ];
+    for (topology, fault, expected) in cells {
+        let plan = FaultPlan::none(N, REGIME_ROUNDS).with_event(1, 2, fault);
+        let setup = ByzantineSetup {
+            faults: &plan,
+            adversary: &adversary,
+            guard: &guard,
+            aggregator: &WeightedFedAvg,
+        };
+        for parallel in [false, true] {
+            let mut engine =
+                regime_engine(&shards, &setup, parallel, Schedule::Full, topology).unwrap();
+            let err = engine.run_to_completion();
+            assert_eq!(err, Err(expected.clone()), "{topology:?} (parallel {parallel})");
+            assert_eq!(engine.rounds_done(), 1, "{topology:?}: round 0 committed, round 1 aborted");
         }
     }
 }

@@ -6,7 +6,11 @@ use std::sync::Arc;
 
 use ctfl::core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl::fl::faults::{CorruptionKind, FaultPlan, FaultSpec};
-use ctfl::fl::fedavg::{train_federated, train_federated_with, FlConfig};
+use ctfl::core::error::Result;
+use ctfl::fl::adversary::AdversaryPlan;
+use ctfl::fl::aggregate::WeightedFedAvg;
+use ctfl::fl::engine::FederationEngine;
+use ctfl::fl::fedavg::{train_federated, ByzantineSetup, FederationRun, FlConfig};
 use ctfl::fl::guard::{judge_round, GuardConfig, Participation, PanicPolicy, UpdateCandidate};
 use ctfl::fl::server::aggregate;
 use ctfl::nn::net::LogicalNetConfig;
@@ -90,6 +94,27 @@ fn survivor_subset_aggregation_is_identity() {
     );
 }
 
+/// A fault-only session (no adversaries, weighted FedAvg) driven to
+/// completion.
+fn run_with(
+    shards: &[Dataset],
+    cfg: &LogicalNetConfig,
+    fl: &FlConfig,
+    plan: &FaultPlan,
+    guard: &GuardConfig,
+) -> Result<FederationRun> {
+    let adversary = AdversaryPlan::none(shards.len());
+    let setup = ByzantineSetup {
+        faults: plan,
+        adversary: &adversary,
+        guard,
+        aggregator: &WeightedFedAvg,
+    };
+    let mut engine = FederationEngine::from_datasets(shards, 2, cfg, fl, &setup)?;
+    engine.run_to_completion()?;
+    Ok(engine.finish())
+}
+
 /// On a fault-free federation, the guard/quorum machinery is transparent:
 /// whatever the quorum fraction, retry budget, or (loose) clipping factors,
 /// the trained parameters are bit-identical to the plain
@@ -117,8 +142,7 @@ fn quorum_and_retries_are_noops_without_faults() {
             let cfg = net_config(*seed);
             let plain = train_federated(&shards, 2, &cfg, &fl).map_err(|e| e.to_string())?;
             let plan = FaultPlan::none(*n_clients, fl.rounds);
-            let run = train_federated_with(&shards, 2, &cfg, &fl, &plan, guard)
-                .map_err(|e| e.to_string())?;
+            let run = run_with(&shards, &cfg, &fl, &plan, guard).map_err(|e| e.to_string())?;
             prop_assert_eq!(plain.params(), run.net.params());
             prop_assert_eq!(run.log.n_degraded(), 0);
             for round in &run.log.rounds {
@@ -159,10 +183,8 @@ fn same_seed_reproduces_the_federation_byte_for_byte() {
             let cfg = net_config(7);
             let plan = FaultPlan::generate(*n_clients, fl.rounds, spec, *seed);
             let guard = GuardConfig::default();
-            let a = train_federated_with(&shards, 2, &cfg, &fl, &plan, &guard)
-                .map_err(|e| e.to_string())?;
-            let b = train_federated_with(&shards, 2, &cfg, &fl, &plan, &guard)
-                .map_err(|e| e.to_string())?;
+            let a = run_with(&shards, &cfg, &fl, &plan, &guard).map_err(|e| e.to_string())?;
+            let b = run_with(&shards, &cfg, &fl, &plan, &guard).map_err(|e| e.to_string())?;
             prop_assert_eq!(&a.log, &b.log);
             prop_assert_eq!(a.log.render(), b.log.render());
             prop_assert_eq!(a.net.params(), b.net.params());

@@ -11,9 +11,7 @@ use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
 use ctfl::data::tictactoe_endgame;
 use ctfl::fl::fedavg::{train_federated, FlConfig};
-use ctfl::fl::privacy::{
-    assemble_trace_inputs_excluding, ActivationUpload, PrivacyConfig, PrivateScoring,
-};
+use ctfl::fl::privacy::{assemble_sharded, ActivationUpload, PrivacyConfig, PrivateScoring};
 use ctfl::fl::score_attack::{ScoreAttackInjector, ScoreAttackKind, ScoreAttackPlan};
 use ctfl::nn::extract::{extract_rules, ExtractOptions};
 use ctfl::nn::net::LogicalNetConfig;
@@ -252,7 +250,7 @@ fn quarantine_exclusion_is_exact_and_total_exclusion_is_typed() {
     let fx = fixture();
     let uploads = honest_uploads(fx, 0.0, 71);
     // Excluding a client removes exactly its rows.
-    let (acts, _labels, client_of) = assemble_trace_inputs_excluding(&uploads, &[2]).unwrap();
+    let (acts, _labels, client_of) = assemble_sharded(&uploads, &[2]).unwrap().to_matrix().unwrap();
     assert!(!client_of.contains(&2));
     let expected_rows: usize =
         fx.shards.iter().enumerate().filter(|&(c, _)| c != 2).map(|(_, s)| s.len()).sum();
@@ -260,7 +258,7 @@ fn quarantine_exclusion_is_exact_and_total_exclusion_is_typed() {
     // Excluding everyone is a typed Empty error, not a panic.
     let all: Vec<usize> = (0..N_CLIENTS).collect();
     assert!(matches!(
-        assemble_trace_inputs_excluding(&uploads, &all),
+        assemble_sharded(&uploads, &all),
         Err(CoreError::Empty { .. })
     ));
 }

@@ -4,12 +4,12 @@
 
 use ctfl::core::allocation::{macro_scores, micro_scores, CreditDirection};
 use ctfl::core::estimator::{CtflConfig, CtflEstimator};
-use ctfl::core::tracing::{trace, TraceConfig, TraceParts};
+use ctfl::core::tracing::{inputs_from_model, trace, TraceConfig, TraceParts};
 use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
 use ctfl::data::tictactoe_endgame;
 use ctfl::fl::fedavg::{train_federated, FlConfig};
-use ctfl::fl::privacy::{assemble_trace_inputs, trace_inputs_from_parts, ActivationUpload, PrivacyConfig};
+use ctfl::fl::privacy::{assemble_sharded, ActivationUpload, PrivacyConfig};
 use ctfl::nn::extract::{extract_rules, ExtractOptions};
 use ctfl::nn::net::LogicalNetConfig;
 use ctfl_rng::rngs::StdRng;
@@ -57,13 +57,14 @@ fn upload_pipeline_reproduces_raw_estimation_exactly() {
                 .unwrap()
         })
         .collect();
-    let (train_acts, train_labels, upload_client_of) = assemble_trace_inputs(&uploads).unwrap();
+    let (train_acts, train_labels, upload_client_of) =
+        assemble_sharded(&uploads, &[]).unwrap().to_matrix().unwrap();
     assert_eq!(upload_client_of, client_of);
 
     let test_acts = model.activation_matrix(&test, false).unwrap();
     let predictions: Vec<usize> =
         (0..test.len()).map(|i| model.classify_from_activations(&test_acts, i)).collect();
-    let inputs = trace_inputs_from_parts(
+    let inputs = inputs_from_model(
         &model,
         TraceParts {
             train_acts: &train_acts,

@@ -128,6 +128,8 @@ fn weighted_sampling_runs_deterministically() {
     assert!(l1.contains("unscheduled"));
 }
 
+/// Installing `Schedule::Full` and `Topology::Star` explicitly reproduces
+/// a session opened with the engine's defaults, bit for bit.
 #[test]
 fn explicit_full_star_matches_the_legacy_entry_point() {
     let data = shards(3);
@@ -141,19 +143,15 @@ fn explicit_full_star_matches_the_legacy_entry_point() {
         guard: &guard,
         aggregator: &WeightedFedAvg,
     };
-    let legacy = ctfl_fl::train_federated_byzantine(&data, 2, &cfg(9), &fl, &setup).unwrap();
-    let scheduled = ctfl_fl::train_federated_scheduled(
-        &data,
-        2,
-        &cfg(9),
-        &fl,
-        &setup,
-        Schedule::Full,
-        Topology::Star,
-    )
-    .unwrap();
-    assert_eq!(scheduled.net.params(), legacy.net.params());
-    assert_eq!(scheduled.log.render(), legacy.log.render());
+    let mut defaults = FederationEngine::from_datasets(&data, 2, &cfg(9), &fl, &setup).unwrap();
+    assert_eq!((defaults.schedule(), defaults.topology()), (Schedule::Full, Topology::Star));
+    defaults.run_to_completion().unwrap();
+    let mut explicit =
+        engine(&data, &plan, &adversary, &guard, &fl, 9, Schedule::Full, Topology::Star);
+    explicit.run_to_completion().unwrap();
+    let (defaults, explicit) = (defaults.finish(), explicit.finish());
+    assert_eq!(explicit.net.params(), defaults.net.params());
+    assert_eq!(explicit.log.render(), defaults.log.render());
 }
 
 #[test]
