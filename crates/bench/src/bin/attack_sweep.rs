@@ -21,6 +21,7 @@
 use ctfl_bench::args::CommonArgs;
 use ctfl_bench::datasets::DatasetSpec;
 use ctfl_bench::federation::{Federation, FederationConfig, SkewMode};
+use ctfl_bench::measure::spearman_honest;
 use ctfl_bench::report::Table;
 use ctfl_core::estimator::{CtflConfig, CtflEstimator};
 use ctfl_core::robustness::{analyze_signatures, SignatureConfig};
@@ -31,7 +32,6 @@ use ctfl_fl::fedavg::{ByzantineSetup, FlConfig};
 use ctfl_fl::guard::{FederationLog, GuardConfig};
 use ctfl_nn::extract::{extract_rules, ExtractOptions};
 use ctfl_testkit::json;
-use ctfl_valuation::spearman_rho;
 
 const N_CLIENTS: usize = 10;
 
@@ -58,13 +58,6 @@ fn run_cell(
         )
         .expect("federation inputs are valid");
     (report.micro_effective, run.log)
-}
-
-fn spearman_honest(base: &[f64], attacked: &[f64], adversaries: &[usize]) -> f64 {
-    let honest: Vec<usize> = (0..N_CLIENTS).filter(|c| !adversaries.contains(c)).collect();
-    let b: Vec<f64> = honest.iter().map(|&c| base[c]).collect();
-    let a: Vec<f64> = honest.iter().map(|&c| attacked[c]).collect();
-    spearman_rho(&b, &a)
 }
 
 fn main() {

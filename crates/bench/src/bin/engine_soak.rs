@@ -2,24 +2,20 @@
 //! sessions without perturbing any of them.
 //!
 //! A seeded batch of jobs — healthy, faulty, adversarial, robust-rule —
-//! runs three ways:
-//!
-//! 1. serially, one [`FederationService::execute_job`] at a time;
-//! 2. multiplexed over the scoped-thread worker pool;
-//! 3. multiplexed again (the soak's internal double run).
-//!
-//! All three must produce identical `JobResult`s — parameter hash, log
-//! hash, committed rounds, accuracy — for every job. Then the whole batch
-//! replays through the wire dispatcher ([`Message::SubmitJob`] frames in,
-//! [`Message::JobDone`] frames out) and must reproduce the same
-//! fingerprints, proving the protocol layer adds nothing to the results.
+//! runs serially, one [`FederationService::execute_job`] at a time, and
+//! multiplexed over the scoped-thread worker pool. Both must produce
+//! identical `JobResult`s — parameter hash, log hash, committed rounds,
+//! accuracy — for every job. Then the whole batch replays through the wire
+//! dispatcher ([`Message::SubmitJob`] frames in, [`Message::JobDone`]
+//! frames out) and must reproduce the same fingerprints, proving the
+//! protocol layer adds nothing to the results.
 //!
 //! Everything on stdout is deterministic, so `run_experiments.sh --check`
 //! double-runs the binary and byte-diffs the output; `ENGINE_OK` prints
 //! only if every comparison held.
 
 use ctfl_bench::args::CommonArgs;
-use ctfl_fl::server::{FederationService, JobQueue, JobResult};
+use ctfl_fl::server::{FederationService, JobResult};
 use ctfl_fl::wire::{self, JobSpec, Message};
 
 /// The soak batch: a spread of federation shapes over the service's fault,
@@ -80,18 +76,10 @@ fn main() {
         jobs.iter().map(|(id, spec)| FederationService::execute_job(*id, spec)).collect(),
     );
 
-    // Multiplexed, twice.
+    // Multiplexed.
     let service = FederationService::new(4);
     let pooled = unwrap_all("pooled", service.run_jobs(&jobs));
-    let mut queue = JobQueue::new();
-    for (_, spec) in &jobs {
-        queue.push(spec.clone());
-    }
-    let queued = unwrap_all("queued", service.run_queue(&mut queue));
-    assert!(queue.is_empty(), "run_queue must drain the queue");
-
     assert_eq!(serial, pooled, "worker pool diverged from serial execution");
-    assert_eq!(serial, queued, "queue replay diverged from serial execution");
 
     // The wire dispatcher must add nothing: frame every job in, decode
     // every JobDone out, compare fingerprints.
@@ -105,7 +93,8 @@ fn main() {
     let mut replies = Vec::new();
     let served = dispatcher
         .serve(&mut requests.as_slice(), &mut replies)
-        .expect("soak conversation survives");
+        .expect("soak conversation survives")
+        .served;
     assert_eq!(served, jobs.len() + 1, "one reply per request plus the shutdown echo");
     let mut r = replies.as_slice();
     for expect in &serial {

@@ -35,7 +35,8 @@
 use ctfl_bench::args::CommonArgs;
 use ctfl_bench::datasets::DatasetSpec;
 use ctfl_bench::federation::{Federation, FederationConfig, SkewMode};
-use ctfl_bench::report::Table;
+use ctfl_bench::measure::spearman_honest;
+use ctfl_bench::report::{fmt_scores, Table};
 use ctfl_core::robustness::{
     analyze_signatures, cross_check_uploads, score_consistency, slash_scores, ConsistencyConfig,
     CrossCheckConfig, SignatureConfig, SlashPolicy, UploadAuditConfig,
@@ -56,18 +57,6 @@ use ctfl_valuation::spearman_rho;
 
 const N_CLIENTS: usize = 10;
 const GAMING_FRAC: f64 = 0.3;
-
-fn spearman_honest(base: &[f64], other: &[f64], gamers: &[usize]) -> f64 {
-    let honest: Vec<usize> = (0..N_CLIENTS).filter(|c| !gamers.contains(c)).collect();
-    let b: Vec<f64> = honest.iter().map(|&c| base[c]).collect();
-    let o: Vec<f64> = honest.iter().map(|&c| other[c]).collect();
-    spearman_rho(&b, &o)
-}
-
-fn fmt_scores(scores: &[f64]) -> String {
-    let v: Vec<String> = scores.iter().map(|s| format!("{s:.4}")).collect();
-    format!("[{}]", v.join(", "))
-}
 
 fn main() {
     let args = CommonArgs::parse();

@@ -9,8 +9,9 @@
 //! 2. through a [`NetClient`] whose every connection is wrapped in a
 //!    [`ChaosTransport`] injecting seeded split writes, bit flips (caught by
 //!    the frame checksum), truncations, virtual stalls, mid-frame breaks
-//!    and half-close EOFs, against a server sharing one `SessionStore`
-//!    across all the reconnects the chaos forces.
+//!    and half-close EOFs, against one server thread that serves every
+//!    connection the chaos forces, one at a time, from one
+//!    [`FederationService`] — as `ctfl_server` does.
 //!
 //! Every job's fingerprints — parameter hash, log hash, committed rounds,
 //! accuracy bits — must match the reference exactly. Then the soak proves
@@ -30,10 +31,10 @@ use ctfl_fl::chaos_net::{duplex, ChaosTransport, NetFaultPlan, NetFaultSpec, Pip
 use ctfl_fl::netclient::{
     BackoffPolicy, Connect, NetClient, RetryPolicy, SessionResume, UpdateReply,
 };
-use ctfl_fl::server::{self, FederationService, SessionStore, StoreConfig};
+use ctfl_fl::server::{self, FederationService};
 use ctfl_fl::wire::JobSpec;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 
 /// The soak batch — identical to `engine_soak`'s, so the two gates cover
@@ -82,27 +83,33 @@ fn mix(seed: u64, i: u64) -> u64 {
     (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(0x632B_E593_02AA_4C5B)
 }
 
-/// A [`Connect`]or that, per connection, spawns a server thread over an
-/// in-memory duplex pipe (all threads share one `SessionStore`) and hands
-/// back the client end wrapped in a freshly seeded [`ChaosTransport`].
+/// Spawns the server thread: it serves every connection whose server end
+/// arrives on the returned channel, one at a time, through one
+/// [`FederationService`] — as `ctfl_server` serves sockets — and ends once
+/// the sender and every connection are gone.
+fn spawn_server() -> (mpsc::Sender<PipeEnd>, JoinHandle<()>) {
+    let (server, incoming) = mpsc::channel::<PipeEnd>();
+    let thread = std::thread::spawn(move || {
+        let mut service = FederationService::new(1);
+        for conn in incoming {
+            let mut writer = conn.clone();
+            let mut reader = conn;
+            // A chaos-broken connection legitimately dies mid-frame; the
+            // server's job is to survive it, not to report it.
+            let _ = service.serve(&mut reader, &mut writer);
+        }
+    });
+    (server, thread)
+}
+
+/// A [`Connect`]or that sends each connection's server end, an in-memory
+/// duplex pipe, to the server thread, and hands back the client end wrapped
+/// in a freshly seeded [`ChaosTransport`].
 struct ChaosConnector {
-    store: Arc<Mutex<SessionStore>>,
+    server: mpsc::Sender<PipeEnd>,
     spec: NetFaultSpec,
     seed: u64,
     conns: u64,
-    servers: Vec<JoinHandle<()>>,
-}
-
-impl ChaosConnector {
-    fn new(seed: u64) -> Self {
-        ChaosConnector {
-            store: SessionStore::shared(StoreConfig::default()),
-            spec: storm(),
-            seed,
-            conns: 0,
-            servers: Vec::new(),
-        }
-    }
 }
 
 impl Connect for ChaosConnector {
@@ -110,14 +117,9 @@ impl Connect for ChaosConnector {
 
     fn connect(&mut self) -> io::Result<Self::T> {
         let (client_end, server_end) = duplex();
-        let mut writer = server_end.clone();
-        let mut reader = server_end;
-        let mut service = FederationService::with_store(1, Arc::clone(&self.store));
-        self.servers.push(std::thread::spawn(move || {
-            // A chaos-broken connection legitimately dies mid-frame; the
-            // server's job is to survive it, not to report it.
-            let _ = service.serve_summary(&mut reader, &mut writer);
-        }));
+        self.server
+            .send(server_end)
+            .map_err(|_| io::Error::new(io::ErrorKind::ConnectionRefused, "server thread gone"))?;
         let plan = NetFaultPlan::generate(PLAN_OPS, &self.spec, mix(self.seed, self.conns));
         self.conns += 1;
         Ok(ChaosTransport::new(client_end, plan))
@@ -139,12 +141,10 @@ fn main() {
         })
         .collect();
 
-    let connector = ChaosConnector::new(args.seed ^ 0xC4A05);
-    // Retries DO sleep their backoff here: after a mid-reply fault the
-    // client legitimately resubmits while the job is still running, and the
-    // server answers Busy until it lands — immediate retries could exhaust
-    // against the wall clock. The results stay byte-identical either way;
-    // only un-printed retry counters depend on timing.
+    let (server, server_thread) = spawn_server();
+    let connector =
+        ChaosConnector { server, spec: storm(), seed: args.seed ^ 0xC4A05, conns: 0 };
+    // Retries sleep their backoff, as a deployed client's would.
     let policy = RetryPolicy {
         max_attempts: 16,
         deadline_nanos: Some(DEADLINE_NANOS),
@@ -231,14 +231,18 @@ fn main() {
             res.job, res.params_hash, res.log_hash, res.rounds, res.accuracy
         );
     }
-    // Attempt/reconnect/fault counters are deliberately NOT printed: how
-    // many Busy rounds a resubmission absorbs depends on job wall time, so
-    // only the byte-deterministic facts go to stdout.
+    // Attempt/reconnect/fault counters are deliberately NOT printed: a
+    // wall-clock read deadline can add retries on a slow host, so only the
+    // byte-deterministic facts go to stdout.
     println!(
         "client: {} requests completed; session {session} resumed across a disconnect and \
          completed; {} results replayed by id",
         client.stats().requests,
         direct.len()
     );
+    // Closing the client ends the server thread; a panic there fails the
+    // gate instead of hiding behind retries.
+    drop(client);
+    server_thread.join().expect("the server thread survives the storm");
     println!("NET_OK");
 }

@@ -8,8 +8,8 @@
 //!
 //! 1. **Bit-identity at every grid point** — serial trace, parallel trace
 //!    (auto *and* forced thread counts) and the sharded-store trace all
-//!    produce the same [`TraceOutcome`]; the per-client micro scores hash
-//!    onto stdout.
+//!    produce the same [`TraceOutcome`](ctfl_core::tracing::TraceOutcome);
+//!    the per-client micro scores hash onto stdout.
 //! 2. **Sharded-vs-monolithic parity** — the sharded store flattens
 //!    word-for-word to the monolithic matrix (checked at the smallest
 //!    cells where the double-build is cheap).
@@ -28,6 +28,7 @@
 //! `results/BENCH_scale.json`.
 
 use ctfl_bench::args::CommonArgs;
+use ctfl_bench::measure::median_ns;
 use ctfl_core::allocation::{micro_scores, CreditDirection};
 use ctfl_core::batch::CompiledRules;
 use ctfl_core::data::DatasetView;
@@ -37,6 +38,7 @@ use ctfl_core::tracing::{
     trace, trace_reference, trace_sharded, ShardedTraceInputs, TraceConfig, TraceInputs,
 };
 use ctfl_data::synthetic::{federated_shards, generate, SyntheticConfig};
+use ctfl_fl::server::fnv1a_bytes;
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::SeedableRng;
 use ctfl_valuation::coalition::Coalition;
@@ -52,30 +54,8 @@ const N_BLOCKS: usize = 32;
 
 /// FNV-1a over the little-endian bit patterns of an f64 slice.
 fn fnv1a_f64(values: &[f64]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
-/// Median wall-clock nanoseconds of `samples` runs of `f` (one untimed
-/// warmup). Timing stays out of stdout so the determinism gate can
-/// byte-diff it.
-fn median_ns<T>(samples: usize, mut f: impl FnMut() -> T) -> u128 {
-    std::hint::black_box(f());
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    fnv1a_bytes(&bytes)
 }
 
 /// The sweep's planted-DNF federation shape: mixed features, 4 terms of 2

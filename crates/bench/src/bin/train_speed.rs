@@ -21,6 +21,7 @@
 //! writer).
 
 use ctfl_bench::args::CommonArgs;
+use ctfl_bench::measure::median_ns;
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_fl::adversary::AdversaryPlan;
 use ctfl_fl::aggregate::WeightedFedAvg;
@@ -28,39 +29,11 @@ use ctfl_fl::faults::FaultPlan;
 use ctfl_fl::engine::FederationEngine;
 use ctfl_fl::fedavg::{train_federated, ByzantineSetup, FlConfig};
 use ctfl_fl::guard::GuardConfig;
+use ctfl_fl::server::fnv1a_bits;
 use ctfl_nn::{LogicalNet, LogicalNetConfig};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// FNV-1a over the little-endian bit patterns of the parameter vector.
-fn fnv1a_bits(values: &[f32]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
-/// Median wall-clock nanoseconds of `samples` runs of `f` (one untimed
-/// warmup). Timing stays out of stdout so the determinism gate can
-/// byte-diff it.
-fn median_ns<T>(samples: usize, mut f: impl FnMut() -> T) -> u128 {
-    std::hint::black_box(f());
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
 
 /// The fixed synthetic workload: four continuous features, two classes,
 /// a noisy compound rule — enough structure that training does real work.

@@ -17,6 +17,7 @@
 pub mod args;
 pub mod datasets;
 pub mod federation;
+pub mod measure;
 pub mod report;
 pub mod schemes;
 

@@ -277,7 +277,7 @@ impl NetFaultPlan {
     }
 }
 
-/// Counters of injected faults, shared so a harness can report what a run
+/// Counters of injected faults, so a harness can report what a run
 /// actually exercised.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
@@ -321,28 +321,26 @@ pub struct ChaosTransport<T> {
     state: LinkState,
     /// The deadline stalls are judged against, in nanoseconds.
     deadline: Option<u64>,
-    stats: Arc<Mutex<ChaosStats>>,
+    stats: ChaosStats,
 }
 
 impl<T> ChaosTransport<T> {
-    /// Wraps `inner` under `plan`, with private stats.
+    /// Wraps `inner` under `plan`, with zeroed fault counters.
     pub fn new(inner: T, plan: NetFaultPlan) -> Self {
-        Self::with_stats(inner, plan, Arc::new(Mutex::new(ChaosStats::default())))
-    }
-
-    /// Wraps `inner` under `plan`, accumulating into shared `stats` — so a
-    /// harness can total faults across many reconnected transports.
-    pub fn with_stats(inner: T, plan: NetFaultPlan, stats: Arc<Mutex<ChaosStats>>) -> Self {
-        ChaosTransport { inner, plan, write_op: 0, read_op: 0, state: LinkState::Live, deadline: None, stats }
+        ChaosTransport {
+            inner,
+            plan,
+            write_op: 0,
+            read_op: 0,
+            state: LinkState::Live,
+            deadline: None,
+            stats: ChaosStats::default(),
+        }
     }
 
     /// A snapshot of the fault counters.
     pub fn stats(&self) -> ChaosStats {
-        *self.stats.lock().expect("chaos stats lock")
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut ChaosStats)) {
-        f(&mut self.stats.lock().expect("chaos stats lock"));
+        self.stats
     }
 
     fn broken(&mut self, kind: io::ErrorKind) -> io::Error {
@@ -364,7 +362,7 @@ impl<T: Write> Write for ChaosTransport<T> {
                 if buf.len() < 2 {
                     return self.inner.write(buf);
                 }
-                self.bump(|s| s.splits += 1);
+                self.stats.splits += 1;
                 // Deliver a strict non-empty prefix; the caller's
                 // write_all loop re-enters with the rest as a fresh op.
                 let n = 1 + (at as usize % (buf.len() - 1));
@@ -375,7 +373,7 @@ impl<T: Write> Write for ChaosTransport<T> {
                 if buf.is_empty() {
                     return self.inner.write(buf);
                 }
-                self.bump(|s| s.flips += 1);
+                self.stats.flips += 1;
                 let mut corrupted = buf.to_vec();
                 let bit = pos as usize % (corrupted.len() * 8);
                 corrupted[bit / 8] ^= 1 << (bit % 8);
@@ -383,7 +381,7 @@ impl<T: Write> Write for ChaosTransport<T> {
                 Ok(buf.len())
             }
             Some(WriteFault::Truncate { at }) => {
-                self.bump(|s| s.truncates += 1);
+                self.stats.truncates += 1;
                 if !buf.is_empty() {
                     let n = at as usize % buf.len();
                     self.inner.write_all(&buf[..n])?;
@@ -392,13 +390,13 @@ impl<T: Write> Write for ChaosTransport<T> {
                 Err(self.broken(io::ErrorKind::ConnectionReset))
             }
             Some(WriteFault::Stall { nanos }) => {
-                self.bump(|s| s.stalls += 1);
+                self.stats.stalls += 1;
                 if let Some(deadline) = self.deadline {
                     if nanos >= deadline {
                         // Virtual time: the stall outlives the deadline, so
                         // it surfaces exactly as a real timeout would —
                         // without sleeping.
-                        self.bump(|s| s.timeouts += 1);
+                        self.stats.timeouts += 1;
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             "chaos: write stalled past deadline",
@@ -408,7 +406,7 @@ impl<T: Write> Write for ChaosTransport<T> {
                 self.inner.write(buf)
             }
             Some(WriteFault::Break) => {
-                self.bump(|s| s.breaks += 1);
+                self.stats.breaks += 1;
                 Err(self.broken(io::ErrorKind::BrokenPipe))
             }
         }
@@ -437,23 +435,23 @@ impl<T: Read> Read for ChaosTransport<T> {
                 if buf.len() < 2 {
                     return self.inner.read(buf);
                 }
-                self.bump(|s| s.shorts += 1);
+                self.stats.shorts += 1;
                 self.inner.read(&mut buf[..1])
             }
             Some(ReadFault::FlipBit { pos }) => {
                 let n = self.inner.read(buf)?;
                 if n > 0 {
-                    self.bump(|s| s.flips += 1);
+                    self.stats.flips += 1;
                     let bit = pos as usize % (n * 8);
                     buf[bit / 8] ^= 1 << (bit % 8);
                 }
                 Ok(n)
             }
             Some(ReadFault::Stall { nanos }) => {
-                self.bump(|s| s.stalls += 1);
+                self.stats.stalls += 1;
                 if let Some(deadline) = self.deadline {
                     if nanos >= deadline {
-                        self.bump(|s| s.timeouts += 1);
+                        self.stats.timeouts += 1;
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             "chaos: read stalled past deadline",
@@ -463,11 +461,11 @@ impl<T: Read> Read for ChaosTransport<T> {
                 self.inner.read(buf)
             }
             Some(ReadFault::Break) => {
-                self.bump(|s| s.breaks += 1);
+                self.stats.breaks += 1;
                 Err(self.broken(io::ErrorKind::ConnectionReset))
             }
             Some(ReadFault::Eof) => {
-                self.bump(|s| s.eofs += 1);
+                self.stats.eofs += 1;
                 self.state = LinkState::Eof;
                 Ok(0)
             }

@@ -12,8 +12,9 @@
 //! * [`wire`] — the length-prefixed binary protocol for submitting
 //!   federation jobs and client updates to a running service.
 //! * [`client`] / [`server`] — the two roles, separable so tests can drive
-//!   each in isolation; [`server`] also hosts the service layer (seeded
-//!   FIFO job queue, scoped-thread worker pool, wire-protocol dispatch).
+//!   each in isolation; [`server`] also hosts the service layer (the
+//!   session store with its idempotent job registry, scoped-thread worker
+//!   pool, wire-protocol dispatch).
 //! * [`faults`] — seeded, deterministic system-level fault injection
 //!   (dropout, crash, straggling, corrupted uploads, panics).
 //! * [`chaos_net`] — the same philosophy at the transport layer: a seeded
@@ -93,8 +94,5 @@ pub use netclient::{
     BackoffPolicy, BackoffSchedule, ClientError, ClientStats, Connect, NetClient, RetryPolicy,
     SessionResume, TcpConnector, Transport, UpdateReply,
 };
-pub use server::{
-    FederationService, JobQueue, JobResult, JobState, QueueReject, ServeEnd, ServeSummary,
-    SessionStore, StoreConfig, Submission,
-};
+pub use server::{FederationService, JobResult, ServeEnd, ServeSummary};
 pub use wire::{Message, RejectCode, WireError};

@@ -23,9 +23,9 @@
 //!   connection.
 //! * **Idempotency** — job submission is keyed by the *client-chosen* job
 //!   id, and the server replays recorded results for bit-identical
-//!   re-submissions ([`crate::server::JobQueue::submit`]). A retry after a
-//!   lost reply therefore never double-runs a federation, which is what
-//!   makes the retry loop safe to run blind.
+//!   re-submissions ([`crate::server::FederationService::handle_message`]).
+//!   A retry after a lost reply therefore never double-runs a federation,
+//!   which is what makes the retry loop safe to run blind.
 //!
 //! Every decision the client makes is a pure function of `(seed, request
 //! counter, transport behaviour)`, so a chaos-driven conversation is

@@ -5,34 +5,34 @@
 //! [`aggregate`] / [`aggregate_into`], FedAvg's data-size-weighted mean.
 //! On top of it sits the service layer:
 //!
-//! * [`JobQueue`] — a bounded registry of self-contained seeded
-//!   [`JobSpec`]s keyed by *client-chosen* job id. Every job carries its own
-//!   seed, so queue position never influences results, and the registry
-//!   remembers finished jobs: re-submitting an id with the same spec bytes
-//!   is an idempotent replay ([`Submission::Replay`]), re-submitting with
-//!   different bytes a typed [`QueueReject::DuplicateJob`], and polling an
-//!   id that aged out of the bounded store a typed
-//!   [`QueueReject::ExpiredJob`] — graceful degradation, never a panic.
-//! * [`SessionStore`] — the cross-connection service state: the job
-//!   registry plus aggregation sessions that *survive disconnects*. Share
-//!   one store ([`SessionStore::shared`]) across connections and a client
+//! * `SessionStore` — the service state that survives disconnects: a
+//!   bounded registry of finished jobs keyed by *client-chosen* job id,
+//!   plus aggregation sessions. Every job carries its own seed, and the
+//!   registry remembers each finished job's reply: re-submitting an id with
+//!   the same spec bytes replays it, re-submitting with different bytes is
+//!   a typed `DuplicateJob`, and polling an id that aged out of the bounded
+//!   store a typed `Expired` — graceful degradation, never a panic. A client
 //!   that reconnects can resume an open session
 //!   ([`Message::ResumeSession`] → [`Message::SessionStatus`]) or fetch a
 //!   completed round / job result it never saw the reply for.
-//! * [`FederationService`] — executes jobs through
-//!   [`crate::engine::FederationEngine`] sessions, either serially
+//! * [`FederationService`] — the store's only owner. It executes jobs
+//!   through [`crate::engine::FederationEngine`] sessions, one at a time
 //!   ([`FederationService::execute_job`]) or multiplexed over a
-//!   scoped-thread worker pool ([`FederationService::run_queue`]), with
+//!   scoped-thread worker pool ([`FederationService::run_jobs`]), with
 //!   bit-identical results either way: engines share no mutable state, and
 //!   each result lands in its job's own slot regardless of which worker ran
-//!   it or in what order they finished.
+//!   it or in what order they finished. Job size is bounded
+//!   ([`MAX_JOB_WORK`]), so no request can make the service allocate or
+//!   train without limit.
 //! * Wire dispatch — [`FederationService::handle_message`] maps each
-//!   decoded [`Message`] to its reply, and
-//!   [`FederationService::serve_summary`] pumps frames over any
-//!   `Read`/`Write` transport until shutdown, clean EOF, or an idle read
-//!   deadline ([`ServeEnd::IdleReaped`] — how `ctfl-server` sheds half-open
-//!   connections). Corrupt frames get a typed
+//!   decoded [`Message`] to its reply, and [`FederationService::serve`]
+//!   pumps frames over any `Read`/`Write` transport until shutdown, clean
+//!   EOF, or an idle read deadline ([`ServeEnd::IdleReaped`] — how
+//!   `ctfl-server` sheds half-open connections). Corrupt frames get a typed
 //!   [`crate::wire::RejectCode::BadFrame`] reply; the connection survives.
+//!   One service serves its connections one at a time, so a submitted job
+//!   finishes before any other request is answered and every record in the
+//!   registry is a finished job.
 
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_core::error::{CoreError, Result};
@@ -124,7 +124,7 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-// ---- job queue ---------------------------------------------------------
+// ---- job registry ------------------------------------------------------
 
 /// A finished job's deterministic fingerprint.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,93 +141,6 @@ pub struct JobResult {
     /// workload.
     pub accuracy: f64,
 }
-
-/// Where a registered job is in its lifecycle.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobState {
-    /// Submitted but not yet executed (queued or running).
-    Pending,
-    /// Finished; the recorded fingerprints are replayed on re-submission
-    /// and served to [`Message::PollJob`].
-    Done(JobResult),
-    /// Execution failed with this rendered error; replayed likewise.
-    Failed(String),
-}
-
-/// What [`JobQueue::submit`] decided about a submission.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Submission {
-    /// A fresh id: the job was registered and enqueued — run it.
-    Accepted,
-    /// The same id + spec is already queued or running; poll later.
-    Pending,
-    /// The same id + spec already finished: here is the recorded result.
-    /// The federation is **not** re-run — this is what makes a retry after
-    /// a lost reply safe.
-    Replay(JobResult),
-    /// The same id + spec already failed with this rendered error.
-    ReplayFailed(String),
-}
-
-/// Typed refusals from the job registry, rendered onto the wire as
-/// [`Message::Reject`] with a matching [`RejectCode`] so idempotent
-/// resubmission is observable by the client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueueReject {
-    /// The id was submitted before with a *different* spec.
-    DuplicateJob {
-        /// The contested id.
-        job: u32,
-    },
-    /// The id was never submitted.
-    UnknownJob {
-        /// The unknown id.
-        job: u32,
-    },
-    /// The id's record aged out of the bounded result store.
-    ExpiredJob {
-        /// The expired id.
-        job: u32,
-    },
-    /// The pending backlog is full; retry after the server drains.
-    Backlog {
-        /// The refused id.
-        job: u32,
-        /// Jobs already pending.
-        pending: usize,
-    },
-}
-
-impl QueueReject {
-    /// The wire-level rejection category for this refusal.
-    pub fn code(&self) -> RejectCode {
-        match self {
-            QueueReject::DuplicateJob { .. } => RejectCode::DuplicateJob,
-            QueueReject::UnknownJob { .. } => RejectCode::UnknownJob,
-            QueueReject::ExpiredJob { .. } => RejectCode::Expired,
-            QueueReject::Backlog { .. } => RejectCode::Busy,
-        }
-    }
-}
-
-impl fmt::Display for QueueReject {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueueReject::DuplicateJob { job } => {
-                write!(f, "job {job} was already submitted with a different spec")
-            }
-            QueueReject::UnknownJob { job } => write!(f, "job {job} was never submitted"),
-            QueueReject::ExpiredJob { job } => {
-                write!(f, "job {job} aged out of the bounded result store")
-            }
-            QueueReject::Backlog { job, pending } => {
-                write!(f, "job {job} refused: backlog of {pending} pending jobs is full")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QueueReject {}
 
 /// Fixed-capacity ring remembering ids evicted from a bounded store, so a
 /// lookup can answer "expired" instead of "never existed".
@@ -259,131 +172,50 @@ impl EvictRing {
 
 #[derive(Debug)]
 struct JobRecord {
-    spec: JobSpec,
     /// The spec's canonical wire bytes — the idempotency identity (bit-exact
     /// even for NaN fields that defeat `PartialEq`).
     spec_bytes: Vec<u8>,
-    state: JobState,
+    /// The job's reply — [`Message::JobDone`], or the `Invalid` rejection
+    /// rendering its error — replayed to re-submissions and polls.
+    reply: Message,
 }
 
-/// A bounded registry + FIFO of federation jobs keyed by job id.
-///
-/// The FIFO face ([`JobQueue::push`] / [`JobQueue::pop`] /
-/// [`JobQueue::drain`]) serves batch drivers; the registry face
-/// ([`JobQueue::submit`] / [`JobQueue::poll`] / [`JobQueue::complete`] /
-/// [`JobQueue::fail`]) serves the wire dispatcher's idempotency contract.
-/// Finished records are retained (bounded by `max_finished`) so a retrying
-/// or reconnecting client can recover a result it never saw; evicted ids
-/// are remembered in a ring so they poll as *expired*, not unknown.
+/// A bounded registry of finished jobs keyed by *client-chosen* job id.
+/// Records are retained (at most `max_finished`) so a retrying or
+/// reconnecting client can recover a reply it never saw; evicted ids are
+/// remembered in a ring so they answer as expired, not unknown.
 #[derive(Debug)]
-pub struct JobQueue {
+struct JobRegistry {
     records: HashMap<u32, JobRecord>,
-    pending: VecDeque<u32>,
     finished: VecDeque<u32>,
     evicted: EvictRing,
-    next_auto: u32,
-    max_pending: usize,
     max_finished: usize,
 }
 
-impl Default for JobQueue {
-    fn default() -> Self {
-        let cfg = StoreConfig::default();
-        Self::bounded(cfg.max_pending_jobs, cfg.max_finished_jobs, cfg.max_evicted)
-    }
-}
-
-impl JobQueue {
-    /// An empty queue with the default bounds.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty queue with explicit bounds: at most `max_pending` queued
-    /// jobs, `max_finished` retained results, and `max_evicted` remembered
-    /// evictions.
-    pub fn bounded(max_pending: usize, max_finished: usize, max_evicted: usize) -> Self {
-        JobQueue {
+impl JobRegistry {
+    fn new(max_finished: usize, max_evicted: usize) -> Self {
+        JobRegistry {
             records: HashMap::new(),
-            pending: VecDeque::new(),
             finished: VecDeque::new(),
             evicted: EvictRing::new(max_evicted),
-            next_auto: 0,
-            max_pending,
             max_finished,
         }
     }
 
-    /// Enqueues a job under the next free auto-assigned id, returning it.
-    /// This legacy batch-driver face is infallible: it skips ids already in
-    /// use and bypasses the backlog bound.
-    pub fn push(&mut self, spec: JobSpec) -> u32 {
-        loop {
-            let id = self.next_auto;
-            self.next_auto = self.next_auto.wrapping_add(1);
-            if !self.records.contains_key(&id) && !self.evicted.contains(id) {
-                let spec_bytes = spec.canonical_bytes();
-                self.records.insert(id, JobRecord { spec, spec_bytes, state: JobState::Pending });
-                self.pending.push_back(id);
-                return id;
-            }
+    /// The record of `job`, or why there is none: `Expired` if it aged out
+    /// of the bounded store, `UnknownJob` if it was never submitted.
+    fn lookup(&self, job: u32) -> std::result::Result<&JobRecord, RejectCode> {
+        match self.records.get(&job) {
+            Some(rec) => Ok(rec),
+            None if self.evicted.contains(job) => Err(RejectCode::Expired),
+            None => Err(RejectCode::UnknownJob),
         }
     }
 
-    /// Registers a job under a *client-chosen* id — the wire dispatcher's
-    /// idempotent entry point. Spec identity is the canonical wire byte
-    /// encoding, so a bit-exact re-submission replays and anything else is
-    /// a typed refusal.
-    pub fn submit(
-        &mut self,
-        job: u32,
-        spec: &JobSpec,
-    ) -> std::result::Result<Submission, QueueReject> {
-        let spec_bytes = spec.canonical_bytes();
-        if let Some(rec) = self.records.get(&job) {
-            if rec.spec_bytes != spec_bytes {
-                return Err(QueueReject::DuplicateJob { job });
-            }
-            return Ok(match &rec.state {
-                JobState::Pending => Submission::Pending,
-                JobState::Done(r) => Submission::Replay(r.clone()),
-                JobState::Failed(d) => Submission::ReplayFailed(d.clone()),
-            });
-        }
-        if self.evicted.contains(job) {
-            return Err(QueueReject::ExpiredJob { job });
-        }
-        if self.pending.len() >= self.max_pending {
-            return Err(QueueReject::Backlog { job, pending: self.pending.len() });
-        }
-        self.records
-            .insert(job, JobRecord { spec: spec.clone(), spec_bytes, state: JobState::Pending });
-        self.pending.push_back(job);
-        Ok(Submission::Accepted)
-    }
-
-    /// Records a job's result; the id leaves the pending FIFO and its
-    /// record answers future polls and replays. Overflow beyond the
-    /// finished bound evicts the oldest result into the expired ring.
-    /// Completing an id that was never registered is a no-op.
-    pub fn complete(&mut self, job: u32, result: JobResult) {
-        self.finish(job, JobState::Done(result));
-    }
-
-    /// Records a job's failure (rendered error); same retention and
-    /// eviction contract as [`JobQueue::complete`].
-    pub fn fail(&mut self, job: u32, detail: String) {
-        self.finish(job, JobState::Failed(detail));
-    }
-
-    fn finish(&mut self, job: u32, state: JobState) {
-        self.pending.retain(|&id| id != job);
-        let Some(rec) = self.records.get_mut(&job) else { return };
-        let was_pending = matches!(rec.state, JobState::Pending);
-        rec.state = state;
-        if !was_pending {
-            return;
-        }
+    /// Records a fresh job id's outcome. Overflow beyond the retention
+    /// bound evicts the oldest record into the expired ring.
+    fn record(&mut self, job: u32, record: JobRecord) {
+        self.records.insert(job, record);
         self.finished.push_back(job);
         if self.finished.len() > self.max_finished {
             if let Some(old) = self.finished.pop_front() {
@@ -392,45 +224,19 @@ impl JobQueue {
             }
         }
     }
+}
 
-    /// Looks up a job's lifecycle state, or a typed refusal distinguishing
-    /// "never submitted" from "aged out".
-    pub fn poll(&self, job: u32) -> std::result::Result<&JobState, QueueReject> {
-        if let Some(rec) = self.records.get(&job) {
-            return Ok(&rec.state);
+/// A job registry refusal — `DuplicateJob`, `UnknownJob` or `Expired` — as
+/// a typed wire rejection.
+fn job_reject(code: RejectCode, job: u32) -> Message {
+    let detail = match code {
+        RejectCode::DuplicateJob => {
+            format!("job {job} was already submitted with a different spec")
         }
-        if self.evicted.contains(job) {
-            return Err(QueueReject::ExpiredJob { job });
-        }
-        Err(QueueReject::UnknownJob { job })
-    }
-
-    /// Dequeues the oldest pending job (its record stays registered so the
-    /// result can be recorded with [`JobQueue::complete`]).
-    pub fn pop(&mut self) -> Option<(u32, JobSpec)> {
-        let id = self.pending.pop_front()?;
-        let spec = self.records.get(&id)?.spec.clone();
-        Some((id, spec))
-    }
-
-    /// Jobs currently pending.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Drains every pending job in FIFO order (records stay registered).
-    pub fn drain(&mut self) -> Vec<(u32, JobSpec)> {
-        let mut out = Vec::with_capacity(self.pending.len());
-        while let Some(item) = self.pop() {
-            out.push(item);
-        }
-        out
-    }
+        RejectCode::Expired => format!("job {job} aged out of the bounded result store"),
+        _ => format!("job {job} was never submitted"),
+    };
+    Message::Reject { code, detail }
 }
 
 // ---- session store -----------------------------------------------------
@@ -439,9 +245,7 @@ impl JobQueue {
 /// retains is capped, so a hostile or forgetful client degrades service
 /// into typed `Busy`/`Expired` rejections instead of unbounded memory.
 #[derive(Debug, Clone, Copy)]
-pub struct StoreConfig {
-    /// Most jobs queued-but-unfinished at once.
-    pub max_pending_jobs: usize,
+pub(crate) struct StoreConfig {
     /// Finished job results retained for poll/replay.
     pub max_finished_jobs: usize,
     /// Most aggregation sessions (open + completed) retained at once.
@@ -452,12 +256,7 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig {
-            max_pending_jobs: 64,
-            max_finished_jobs: 256,
-            max_sessions: 64,
-            max_evicted: 1024,
-        }
+        StoreConfig { max_finished_jobs: 256, max_sessions: 64, max_evicted: 1024 }
     }
 }
 
@@ -481,14 +280,18 @@ struct AggregationSession {
 /// collide with it because sessions are capped far below `u32::MAX`.
 pub const SESSION_ACK: u32 = u32::MAX;
 
+/// Most participants one aggregation session may expect. The largest
+/// session any caller opens has 8; a bigger request is refused before its
+/// per-client slot table is allocated.
+pub const MAX_SESSION_CLIENTS: u32 = 65_536;
+
 /// The service state that must *survive disconnects*: the job registry and
-/// the aggregation sessions. `ctfl-server` builds one
-/// [`SessionStore::shared`] store and hands every connection a
-/// [`FederationService::with_store`] dispatcher over it, so a client that
-/// reconnects can resume its session or poll a result by job id.
+/// the aggregation sessions. A [`FederationService`] owns one and serves
+/// every connection from it, so a client that reconnects can resume its
+/// session or poll a result by job id.
 #[derive(Debug)]
-pub struct SessionStore {
-    jobs: JobQueue,
+pub(crate) struct SessionStore {
+    jobs: JobRegistry,
     sessions: HashMap<u32, AggregationSession>,
     completed_order: VecDeque<u32>,
     evicted_sessions: EvictRing,
@@ -505,36 +308,12 @@ impl SessionStore {
     /// An empty store with the given bounds.
     pub fn new(config: StoreConfig) -> Self {
         SessionStore {
-            jobs: JobQueue::bounded(
-                config.max_pending_jobs,
-                config.max_finished_jobs,
-                config.max_evicted,
-            ),
+            jobs: JobRegistry::new(config.max_finished_jobs, config.max_evicted),
             sessions: HashMap::new(),
             completed_order: VecDeque::new(),
             evicted_sessions: EvictRing::new(config.max_evicted),
             config,
         }
-    }
-
-    /// An empty store behind the `Arc<Mutex<…>>` every connection shares.
-    pub fn shared(config: StoreConfig) -> Arc<Mutex<Self>> {
-        Arc::new(Mutex::new(Self::new(config)))
-    }
-
-    /// The job registry.
-    pub fn jobs(&self) -> &JobQueue {
-        &self.jobs
-    }
-
-    /// The job registry, mutably (batch drivers record results here).
-    pub fn jobs_mut(&mut self) -> &mut JobQueue {
-        &mut self.jobs
-    }
-
-    /// Aggregation sessions currently retained (open + completed).
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Handles [`Message::OpenSession`]: registers the round, idempotently
@@ -545,6 +324,15 @@ impl SessionStore {
             return Message::Reject {
                 code: RejectCode::Invalid,
                 detail: format!("session {session}: need at least one client and one parameter"),
+            };
+        }
+        if n_clients > MAX_SESSION_CLIENTS {
+            return Message::Reject {
+                code: RejectCode::Invalid,
+                detail: format!(
+                    "session {session}: {n_clients} clients exceeds the limit of \
+                     {MAX_SESSION_CLIENTS}"
+                ),
             };
         }
         if let Some(existing) = self.sessions.get(&session) {
@@ -731,41 +519,48 @@ impl SessionStore {
         }
     }
 
-    /// Handles [`Message::PollJob`]: a finished job answers with its
-    /// recorded fingerprints, a pending one with `Busy`, and a missing one
-    /// types out as unknown or expired.
-    pub fn poll_job(&self, job: u32) -> Message {
-        match self.jobs.poll(job) {
-            Ok(JobState::Pending) => Message::Reject {
-                code: RejectCode::Busy,
-                detail: format!("job {job} is still pending"),
-            },
-            Ok(JobState::Done(r)) => job_done(r),
-            Ok(JobState::Failed(d)) => {
-                Message::Reject { code: RejectCode::Invalid, detail: d.clone() }
+    /// Handles [`Message::SubmitJob`]: a fresh id runs the job to
+    /// completion through [`FederationService::execute_job`] and records its
+    /// reply; a bit-identical re-submission replays that reply without
+    /// re-running the federation (what makes a retry after a lost reply
+    /// safe); the same id with different spec bytes is a typed
+    /// `DuplicateJob`, and an aged-out id `Expired`.
+    pub fn submit_job(&mut self, job: u32, spec: &JobSpec) -> Message {
+        let spec_bytes = spec.canonical_bytes();
+        match self.jobs.lookup(job) {
+            Ok(rec) if rec.spec_bytes == spec_bytes => rec.reply.clone(),
+            Ok(_) => job_reject(RejectCode::DuplicateJob, job),
+            Err(RejectCode::UnknownJob) => {
+                let reply = match FederationService::execute_job(job, spec) {
+                    Ok(r) => Message::JobDone {
+                        job: r.job,
+                        params_hash: r.params_hash,
+                        log_hash: r.log_hash,
+                        rounds: r.rounds,
+                        accuracy: r.accuracy,
+                    },
+                    Err(e) => Message::Reject { code: RejectCode::Invalid, detail: e.to_string() },
+                };
+                self.jobs.record(job, JobRecord { spec_bytes, reply: reply.clone() });
+                reply
             }
-            Err(qr) => reject_for(&qr),
+            Err(code) => job_reject(code, job),
+        }
+    }
+
+    /// Handles [`Message::PollJob`]: a finished job answers with its
+    /// recorded reply, and a missing one types out as unknown or expired.
+    pub fn poll_job(&self, job: u32) -> Message {
+        match self.jobs.lookup(job) {
+            Ok(rec) => rec.reply.clone(),
+            Err(code) => job_reject(code, job),
         }
     }
 }
 
-fn job_done(r: &JobResult) -> Message {
-    Message::JobDone {
-        job: r.job,
-        params_hash: r.params_hash,
-        log_hash: r.log_hash,
-        rounds: r.rounds,
-        accuracy: r.accuracy,
-    }
-}
-
-fn reject_for(qr: &QueueReject) -> Message {
-    Message::Reject { code: qr.code(), detail: qr.to_string() }
-}
-
 // ---- the service -------------------------------------------------------
 
-/// How a [`FederationService::serve_summary`] connection ended.
+/// How a [`FederationService::serve`] connection ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeEnd {
     /// The peer closed cleanly at a frame boundary.
@@ -796,31 +591,54 @@ pub struct ServeSummary {
     pub end: ServeEnd,
 }
 
-/// The federation service: a worker pool for queued jobs plus the wire
-/// dispatcher over a (shareable) [`SessionStore`].
+/// Most work one job may ask for, counted in saturating `u64` as
+/// `max(rounds, 1) × n_clients × (rows_per_client × max(local_epochs, 1) +
+/// n_clients + in_flight)`: every round visits every client, which trains
+/// once per local epoch on its rows; Krum and gossip compare every pair of
+/// clients; and the async schedule rescans up to `in_flight =
+/// min(max_staleness, rounds)` parked updates per client (0 for the other
+/// schedules). A zero round or epoch count still costs one, because the
+/// workload of `n_clients × rows_per_client` rows is built either way.
+///
+/// The service answers one request at a time, so every later request waits
+/// for a job. The slowest in-bound shape measured (two one-row clients,
+/// 10,922 rounds, `parallel` set, so a thread per client per round) runs
+/// for about a second in release on a 2-vCPU x86-64 host, in under 10 MB;
+/// the largest job any caller sends costs 675. A bigger request is a typed
+/// error before anything is allocated.
+pub const MAX_JOB_WORK: u64 = 1 << 16;
+
+/// A job's work, as [`MAX_JOB_WORK`] counts it.
+fn job_work(spec: &JobSpec) -> u64 {
+    let n = u64::from(spec.n_clients);
+    let rounds = u64::from(spec.rounds.max(1));
+    let in_flight = match FederationService::schedule(spec) {
+        Ok(Schedule::Async { .. }) => u64::from(spec.max_staleness).min(rounds),
+        _ => 0,
+    };
+    let per_client_round = u64::from(spec.rows_per_client)
+        .saturating_mul(u64::from(spec.local_epochs.max(1)))
+        .saturating_add(n)
+        .saturating_add(in_flight);
+    rounds.saturating_mul(n).saturating_mul(per_client_round)
+}
+
+/// The federation service: the wire dispatcher over the `SessionStore`
+/// it owns, plus a worker pool for batches of jobs. One service answers one
+/// request at a time, so a submitted job runs to completion before the next
+/// request is read.
 #[derive(Debug)]
 pub struct FederationService {
     workers: usize,
-    store: Arc<Mutex<SessionStore>>,
+    store: SessionStore,
 }
 
 impl FederationService {
-    /// A service running at most `workers` federations concurrently
-    /// (clamped to at least one), over its own fresh store.
+    /// A service running at most `workers` federations concurrently in
+    /// [`FederationService::run_jobs`] (clamped to at least one), over its
+    /// own fresh store.
     pub fn new(workers: usize) -> Self {
-        Self::with_store(workers, SessionStore::shared(StoreConfig::default()))
-    }
-
-    /// A service dispatching into a shared store — how `ctfl-server` makes
-    /// jobs and sessions survive disconnects: every connection gets its own
-    /// `FederationService`, all over one store.
-    pub fn with_store(workers: usize, store: Arc<Mutex<SessionStore>>) -> Self {
-        FederationService { workers: workers.max(1), store }
-    }
-
-    /// A handle to the service's store.
-    pub fn store(&self) -> Arc<Mutex<SessionStore>> {
-        Arc::clone(&self.store)
+        FederationService { workers: workers.max(1), store: SessionStore::default() }
     }
 
     /// Builds the deterministic synthetic workload of a job: `n_clients`
@@ -926,14 +744,25 @@ impl FederationService {
     /// Runs one job to completion through a [`FederationEngine`] session.
     ///
     /// Every invalid spec is a typed [`CoreError`] (bad probabilities, bad
-    /// fractions, unknown codes, empty federations) — the wire path renders
-    /// it into a [`Message::Reject`] instead of dying.
+    /// fractions, unknown codes, empty federations, jobs past
+    /// [`MAX_JOB_WORK`]) — the wire path renders it
+    /// into a [`Message::Reject`] instead of dying.
     pub fn execute_job(job: u32, spec: &JobSpec) -> Result<JobResult> {
         if spec.n_clients == 0 {
             return Err(CoreError::Empty { what: "job federation" });
         }
         if spec.rows_per_client == 0 {
             return Err(CoreError::Empty { what: "job client shard" });
+        }
+        if job_work(spec) > MAX_JOB_WORK {
+            return Err(CoreError::InvalidParameter {
+                name: "job size",
+                message: format!(
+                    "{} clients × {} rows × {} rounds × {} local epochs exceeds the work \
+                     limit of {MAX_JOB_WORK}",
+                    spec.n_clients, spec.rows_per_client, spec.rounds, spec.local_epochs
+                ),
+            });
         }
         let fault_spec = FaultSpec {
             dropout: spec.dropout,
@@ -1020,79 +849,20 @@ impl FederationService {
             .collect()
     }
 
-    /// Drains the queue through the worker pool (FIFO submission order in,
-    /// job-ordered results out) and records every outcome back into the
-    /// queue's registry, so drained jobs stay pollable by id.
-    pub fn run_queue(&self, queue: &mut JobQueue) -> Vec<Result<JobResult>> {
-        let jobs = queue.drain();
-        let results = self.run_jobs(&jobs);
-        for ((id, _), res) in jobs.iter().zip(&results) {
-            match res {
-                Ok(r) => queue.complete(*id, r.clone()),
-                Err(e) => queue.fail(*id, e.to_string()),
-            }
-        }
-        results
-    }
-
     /// Maps one request to its reply — the transport-free core of the
     /// dispatcher. Invalid requests come back as [`Message::Reject`] with a
     /// typed [`RejectCode`] rendering the cause; the connection survives.
-    ///
-    /// The store lock is *not* held while a submitted federation executes:
-    /// the job is registered first (so concurrent connections observe it as
-    /// pending and get `Busy`, never a double run), released, run, then
-    /// re-locked to record the result.
     pub fn handle_message(&mut self, msg: Message) -> Message {
         match msg {
-            Message::SubmitJob { job, spec } => {
-                let submission = {
-                    let mut store = self.store.lock().expect("session store lock");
-                    store.jobs.submit(job, &spec)
-                };
-                match submission {
-                    Err(qr) => reject_for(&qr),
-                    Ok(Submission::Replay(r)) => job_done(&r),
-                    Ok(Submission::ReplayFailed(detail)) => {
-                        Message::Reject { code: RejectCode::Invalid, detail }
-                    }
-                    Ok(Submission::Pending) => Message::Reject {
-                        code: RejectCode::Busy,
-                        detail: format!("job {job} is still pending"),
-                    },
-                    Ok(Submission::Accepted) => {
-                        let result = Self::execute_job(job, &spec);
-                        let mut store = self.store.lock().expect("session store lock");
-                        match result {
-                            Ok(r) => {
-                                store.jobs.complete(job, r.clone());
-                                job_done(&r)
-                            }
-                            Err(e) => {
-                                let detail = e.to_string();
-                                store.jobs.fail(job, detail.clone());
-                                Message::Reject { code: RejectCode::Invalid, detail }
-                            }
-                        }
-                    }
-                }
+            Message::SubmitJob { job, spec } => self.store.submit_job(job, &spec),
+            Message::PollJob { job } => self.store.poll_job(job),
+            Message::OpenSession { session, n_clients, dim } => {
+                self.store.open_session(session, n_clients, dim)
             }
-            Message::PollJob { job } => {
-                self.store.lock().expect("session store lock").poll_job(job)
+            Message::SubmitUpdate { session, client, weight, params } => {
+                self.store.submit_update(session, client, weight, params)
             }
-            Message::OpenSession { session, n_clients, dim } => self
-                .store
-                .lock()
-                .expect("session store lock")
-                .open_session(session, n_clients, dim),
-            Message::SubmitUpdate { session, client, weight, params } => self
-                .store
-                .lock()
-                .expect("session store lock")
-                .submit_update(session, client, weight, params),
-            Message::ResumeSession { session } => {
-                self.store.lock().expect("session store lock").resume_session(session)
-            }
+            Message::ResumeSession { session } => self.store.resume_session(session),
             Message::Ping { nonce } => Message::Pong { nonce },
             Message::Shutdown => Message::Shutdown,
             // Server-to-client messages arriving as requests are protocol
@@ -1115,15 +885,12 @@ impl FederationService {
     /// [`ServeEnd::IdleReaped`] so the caller can log the reaped peer).
     ///
     /// Malformed frames that leave the stream decodable — unknown tags, bad
-    /// values, trailing bytes, checksum mismatches — get a typed
-    /// [`RejectCode::BadFrame`] reply and the loop continues. Transport
-    /// failures and mid-frame peer death end the connection with the typed
-    /// error.
-    pub fn serve_summary(
-        &mut self,
-        r: &mut impl Read,
-        w: &mut impl Write,
-    ) -> WireResult<ServeSummary> {
+    /// values, payloads too short or too long for their message, checksum
+    /// mismatches — get a typed [`RejectCode::BadFrame`] reply and the loop
+    /// continues. Transport failures, oversized length prefixes and
+    /// mid-frame peer death end the connection with the typed error. The
+    /// store outlives the connection either way.
+    pub fn serve(&mut self, r: &mut impl Read, w: &mut impl Write) -> WireResult<ServeSummary> {
         let mut served = 0usize;
         loop {
             let msg = match wire::read_frame_opt(r) {
@@ -1143,6 +910,7 @@ impl FederationService {
                 // down either way.)
                 Err(e @ (WireError::UnknownTag { .. }
                 | WireError::BadValue { .. }
+                | WireError::Truncated { .. }
                 | WireError::Trailing { .. }
                 | WireError::ChecksumMismatch { .. })) => {
                     wire::write_frame(
@@ -1162,12 +930,6 @@ impl FederationService {
                 return Ok(ServeSummary { served, end: ServeEnd::Shutdown });
             }
         }
-    }
-
-    /// [`FederationService::serve_summary`], reduced to the served-request
-    /// count for callers that don't care how the connection ended.
-    pub fn serve(&mut self, r: &mut impl Read, w: &mut impl Write) -> WireResult<usize> {
-        Ok(self.serve_summary(r, w)?.served)
     }
 }
 
@@ -1240,60 +1002,39 @@ mod tests {
     }
 
     #[test]
-    fn queue_is_fifo_with_stable_ids() {
-        let mut q = JobQueue::new();
-        let a = q.push(JobSpec::clean(1, 2, 1));
-        let b = q.push(JobSpec::clean(2, 2, 1));
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().0, 0);
-        assert_eq!(q.pop().unwrap().0, 1);
-        assert!(q.is_empty());
-        // Popped jobs stay registered as pending until a result is recorded.
-        assert_eq!(q.poll(0).unwrap(), &JobState::Pending);
+    fn bounded_job_registry_expires_the_oldest_record() {
+        let config = StoreConfig { max_finished_jobs: 2, ..StoreConfig::default() };
+        let mut store = SessionStore::new(config);
+        // Unknown rule codes fail fast; failures are recorded like results.
+        let spec = JobSpec { rule: 9, ..JobSpec::clean(1, 2, 1) };
+        for j in 0..3 {
+            assert_eq!(reject_code(&store.submit_job(j, &spec)), RejectCode::Invalid);
+        }
+        // Past the retention bound the oldest record expires: typed, not a
+        // re-run and not "never submitted".
+        assert_eq!(reject_code(&store.poll_job(0)), RejectCode::Expired);
+        assert_eq!(reject_code(&store.submit_job(0, &spec)), RejectCode::Expired);
+        assert_eq!(store.poll_job(2), store.submit_job(2, &spec));
+        assert_eq!(reject_code(&store.poll_job(2)), RejectCode::Invalid);
+        assert_eq!(reject_code(&store.poll_job(77)), RejectCode::UnknownJob);
     }
 
     #[test]
     fn submission_is_idempotent_by_spec_bytes() {
-        let mut q = JobQueue::new();
+        let mut service = FederationService::new(1);
         let spec = JobSpec::clean(5, 3, 2);
-        assert_eq!(q.submit(9, &spec).unwrap(), Submission::Accepted);
-        // Same id + same bytes while pending: no double-enqueue.
-        assert_eq!(q.submit(9, &spec).unwrap(), Submission::Pending);
-        assert_eq!(q.len(), 1);
-        // Same id, different bytes: typed duplicate.
+        // A made-up record no run of `spec` produces: only a replay of the
+        // record can return it, a re-execution cannot.
+        let sentinel = Message::Pong { nonce: 1 };
+        let record = JobRecord { spec_bytes: spec.canonical_bytes(), reply: sentinel.clone() };
+        service.store.jobs.record(9, record);
+        let submit = |spec: &JobSpec| Message::SubmitJob { job: 9, spec: spec.clone() };
+        assert_eq!(service.handle_message(submit(&spec)), sentinel);
+        assert_eq!(service.handle_message(Message::PollJob { job: 9 }), sentinel);
+        // Same id, different bytes: typed duplicate, the record untouched.
         let other = JobSpec { dropout: 0.5, ..spec.clone() };
-        assert_eq!(q.submit(9, &other).unwrap_err(), QueueReject::DuplicateJob { job: 9 });
-        // Record a result: re-submission replays it without re-running.
-        let result = JobResult { job: 9, params_hash: 1, log_hash: 2, rounds: 2, accuracy: 0.5 };
-        q.complete(9, result.clone());
-        assert!(q.is_empty());
-        assert_eq!(q.submit(9, &spec).unwrap(), Submission::Replay(result.clone()));
-        assert_eq!(q.poll(9).unwrap(), &JobState::Done(result));
-        // Unknown ids are typed, not generic.
-        assert_eq!(q.poll(77).unwrap_err(), QueueReject::UnknownJob { job: 77 });
-    }
-
-    #[test]
-    fn bounded_queue_degrades_into_typed_rejections() {
-        let mut q = JobQueue::bounded(1, 2, 8);
-        let spec = JobSpec::clean(1, 2, 1);
-        assert_eq!(q.submit(0, &spec).unwrap(), Submission::Accepted);
-        // Backlog full: typed Busy-style refusal, not a hang.
-        assert_eq!(
-            q.submit(1, &spec).unwrap_err(),
-            QueueReject::Backlog { job: 1, pending: 1 }
-        );
-        // Finish jobs past the retention bound: the oldest result expires.
-        let done = |j| JobResult { job: j, params_hash: 0, log_hash: 0, rounds: 1, accuracy: 0.0 };
-        q.complete(0, done(0));
-        for j in [1u32, 2] {
-            assert_eq!(q.submit(j, &spec).unwrap(), Submission::Accepted);
-            q.complete(j, done(j));
-        }
-        assert_eq!(q.poll(0).unwrap_err(), QueueReject::ExpiredJob { job: 0 });
-        assert_eq!(q.submit(0, &spec).unwrap_err(), QueueReject::ExpiredJob { job: 0 });
-        assert!(matches!(q.poll(2).unwrap(), JobState::Done(_)));
+        assert_eq!(reject_code(&service.handle_message(submit(&other))), RejectCode::DuplicateJob);
+        assert_eq!(service.handle_message(submit(&spec)), sentinel);
     }
 
     #[test]
@@ -1312,18 +1053,6 @@ mod tests {
         let serial: Vec<_> =
             jobs.iter().map(|(id, spec)| FederationService::execute_job(*id, spec)).collect();
         assert_eq!(pooled, serial, "worker pool must not change results");
-    }
-
-    #[test]
-    fn run_queue_records_results_for_polling() {
-        let service = FederationService::new(2);
-        let mut q = JobQueue::new();
-        let a = q.push(JobSpec::clean(11, 2, 1));
-        let b = q.push(JobSpec { rule: 9, ..JobSpec::clean(12, 2, 1) });
-        let results = service.run_queue(&mut q);
-        assert!(q.is_empty());
-        assert_eq!(q.poll(a).unwrap(), &JobState::Done(results[0].clone().unwrap()));
-        assert!(matches!(q.poll(b).unwrap(), JobState::Failed(_)));
     }
 
     #[test]
@@ -1468,32 +1197,47 @@ mod tests {
         );
     }
 
+    /// Frames `requests`, serves them as one connection, and decodes the
+    /// replies.
+    fn converse(service: &mut FederationService, requests: &[Message]) -> Vec<Message> {
+        let mut stream = Vec::new();
+        for msg in requests {
+            wire::write_frame(&mut stream, msg).unwrap();
+        }
+        let mut replies = Vec::new();
+        let summary = service.serve(&mut stream.as_slice(), &mut replies).unwrap();
+        assert_eq!(summary, ServeSummary { served: requests.len(), end: ServeEnd::CleanEof });
+        let mut r = replies.as_slice();
+        requests.iter().map(|_| wire::read_frame(&mut r).unwrap()).collect()
+    }
+
     #[test]
-    fn sessions_survive_across_connections_through_a_shared_store() {
-        let store = SessionStore::shared(StoreConfig::default());
-        // Connection one opens a session and uploads one of two updates.
-        let mut conn1 = FederationService::with_store(1, Arc::clone(&store));
-        conn1.handle_message(Message::OpenSession { session: 3, n_clients: 2, dim: 1 });
-        conn1.handle_message(Message::SubmitUpdate {
-            session: 3,
-            client: 0,
-            weight: 1,
-            params: vec![2.0],
-        });
-        drop(conn1); // the connection dies…
-        // …and a reconnecting client resumes where it left off.
-        let mut conn2 = FederationService::with_store(1, Arc::clone(&store));
-        assert_eq!(
-            conn2.handle_message(Message::ResumeSession { session: 3 }),
-            Message::SessionStatus { session: 3, n_clients: 2, dim: 1, received: vec![0] }
+    fn sessions_survive_across_connections() {
+        let mut service = FederationService::new(1);
+        // Connection one opens a session and uploads one of two updates,
+        // then dies…
+        converse(
+            &mut service,
+            &[
+                Message::OpenSession { session: 3, n_clients: 2, dim: 1 },
+                Message::SubmitUpdate { session: 3, client: 0, weight: 1, params: vec![2.0] },
+            ],
         );
-        let done = conn2.handle_message(Message::SubmitUpdate {
-            session: 3,
-            client: 1,
-            weight: 1,
-            params: vec![4.0],
-        });
-        assert_eq!(done, Message::RoundComplete { session: 3, params: vec![3.0] });
+        // …and a reconnecting client resumes where it left off.
+        let replies = converse(
+            &mut service,
+            &[
+                Message::ResumeSession { session: 3 },
+                Message::SubmitUpdate { session: 3, client: 1, weight: 1, params: vec![4.0] },
+            ],
+        );
+        assert_eq!(
+            replies,
+            [
+                Message::SessionStatus { session: 3, n_clients: 2, dim: 1, received: vec![0] },
+                Message::RoundComplete { session: 3, params: vec![3.0] },
+            ]
+        );
     }
 
     #[test]
@@ -1514,6 +1258,16 @@ mod tests {
         assert_eq!(reject_code(&store.resume_session(0)), RejectCode::Expired);
         assert_eq!(reject_code(&store.submit_update(0, 0, 1, vec![1.0])), RejectCode::Expired);
         assert_eq!(reject_code(&store.open_session(0, 1, 1)), RejectCode::Expired);
+    }
+
+    #[test]
+    fn oversized_sessions_are_refused_before_allocation() {
+        let mut store = SessionStore::default();
+        // A 13-byte frame must not be able to ask for a 2^32-slot table.
+        for n_clients in [u32::MAX, MAX_SESSION_CLIENTS + 1] {
+            assert_eq!(reject_code(&store.open_session(1, n_clients, 1)), RejectCode::Invalid);
+        }
+        assert!(matches!(store.open_session(1, MAX_SESSION_CLIENTS, 1), Message::Ack { .. }));
     }
 
     #[test]
@@ -1554,7 +1308,7 @@ mod tests {
 
         let mut service = FederationService::new(1);
         let mut replies = Vec::new();
-        let summary = service.serve_summary(&mut requests.as_slice(), &mut replies).unwrap();
+        let summary = service.serve(&mut requests.as_slice(), &mut replies).unwrap();
         assert_eq!(summary, ServeSummary { served: 5, end: ServeEnd::Shutdown });
         let mut r = replies.as_slice();
         assert_eq!(
@@ -1582,7 +1336,7 @@ mod tests {
     fn silent_peers_are_reaped_not_leaked() {
         let mut service = FederationService::new(1);
         let mut replies = Vec::new();
-        let summary = service.serve_summary(&mut SilentPeer, &mut replies).unwrap();
+        let summary = service.serve(&mut SilentPeer, &mut replies).unwrap();
         assert_eq!(summary, ServeSummary { served: 0, end: ServeEnd::IdleReaped });
         assert!(replies.is_empty(), "a reaped peer gets no parting frame");
     }
@@ -1606,9 +1360,8 @@ mod tests {
             service.handle_message(Message::SubmitJob { job: 8, spec: spec.clone() }),
             expected
         );
-        // …polling recovers it from any later connection over the store…
-        let mut reconnect = FederationService::with_store(1, service.store());
-        assert_eq!(reconnect.handle_message(Message::PollJob { job: 8 }), expected);
+        // …polling recovers it from a later connection…
+        assert_eq!(converse(&mut service, &[Message::PollJob { job: 8 }])[0], expected);
         // …and the same id with a different spec is a typed duplicate.
         assert_eq!(
             reject_code(&service.handle_message(Message::SubmitJob {
@@ -1632,5 +1385,54 @@ mod tests {
             reject_code(&service.handle_message(Message::PollJob { job: 13 })),
             RejectCode::Invalid
         );
+    }
+
+    #[test]
+    fn oversized_jobs_are_refused_before_they_run() {
+        // The slowest in-bound shape: a thread per client per round.
+        let worst = JobSpec { rows_per_client: 1, parallel: true, ..JobSpec::clean(1, 2, 10_922) };
+        assert!(job_work(&worst) <= MAX_JOB_WORK);
+        // One round more is refused, and so is every hostile shape: each
+        // factor alone, zero epochs or rounds that would hide a huge one,
+        // a client grid whose pairs Krum and gossip would compare, and
+        // async updates that stay in flight for the whole federation.
+        let async_unbounded = JobSpec {
+            rows_per_client: 1,
+            schedule: 3,
+            max_staleness: u32::MAX,
+            ..JobSpec::clean(1, 1, 256)
+        };
+        assert!(job_work(&JobSpec { schedule: 0, ..async_unbounded.clone() }) <= MAX_JOB_WORK);
+        for spec in [
+            JobSpec { rounds: 10_923, ..worst },
+            JobSpec { rows_per_client: 65_537, ..JobSpec::clean(1, 1, 1) },
+            JobSpec { local_epochs: 4_097, ..JobSpec::clean(1, 2, 1) },
+            JobSpec { rounds: u32::MAX, local_epochs: 0, ..JobSpec::clean(1, 1, 1) },
+            JobSpec { rows_per_client: 65_536, ..JobSpec::clean(1, 65_536, 0) },
+            JobSpec { rows_per_client: 1, ..JobSpec::clean(1, 65_536, 4_096) },
+            async_unbounded,
+        ] {
+            assert!(job_work(&spec) > MAX_JOB_WORK, "{spec:?}");
+            assert!(matches!(
+                FederationService::execute_job(0, &spec).unwrap_err(),
+                CoreError::InvalidParameter { name: "job size", .. }
+            ));
+        }
+        // Hostile wire values: `u32::MAX` clients (× 40 rows) and `u32::MAX`
+        // rounds. The refusal is immediate, recorded, and replayed like any
+        // failed job.
+        let mut service = FederationService::new(1);
+        for (job, spec) in [
+            (1, JobSpec { n_clients: u32::MAX, ..JobSpec::clean(1, 2, 1) }),
+            (2, JobSpec { rounds: u32::MAX, ..JobSpec::clean(1, 2, 1) }),
+            (3, JobSpec { rounds: u32::MAX, local_epochs: 0, ..JobSpec::clean(1, 2, 1) }),
+        ] {
+            let t = std::time::Instant::now();
+            let reply = service.handle_message(Message::SubmitJob { job, spec: spec.clone() });
+            assert!(t.elapsed().as_secs_f64() < 1.0, "job {job} was not refused fast");
+            assert_eq!(reject_code(&reply), RejectCode::Invalid);
+            assert_eq!(service.handle_message(Message::SubmitJob { job, spec }), reply);
+            assert_eq!(service.handle_message(Message::PollJob { job }), reply);
+        }
     }
 }

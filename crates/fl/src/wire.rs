@@ -260,8 +260,8 @@ pub enum RejectCode {
     DuplicateJob = 2,
     /// A polled job id was never submitted.
     UnknownJob = 3,
-    /// The service cannot take the request right now (job still pending,
-    /// backlog or session table full). Retryable: back off and re-send.
+    /// The service cannot take the request right now (its session table is
+    /// full of open rounds). Retryable: back off and re-send.
     Busy = 4,
     /// The job or session aged out of the server's bounded store.
     Expired = 5,
@@ -580,37 +580,45 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 // ---- decoding ----------------------------------------------------------
 
 /// Cursor over a payload; every read names its field so truncation errors
-/// say what was being decoded.
+/// say what was being decoded. Reads split fixed-size arrays off the
+/// remaining bytes, so no read can index out of bounds.
 struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+        Cursor { rest: buf }
+    }
+
+    fn truncated(&self, what: &'static str, needed: usize) -> WireError {
+        WireError::Truncated { what, needed, available: self.rest.len() }
     }
 
     fn take(&mut self, what: &'static str, n: usize) -> WireResult<&'a [u8]> {
-        let available = self.buf.len() - self.pos;
-        if available < n {
-            return Err(WireError::Truncated { what, needed: n, available });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        let (head, rest) = self.rest.split_at_checked(n).ok_or_else(|| self.truncated(what, n))?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> WireResult<[u8; N]> {
+        let (head, rest) =
+            self.rest.split_first_chunk::<N>().ok_or_else(|| self.truncated(what, N))?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self, what: &'static str) -> WireResult<u8> {
-        Ok(self.take(what, 1)?[0])
+        let [b] = self.array(what)?;
+        Ok(b)
     }
 
     fn u32(&mut self, what: &'static str) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(what, 4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &'static str) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(what, 8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     fn f64(&mut self, what: &'static str) -> WireResult<f64> {
@@ -628,22 +636,18 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn params(&mut self, what: &'static str) -> WireResult<Vec<f32>> {
+    /// A `u32`-counted run of 4-byte little-endian words.
+    fn words(&mut self, what: &'static str) -> WireResult<&'a [[u8; 4]]> {
         let len = self.u32(what)? as usize;
-        let bytes = self.take(what, len.saturating_mul(4))?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .collect())
+        Ok(self.take(what, len.saturating_mul(4))?.as_chunks::<4>().0)
+    }
+
+    fn params(&mut self, what: &'static str) -> WireResult<Vec<f32>> {
+        Ok(self.words(what)?.iter().map(|&w| f32::from_le_bytes(w)).collect())
     }
 
     fn ids(&mut self, what: &'static str) -> WireResult<Vec<u32>> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(what, len.saturating_mul(4))?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
+        Ok(self.words(what)?.iter().map(|&w| u32::from_le_bytes(w)).collect())
     }
 
     fn string(&mut self, what: &'static str) -> WireResult<String> {
@@ -685,12 +689,32 @@ impl<'a> Cursor<'a> {
     }
 
     fn finish(self) -> WireResult<()> {
-        let extra = self.buf.len() - self.pos;
-        if extra > 0 {
-            return Err(WireError::Trailing { extra });
+        if !self.rest.is_empty() {
+            return Err(WireError::Trailing { extra: self.rest.len() });
         }
         Ok(())
     }
+
+    /// A frame header: the declared payload length, bounded by
+    /// [`MAX_FRAME`] before anything is allocated for it, and the declared
+    /// checksum.
+    fn frame_header(&mut self) -> WireResult<(usize, u32)> {
+        let len = self.u32("frame length prefix")? as usize;
+        if len > MAX_FRAME {
+            return Err(WireError::Oversized { len, max: MAX_FRAME });
+        }
+        Ok((len, self.u32("frame checksum")?))
+    }
+}
+
+/// Checks a frame's payload against the checksum its header declared, then
+/// decodes it — corruption is reported as such, never as a bad field.
+fn decode_checked(declared: u32, payload: &[u8]) -> WireResult<Message> {
+    let actual = frame_checksum(payload);
+    if actual != declared {
+        return Err(WireError::ChecksumMismatch { expected: declared, actual });
+    }
+    decode(payload)
 }
 
 /// Decodes one payload (the bytes after the frame header) into a message.
@@ -772,35 +796,9 @@ pub fn frame(msg: &Message) -> WireResult<Vec<u8>> {
 /// so a short buffer is always a [`WireError::Truncated`], never
 /// misreported as corruption.
 pub fn decode_frame(bytes: &[u8]) -> WireResult<(Message, usize)> {
-    if bytes.len() < 4 {
-        return Err(WireError::Truncated {
-            what: "frame length prefix",
-            needed: 4,
-            available: bytes.len(),
-        });
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized { len, max: MAX_FRAME });
-    }
-    if bytes.len() < FRAME_HEADER {
-        return Err(WireError::Truncated {
-            what: "frame checksum",
-            needed: 4,
-            available: bytes.len() - 4,
-        });
-    }
-    let declared = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let available = bytes.len() - FRAME_HEADER;
-    if available < len {
-        return Err(WireError::Truncated { what: "frame payload", needed: len, available });
-    }
-    let payload = &bytes[FRAME_HEADER..FRAME_HEADER + len];
-    let actual = frame_checksum(payload);
-    if actual != declared {
-        return Err(WireError::ChecksumMismatch { expected: declared, actual });
-    }
-    let msg = decode(payload)?;
+    let mut c = Cursor::new(bytes);
+    let (len, declared) = c.frame_header()?;
+    let msg = decode_checked(declared, c.take("frame payload", len)?)?;
     Ok((msg, FRAME_HEADER + len))
 }
 
@@ -811,8 +809,8 @@ pub fn decode_frame(bytes: &[u8]) -> WireResult<(Message, usize)> {
 pub fn read_frame_opt(r: &mut impl Read) -> WireResult<Option<Message>> {
     let mut header = [0u8; FRAME_HEADER];
     let mut got = 0usize;
-    while got < FRAME_HEADER {
-        match r.read(&mut header[got..]) {
+    while let Some(unread) = header.get_mut(got..).filter(|u| !u.is_empty()) {
+        match r.read(unread) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => return Err(WireError::Io { kind: std::io::ErrorKind::UnexpectedEof }),
             Ok(n) => got += n,
@@ -820,18 +818,10 @@ pub fn read_frame_opt(r: &mut impl Read) -> WireResult<Option<Message>> {
             Err(e) => return Err(e.into()),
         }
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized { len, max: MAX_FRAME });
-    }
-    let declared = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let (len, declared) = Cursor::new(&header).frame_header()?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let actual = frame_checksum(&payload);
-    if actual != declared {
-        return Err(WireError::ChecksumMismatch { expected: declared, actual });
-    }
-    decode(&payload).map(Some)
+    decode_checked(declared, &payload).map(Some)
 }
 
 /// Reads one frame from a transport. The length prefix is validated against

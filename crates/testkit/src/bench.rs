@@ -2,7 +2,7 @@
 //!
 //! Replaces `criterion` for the workspace's five bench binaries
 //! (`harness = false`): warmup, N timed iterations, median/p95/min/mean
-//! report, and one JSON line per benchmark (written with [`crate::json`],
+//! report, and one JSON line per benchmark (written with [`crate::json`](mod@crate::json),
 //! no serde) so `run_experiments.sh` and future trend tooling can scrape
 //! results mechanically.
 

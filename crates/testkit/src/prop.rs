@@ -2,8 +2,10 @@
 //!
 //! The shape mirrors how the workspace used `proptest`: a generator
 //! function builds a random case from a [`Gen`], a property function checks
-//! it and reports failure as `Err(String)` (usually via [`prop_assert!`] /
-//! [`prop_assert_eq!`]), and [`check`] drives N cases.
+//! it and reports failure as `Err(String)` (usually via
+//! [`prop_assert!`](crate::prop_assert) /
+//! [`prop_assert_eq!`](crate::prop_assert_eq)), and [`check`] drives N
+//! cases.
 //!
 //! Differences from `proptest`, all deliberate:
 //!
@@ -215,7 +217,8 @@ macro_rules! prop_assert {
     };
 }
 
-/// Asserts equality inside a property (see [`prop_assert!`]).
+/// Asserts equality inside a property (see
+/// [`prop_assert!`](crate::prop_assert)).
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($left:expr, $right:expr) => {{

@@ -5,10 +5,10 @@
 #
 #   ./run_experiments.sh           regenerate all artifacts into results/
 #   ./run_experiments.sh --check   hermetic verification: release build,
-#                                  full test suite, lints, a benchmark smoke
-#                                  run, and a battery of determinism gates
-#                                  that run each scenario binary twice and
-#                                  byte-diff the outputs.
+#                                  full test suite, lints, docs, a benchmark
+#                                  smoke run, and a battery of determinism
+#                                  gates that run each scenario binary twice
+#                                  and byte-diff the outputs.
 #                                  Fails fast naming the broken gate and
 #                                  prints a per-gate wall-time summary.
 set -u
@@ -87,6 +87,10 @@ check() {
     cmd_gate "tests (entire workspace)" cargo test -q --workspace
     cmd_gate "lints (clippy, warnings are errors)" \
         cargo clippy --workspace --all-targets --offline -- -D warnings
+    # Neither clippy nor the tests build docs, so a doc link to a renamed or
+    # deleted item would otherwise rot silently.
+    cmd_gate "docs (rustdoc, warnings are errors)" \
+        env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
     # perfbench/ is a Cargo workspace of its own that builds against the
     # library crates by path. Running every workload x mode once at tiny
@@ -141,16 +145,17 @@ check() {
     diff_gate "scale sweep (data-plane throughput)" scale_sweep SCALE_OK drop
 
     # A seeded batch of healthy/faulty/adversarial jobs runs serially, over
-    # the worker pool (twice), and through the wire dispatcher; the binary
-    # asserts all paths produce identical result fingerprints.
+    # the worker pool, and through the wire dispatcher; the binary asserts
+    # all paths produce identical result fingerprints.
     diff_gate "engine soak (multiplexed sessions)" engine_soak ENGINE_OK merge
 
     # The engine-soak batch again, but through a NetClient whose every
     # connection crosses a seeded ChaosTransport (split writes, bit flips,
-    # truncations, virtual stalls, breaks, half-close EOFs) into a server
-    # sharing one SessionStore across reconnects. The binary asserts the
-    # fingerprints match direct execution byte for byte, a session resumes
-    # across a deliberate disconnect, and every result replays by job id.
+    # truncations, virtual stalls, breaks, half-close EOFs) into one server
+    # thread that serves the reconnects one at a time from one service, as
+    # ctfl_server does. The binary asserts the fingerprints match direct
+    # execution byte for byte, a session resumes across a deliberate
+    # disconnect, and every result replays by job id.
     diff_gate "net soak (chaos transport)" net_soak NET_OK merge
 
     # 5 clients under four regimes (full, 50% uniform sampling, async with

@@ -4,12 +4,12 @@
 //! `ctfl::fl::wire`: clients submit self-contained seeded federation jobs
 //! under client-chosen job ids (answered with result fingerprints,
 //! idempotently replayed on re-submission) or stream raw parameter updates
-//! into aggregation sessions (answered with the fused vector). All
-//! connections share one `SessionStore`, so a client that disconnects
-//! mid-round can reconnect and resume its session or poll a finished job by
-//! id. Connections that go silent past the idle deadline are reaped, not
-//! leaked. Every run of the same job produces the same bytes, whichever
-//! transport or interleaving delivered it.
+//! into aggregation sessions (answered with the fused vector). One
+//! `FederationService` owns the session store and serves every connection,
+//! one at a time, so a client that disconnects mid-round can reconnect and
+//! resume its session or poll a finished job by id. Connections that go
+//! silent past the idle deadline are reaped, not leaked. Every run of the
+//! same job produces the same bytes, whichever transport delivered it.
 //!
 //! ```text
 //! ctfl-server --demo [--seed <n>]        in-process conversation, no socket
@@ -17,11 +17,10 @@
 //! ctfl-server --listen 127.0.0.1:0 --once   one connection, print the port
 //! ```
 
-use ctfl::fl::server::{FederationService, ServeEnd, SessionStore, StoreConfig};
+use ctfl::fl::server::{FederationService, ServeEnd};
 use ctfl::fl::wire::{self, JobSpec, Message};
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -34,10 +33,10 @@ USAGE:
 --demo runs a scripted conversation (idempotent job submission, polling,
 heartbeats, a resumable aggregation session) through the dispatcher
 in-process and prints both sides; --listen binds a socket and serves
-connections one at a time against a single shared session store (--once
-exits after the first connection, printing the bound address first — handy
-with port 0). Connections silent for longer than --idle-timeout seconds are
-reaped (0 disables the deadline).
+connections one at a time through one service, whose session store outlives
+every connection (--once exits after the first connection, printing the
+bound address first — handy with port 0). Connections silent for longer
+than --idle-timeout seconds are reaped (0 disables the deadline).
 ";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -128,12 +127,12 @@ fn demo(seed: u64) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Binds `addr` and serves connections sequentially against one shared
-/// `SessionStore`, so sessions and finished jobs survive reconnects.
-/// Determinism makes concurrency across connections pointless here: any
-/// interleaving would produce the same bytes, so the simple loop is the
-/// honest one. Each connection carries a read deadline; a peer silent past
-/// it is reaped and logged, never leaked.
+/// Binds `addr` and serves connections sequentially through one
+/// `FederationService`, whose store keeps sessions and finished jobs across
+/// reconnects. Determinism makes concurrency across connections pointless
+/// here: any interleaving would produce the same bytes, so the simple loop
+/// is the honest one. Each connection carries a read deadline; a peer
+/// silent past it is reaped and logged, never leaked.
 fn listen(addr: &str, once: bool, idle_secs: u64) -> ExitCode {
     let listener = match TcpListener::bind(addr) {
         Ok(l) => l,
@@ -149,7 +148,7 @@ fn listen(addr: &str, once: bool, idle_secs: u64) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let store = SessionStore::shared(StoreConfig::default());
+    let mut service = FederationService::new(1);
     let idle = (idle_secs > 0).then(|| Duration::from_secs(idle_secs));
     for conn in listener.incoming() {
         let stream = match conn {
@@ -172,8 +171,7 @@ fn listen(addr: &str, once: bool, idle_secs: u64) -> ExitCode {
                 continue;
             }
         };
-        let mut service = FederationService::with_store(1, Arc::clone(&store));
-        match service.serve_summary(&mut reader, &mut writer) {
+        match service.serve(&mut reader, &mut writer) {
             Ok(summary) if summary.end == ServeEnd::IdleReaped => {
                 eprintln!("{peer}: idle past deadline, reaped after {} requests", summary.served);
             }

@@ -9,13 +9,14 @@ use ctfl::fl::chaos_net::{duplex, NetFaultPlan, NetFaultSpec, PipeEnd};
 use ctfl::fl::netclient::{
     BackoffPolicy, Connect, NetClient, RetryPolicy, SessionResume, UpdateReply,
 };
-use ctfl::fl::server::{FederationService, SessionStore, StoreConfig};
+use ctfl::fl::server::FederationService;
 use ctfl::fl::wire::JobSpec;
 use ctfl_rng::Rng;
 use ctfl_testkit::prop::{check, Gen};
 use ctfl_testkit::{prop_assert, prop_assert_eq};
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 
 /// A random *valid* backoff policy: `factor ≥ 1`, `jitter ∈ [0, factor−1]`,
 /// `max ≥ base`.
@@ -131,10 +132,11 @@ fn fault_plans_are_pure_functions_of_spec_and_seed() {
     );
 }
 
-/// A [`Connect`]or spawning, per connection, a dispatcher thread over an
-/// in-memory duplex pipe; all connections share one `SessionStore`.
+/// A [`Connect`]or handing each connection's server end, an in-memory
+/// duplex pipe, to one server thread that serves them one at a time through
+/// one `FederationService`, as `ctfl_server` does.
 struct PipeConnector {
-    store: Arc<Mutex<SessionStore>>,
+    server: mpsc::Sender<PipeEnd>,
 }
 
 impl Connect for PipeConnector {
@@ -142,27 +144,35 @@ impl Connect for PipeConnector {
 
     fn connect(&mut self) -> io::Result<PipeEnd> {
         let (client_end, server_end) = duplex();
-        let mut writer = server_end.clone();
-        let mut reader = server_end;
-        let mut service = FederationService::with_store(1, Arc::clone(&self.store));
-        std::thread::spawn(move || {
-            // The connection dies when the client end drops; that is the
-            // thread's termination signal, not an error worth reporting.
-            let _ = service.serve_summary(&mut reader, &mut writer);
-        });
+        self.server
+            .send(server_end)
+            .map_err(|_| io::Error::new(io::ErrorKind::ConnectionRefused, "server thread gone"))?;
         Ok(client_end)
     }
 }
 
-fn pipe_client(seed: u64) -> NetClient<PipeConnector> {
-    let connector = PipeConnector { store: SessionStore::shared(StoreConfig::default()) };
+/// A client over a fresh server thread, and the thread's handle: dropping
+/// the client ends the thread.
+fn pipe_client(seed: u64) -> (NetClient<PipeConnector>, JoinHandle<()>) {
+    let (server, incoming) = mpsc::channel::<PipeEnd>();
+    let thread = std::thread::spawn(move || {
+        let mut service = FederationService::new(1);
+        for conn in incoming {
+            let mut writer = conn.clone();
+            let mut reader = conn;
+            // A connection ends when the client end drops; that is the
+            // signal to serve the next one, not an error worth reporting.
+            let _ = service.serve(&mut reader, &mut writer);
+        }
+    });
     let policy = RetryPolicy {
         max_attempts: 8,
         deadline_nanos: Some(5_000_000_000),
         backoff: BackoffPolicy::default(),
         sleep: true,
     };
-    NetClient::new(connector, policy, seed).expect("valid test policy")
+    let client = NetClient::new(PipeConnector { server }, policy, seed).expect("valid test policy");
+    (client, thread)
 }
 
 /// Re-submitting a job — including from a brand-new connection, the
@@ -170,7 +180,7 @@ fn pipe_client(seed: u64) -> NetClient<PipeConnector> {
 /// re-running the federation, and `PollJob` retrieves them too.
 #[test]
 fn resubmission_replays_across_connections() {
-    let mut client = pipe_client(11);
+    let (mut client, server) = pipe_client(11);
     let spec = JobSpec::clean(40, 3, 2);
     let first = client.submit_job(1, &spec).expect("submission");
     let again = client.submit_job(1, &spec).expect("same-connection replay");
@@ -181,6 +191,8 @@ fn resubmission_replays_across_connections() {
     let polled = client.poll_job(1).expect("poll");
     assert_eq!(first, polled);
     assert_eq!(client.stats().connects, 2, "exactly the deliberate reconnect");
+    drop(client);
+    server.join().expect("server thread");
 }
 
 /// An aggregation session opened on one connection survives the client
@@ -188,7 +200,7 @@ fn resubmission_replays_across_connections() {
 /// can finish the round; the completed round then replays idempotently.
 #[test]
 fn sessions_resume_across_connections() {
-    let mut client = pipe_client(13);
+    let (mut client, server) = pipe_client(13);
     client.open_session(5, 2, 2).expect("open");
     assert_eq!(
         client.submit_update(5, 0, 3, &[1.0, 0.0]).expect("first upload"),
@@ -213,4 +225,6 @@ fn sessions_resume_across_connections() {
         client.submit_update(5, 1, 1, &[0.0, 1.0]).expect("replay"),
         UpdateReply::Complete(fused)
     );
+    drop(client);
+    server.join().expect("server thread");
 }

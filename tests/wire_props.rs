@@ -3,13 +3,15 @@
 //! strict prefix of a valid frame is rejected with a typed truncation
 //! error, hostile length prefixes are rejected before allocation, **every
 //! single-bit corruption of a valid frame is caught** (a typed checksum /
-//! length error — never a valid message, never a panic), and a golden
-//! byte-layout test with an independent checksum reference pins the format
-//! so it can't drift silently.
+//! length error — never a valid message, never a panic), arbitrary bytes
+//! decode and serve to a value or a typed error, and a golden byte-layout
+//! test with an independent checksum reference pins the format so it can't
+//! drift silently.
 
+use ctfl::fl::server::FederationService;
 use ctfl::fl::wire::{
-    decode, decode_frame, encode, frame, frame_checksum, read_frame, JobSpec, Message, RejectCode,
-    WireError, FRAME_HEADER, MAX_FRAME,
+    decode, decode_frame, encode, frame, frame_checksum, frame_payload, read_frame, JobSpec,
+    Message, RejectCode, WireError, FRAME_HEADER, MAX_FRAME,
 };
 use ctfl_rng::Rng;
 use ctfl_testkit::prop::check;
@@ -265,6 +267,68 @@ fn unknown_tags_and_trailing_bytes_are_typed_errors() {
                 WireError::Trailing { .. } | WireError::Truncated { .. } | WireError::BadValue { .. } => Ok(()),
                 other => Err(format!("appended byte gave {other:?}")),
             }
+        },
+    );
+}
+
+/// Arbitrary bytes give a value or a typed error, never a panic, through
+/// every decoding entry point and through a whole served conversation. Each
+/// case is a stream of chunks, raw or wrapped in a frame with a valid
+/// header so the payload decoder sees them; half of the framed payloads
+/// start with a known tag, so decoding gets past the first byte.
+#[test]
+fn arbitrary_bytes_decode_and_serve_without_panicking() {
+    check(
+        "wire-arbitrary-bytes",
+        256,
+        |g| {
+            let chunks = g.len_in(1, 6);
+            g.vec(chunks, |g| {
+                let len = g.len_in(0, 128);
+                let mut bytes = g.vec(len, |g| g.u32_in(0, 255) as u8);
+                let framed = g.bool();
+                if framed && g.bool() {
+                    if let Some(tag) = bytes.first_mut() {
+                        *tag = g.u32_in(0x01, 0x0D) as u8;
+                    }
+                }
+                (framed, bytes)
+            })
+        },
+        |chunks| {
+            let mut stream = Vec::new();
+            for (framed, bytes) in chunks {
+                let _ = decode(bytes);
+                let _ = decode_frame(bytes);
+                if *framed {
+                    let frame = frame_payload(bytes).map_err(|e| e.to_string())?;
+                    let _ = decode_frame(&frame);
+                    stream.extend(frame);
+                } else {
+                    stream.extend_from_slice(bytes);
+                }
+            }
+            let mut service = FederationService::new(1);
+            let mut replies = Vec::new();
+            let served = match service.serve(&mut stream.as_slice(), &mut replies) {
+                Ok(summary) => Some(summary.served),
+                // Only a stream cut mid-frame or an oversized length prefix
+                // may end the connection; every decodable frame is answered.
+                Err(WireError::Io { .. } | WireError::Oversized { .. }) => None,
+                Err(other) => return Err(format!("serve failed with {other:?}")),
+            };
+            // Everything the server wrote is a well-formed reply frame.
+            let mut r = replies.as_slice();
+            let mut decoded = 0usize;
+            while !r.is_empty() {
+                read_frame(&mut r).map_err(|e| format!("reply {decoded} is malformed: {e}"))?;
+                decoded += 1;
+            }
+            prop_assert!(
+                served.is_none_or(|n| n == decoded),
+                "served {served:?} requests but wrote {decoded} replies"
+            );
+            Ok(())
         },
     );
 }
