@@ -16,6 +16,7 @@ use crate::activation::ActivationMatrix;
 use crate::allocation::{macro_scores, micro_scores, CreditDirection};
 use crate::error::{CoreError, Result};
 use crate::tracing::TraceOutcome;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// A client's run-level participation record, produced by the federation
@@ -516,12 +517,12 @@ pub struct UploadProfile {
     /// Largest fraction of this client's rows whose `(signature, label)`
     /// key also appears in some single peer's upload.
     pub peer_match_frac: f64,
-    /// The peer achieving `peer_match_frac` (`None` with no peers or no
-    /// matches).
+    /// The peer achieving `peer_match_frac`, the earliest in upload order on
+    /// a tie (`None` with no peers or no matches).
     pub matched_peer: Option<usize>,
     /// Rows duplicated beyond the matched peer's own multiplicities — a
     /// squatter that cyclically refills from a smaller victim shows excess;
-    /// the victim never does.
+    /// the victim never does (0 with no matched peer).
     pub duplicate_excess: usize,
 }
 
@@ -657,7 +658,17 @@ fn upper_outliers(values: &[f64], z: f64, margin: f64) -> Vec<usize> {
 ///   FedAvg example-count weights).
 ///
 /// `weights` / `class_masks` are the public model artifacts every client
-/// already has. Flags carry *client ids* (not upload positions).
+/// already has; each class mask must hold `weights.len().div_ceil(64)`
+/// words. Flags carry *client ids* (not upload positions).
+///
+/// Peer containment goes through an inverted index from each
+/// `(row_signature, label)` key to the uploads holding it, so it costs the
+/// total row count plus one visit per shared-key pair (a key and another
+/// upload holding it): linear in rows when, as under randomized response,
+/// keys are almost never shared, and never more than a pairwise scan's
+/// `n² · keys` probes when every upload holds every key. The matched peer
+/// holds the most of the upload's rows, ties going to the lowest upload
+/// position.
 pub fn audit_uploads(
     uploads: &[UploadAuditInput<'_>],
     weights: &[f64],
@@ -666,6 +677,14 @@ pub fn audit_uploads(
     config: &UploadAuditConfig,
 ) -> Result<UploadAuditReport> {
     let n_classes = class_masks.len();
+    let words = weights.len().div_ceil(64);
+    if let Some(mask) = class_masks.iter().find(|mask| mask.len() != words) {
+        return Err(CoreError::LengthMismatch {
+            what: "class mask words",
+            expected: words,
+            actual: mask.len(),
+        });
+    }
     let mut seen = std::collections::HashSet::new();
     for up in uploads {
         if up.activations.n_bits() != weights.len() {
@@ -726,6 +745,8 @@ pub fn audit_uploads(
     // incoherent) for the leave-one-out incoherence expectation.
     let mut coh_rows_by_class: Vec<Vec<usize>> = Vec::with_capacity(uploads.len());
     let mut incoh_by_class: Vec<Vec<usize>> = Vec::with_capacity(uploads.len());
+    // One row's weighted support for every class, reused across rows.
+    let mut supports = vec![0.0; n_classes];
     for up in uploads {
         let rows = up.activations.n_rows();
         let n_bits = up.activations.n_bits().max(1);
@@ -740,15 +761,13 @@ pub fn audit_uploads(
         for r in 0..rows {
             density_sum += up.activations.row_count(r) as f64 / n_bits as f64;
             let label = up.labels[r] as usize;
+            for (support, mask) in supports.iter_mut().zip(class_masks) {
+                *support = up.activations.masked_weight_sum(r, mask, weights);
+            }
             if mask_totals[label] > 0.0 {
-                support_sum +=
-                    up.activations.masked_weight_sum(r, &class_masks[label], weights)
-                        / mask_totals[label];
+                support_sum += supports[label] / mask_totals[label];
                 supported_rows += 1;
             }
-            let supports: Vec<f64> = (0..n_classes)
-                .map(|c| up.activations.masked_weight_sum(r, &class_masks[c], weights))
-                .collect();
             let best = supports.iter().copied().fold(0.0, f64::max);
             if best > 0.0 {
                 coherence_rows += 1;
@@ -783,36 +802,45 @@ pub fn audit_uploads(
 
     // Peer containment: fraction of i's rows whose key exists in j, and the
     // rows i holds beyond j's multiplicities for the best-matching peer.
+    // An inverted index from each key to the uploads holding it (ascending)
+    // lets upload i visit only the peers that share a key with it.
     let n = uploads.len();
+    let mut holders: HashMap<(u64, u32), Vec<usize>> = HashMap::new();
+    for (j, map) in keys.iter().enumerate() {
+        for &key in map.keys() {
+            holders.entry(key).or_default().push(j);
+        }
+    }
+    // The matched peer's upload index, for detector 2.
+    let mut peer_of: Vec<Option<usize>> = vec![None; n];
+    let mut matched = vec![0u32; n];
+    let mut touched: Vec<usize> = Vec::new();
     for i in 0..n {
-        if profiles[i].rows == 0 {
-            continue;
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let matched: u32 = keys[i]
-                .iter()
-                .filter(|(k, _)| keys[j].contains_key(k))
-                .map(|(_, &cnt)| cnt)
-                .sum();
-            let frac = matched as f64 / profiles[i].rows as f64;
-            if best.is_none_or(|(bf, _)| frac > bf) {
-                best = Some((frac, j));
+        for (key, &cnt) in &keys[i] {
+            for &j in holders[key].iter().filter(|&&j| j != i) {
+                if matched[j] == 0 {
+                    touched.push(j);
+                }
+                matched[j] += cnt;
             }
         }
-        if let Some((frac, j)) = best {
-            let excess: u32 = keys[i]
-                .iter()
-                .filter(|(k, _)| keys[j].contains_key(k))
-                .map(|(k, &cnt)| cnt.saturating_sub(*keys[j].get(k).unwrap_or(&0)))
-                .sum();
-            profiles[i].peer_match_frac = frac;
-            profiles[i].matched_peer = Some(uploads[j].client);
-            profiles[i].duplicate_excess = excess as usize;
+        // Most matched rows, ties to the lowest upload index: `touched`
+        // follows the hasher's order, so the rule is spelled out.
+        let best = touched.iter().map(|&j| (matched[j], Reverse(j))).max();
+        for j in touched.drain(..) {
+            matched[j] = 0;
         }
+        let Some((rows_matched, Reverse(j))) = best else {
+            continue; // no peer shares a key: no matched peer
+        };
+        let excess: u32 = keys[i]
+            .iter()
+            .filter_map(|(k, &cnt)| keys[j].get(k).map(|&peer_cnt| cnt.saturating_sub(peer_cnt)))
+            .sum();
+        profiles[i].peer_match_frac = rows_matched as f64 / profiles[i].rows as f64;
+        profiles[i].matched_peer = Some(uploads[j].client);
+        profiles[i].duplicate_excess = excess as usize;
+        peer_of[i] = Some(j);
     }
 
     // Detector 1: inflation / ε-abuse.
@@ -832,19 +860,18 @@ pub fn audit_uploads(
     inflators.sort_unstable();
     inflators.dedup();
 
-    // Detector 2: trace-squatting via pairwise containment.
+    // Detector 2: trace-squatting via peer containment. A profile with no
+    // matched peer is never a suspect.
     let mut squatters: Vec<usize> = Vec::new();
     for i in 0..n {
-        if profiles[i].rows == 0 || profiles[i].peer_match_frac < config.squat_match_frac {
+        let Some(j) = peer_of[i] else { continue };
+        if profiles[i].peer_match_frac < config.squat_match_frac {
             continue;
         }
-        let j = (0..n)
-            .find(|&j| Some(uploads[j].client) == profiles[i].matched_peer)
-            .expect("matched peer is in the cohort");
         // Mutual mimicry: excess copies break the tie (the cyclic refiller
         // shows them, the victim cannot); a dead-even pair is flagged whole.
         if profiles[j].peer_match_frac >= config.squat_match_frac
-            && profiles[j].matched_peer == Some(uploads[i].client)
+            && peer_of[j] == Some(i)
             && profiles[j].duplicate_excess > profiles[i].duplicate_excess
         {
             continue; // j is the squatter of this pair, not i
@@ -1586,6 +1613,335 @@ mod tests {
             &UploadAuditConfig::default()
         )
         .is_err());
+        // Class masks of the wrong word count: one word for 70 rules is too
+        // short, two words for 8 rules too long.
+        let wide = vec![(ActivationMatrix::zeros(3, 70), vec![0u32; 3])];
+        for (uploads, weights, expected, actual) in
+            [(&wide, vec![1.0; 70], 2, 1), (&ups, vec![1.0; 8], 1, 2)]
+        {
+            let masks = vec![vec![u64::MAX; actual]; 2];
+            assert_eq!(
+                audit_uploads(
+                    &inputs(uploads, 0.0),
+                    &weights,
+                    &masks,
+                    None,
+                    &UploadAuditConfig::default()
+                ),
+                Err(CoreError::LengthMismatch { what: "class mask words", expected, actual })
+            );
+        }
+    }
+
+    /// The pairwise containment scan the inverted index replaced, kept as
+    /// its oracle. The one change: an upload no peer shares a key with gets
+    /// no matched peer. Returns each upload's `(peer_match_frac,
+    /// matched_peer, duplicate_excess)`.
+    fn containment_reference(uploads: &[UploadAuditInput<'_>]) -> Vec<(f64, Option<usize>, usize)> {
+        let keys: Vec<HashMap<(u64, u32), u32>> = uploads
+            .iter()
+            .map(|up| {
+                let mut map = HashMap::new();
+                for r in 0..up.activations.n_rows() {
+                    *map.entry((up.activations.row_signature(r), up.labels[r])).or_insert(0) += 1;
+                }
+                map
+            })
+            .collect();
+        let n = uploads.len();
+        (0..n)
+            .map(|i| {
+                let rows = uploads[i].activations.n_rows();
+                if rows == 0 {
+                    return (0.0, None, 0);
+                }
+                let mut best: Option<(f64, usize)> = None;
+                for j in 0..n {
+                    if i == j {
+                        continue;
+                    }
+                    let matched: u32 = keys[i]
+                        .iter()
+                        .filter(|(k, _)| keys[j].contains_key(k))
+                        .map(|(_, &cnt)| cnt)
+                        .sum();
+                    let frac = matched as f64 / rows as f64;
+                    if best.is_none_or(|(bf, _)| frac > bf) {
+                        best = Some((frac, j));
+                    }
+                }
+                match best {
+                    Some((frac, j)) if frac > 0.0 => {
+                        let excess: u32 = keys[i]
+                            .iter()
+                            .filter(|(k, _)| keys[j].contains_key(k))
+                            .map(|(k, &cnt)| cnt.saturating_sub(*keys[j].get(k).unwrap_or(&0)))
+                            .sum();
+                        (frac, Some(uploads[j].client), excess as usize)
+                    }
+                    _ => (0.0, None, 0),
+                }
+            })
+            .collect()
+    }
+
+    /// A random cohort for the containment property: one-word rows of 8–16
+    /// bits, so most keys are shared and peers tie. Entries are `(client,
+    /// row words, labels)`.
+    #[derive(Debug)]
+    struct ContainmentCase {
+        n_bits: usize,
+        uploads: Vec<(usize, Vec<u64>, Vec<u32>)>,
+    }
+
+    fn containment_case(g: &mut ctfl_testkit::Gen) -> ContainmentCase {
+        let n_bits = g.usize_in(8, 16);
+        let n = g.len_in(1, 12);
+        // Client ids: a shuffle of 0..2n, so they differ from positions.
+        let mut clients: Vec<usize> = (0..2 * n).collect();
+        for i in (1..clients.len()).rev() {
+            clients.swap(i, g.usize_in(0, i));
+        }
+        let mut uploads: Vec<(usize, Vec<u64>, Vec<u32>)> = Vec::with_capacity(n);
+        for &client in &clients[..n] {
+            let (mut rows, mut labels) = (Vec::new(), Vec::new());
+            if !uploads.is_empty() && g.usize_in(0, 3) == 0 {
+                // Squatter: cyclically copies a victim's rows, keys and all.
+                let (_, vrows, vlabels) = &uploads[g.usize_in(0, uploads.len() - 1)];
+                for r in 0..g.len_in(0, 2 * vrows.len()) {
+                    rows.push(vrows[r % vrows.len()]);
+                    labels.push(vlabels[r % vrows.len()]);
+                }
+            } else {
+                let sparsity = g.usize_in(0, 2);
+                for _ in 0..g.len_in(0, 10) {
+                    let mut word = g.usize_in(0, (1 << n_bits) - 1) as u64;
+                    for _ in 0..sparsity {
+                        word &= g.usize_in(0, (1 << n_bits) - 1) as u64;
+                    }
+                    rows.push(word);
+                    labels.push(g.u32_in(0, 1));
+                }
+                // Duplicated rows.
+                for _ in 0..g.len_in(0, rows.len()) {
+                    let r = g.usize_in(0, rows.len() - 1);
+                    rows.push(rows[r]);
+                    labels.push(labels[r]);
+                }
+            }
+            uploads.push((client, rows, labels));
+        }
+        ContainmentCase { n_bits, uploads }
+    }
+
+    #[test]
+    fn inverted_index_containment_matches_the_pairwise_scan() {
+        use ctfl_testkit::{check, prop_assert_eq};
+        check("inverted_index_containment", 400, containment_case, |case| {
+            let n_bits = case.n_bits;
+            let matrices: Vec<ActivationMatrix> = case
+                .uploads
+                .iter()
+                .map(|(_, rows, _)| {
+                    ActivationMatrix::from_words(rows.len(), n_bits, rows.clone()).unwrap()
+                })
+                .collect();
+            let inputs: Vec<UploadAuditInput<'_>> = case
+                .uploads
+                .iter()
+                .zip(&matrices)
+                .map(|((client, _, labels), acts)| UploadAuditInput {
+                    client: *client,
+                    activations: acts,
+                    labels,
+                    claimed_flip_probability: 0.0,
+                })
+                .collect();
+            let masks = vec![
+                ActivationMatrix::build_mask(n_bits, 0..n_bits / 2),
+                ActivationMatrix::build_mask(n_bits, n_bits / 2..n_bits),
+            ];
+            let report = audit_uploads(
+                &inputs,
+                &vec![1.0; n_bits],
+                &masks,
+                None,
+                &UploadAuditConfig::default(),
+            )
+            .map_err(|e| e.to_string())?;
+            for (p, (frac, peer, excess)) in
+                report.profiles.iter().zip(containment_reference(&inputs))
+            {
+                prop_assert_eq!(p.peer_match_frac.to_bits(), frac.to_bits());
+                prop_assert_eq!(p.matched_peer, peer);
+                prop_assert_eq!(p.duplicate_excess, excess);
+            }
+            Ok(())
+        });
+    }
+
+    /// SplitMix64: a fixed stream for the golden cohorts, independent of
+    /// every crate's RNG.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A seeded cohort of `n` uploads over `n_bits` rules and 3 classes,
+    /// each bit set with probability `percent`/100. Every 10th upload
+    /// inflates its rows to the whole label mask, the second after it squats
+    /// on the honest upload before it (90% of its rows, cyclically refilled
+    /// to 1.5×), and the next pads itself with its own rows beyond its
+    /// declaration.
+    /// Client ids run backwards, so they differ from upload positions.
+    #[allow(clippy::type_complexity)]
+    fn golden_cohort(
+        seed: u64,
+        n: usize,
+        n_bits: usize,
+        percent: usize,
+    ) -> (Vec<f64>, Vec<Vec<u64>>, Vec<(usize, ActivationMatrix, Vec<u32>, f64)>, Vec<usize>) {
+        let mut rng = Mix(seed);
+        let weights: Vec<f64> =
+            (0..n_bits).map(|_| 0.5 + rng.below(1000) as f64 / 1000.0).collect();
+        let class_of: Vec<usize> = (0..n_bits).map(|_| rng.below(3)).collect();
+        let masks: Vec<Vec<u64>> = (0..3)
+            .map(|c| {
+                ActivationMatrix::build_mask(n_bits, (0..n_bits).filter(|&b| class_of[b] == c))
+            })
+            .collect();
+        let mut ups: Vec<(usize, ActivationMatrix, Vec<u32>, f64)> = Vec::new();
+        let mut declared = vec![0; n];
+        for u in 0..n {
+            let client = n - 1 - u;
+            let p = [0.0, 0.1, 0.2][rng.below(3)];
+            let (mut acts, mut labels) = (ActivationMatrix::zeros(0, n_bits), Vec::new());
+            let row_of = |acts: &ActivationMatrix, r: usize| -> Vec<bool> {
+                (0..n_bits).map(|b| acts.get(r, b)).collect()
+            };
+            match (u % 10, ups.last()) {
+                (5, Some((_, victim, vlabels, _))) if victim.n_rows() > 0 => {
+                    let keep = (victim.n_rows() * 9).div_ceil(10);
+                    for r in 0..keep * 3 / 2 {
+                        acts.push_row(&row_of(victim, r % keep)).unwrap();
+                        labels.push(vlabels[r % keep]);
+                    }
+                    declared[client] = acts.n_rows();
+                }
+                _ => {
+                    for _ in 0..rng.below(40) {
+                        let label = rng.below(3);
+                        let row: Vec<bool> = (0..n_bits)
+                            .map(|b| {
+                                rng.below(100) < percent || (u % 10 == 3 && class_of[b] == label)
+                            })
+                            .collect();
+                        acts.push_row(&row).unwrap();
+                        labels.push(label as u32);
+                    }
+                    declared[client] = acts.n_rows();
+                    if u % 10 == 6 {
+                        for r in 0..acts.n_rows() {
+                            let row = row_of(&acts, r);
+                            acts.push_row(&row).unwrap();
+                            labels.push(labels[r]);
+                        }
+                    }
+                }
+            }
+            ups.push((client, acts, labels, p));
+        }
+        (weights, masks, ups, declared)
+    }
+
+    /// FNV-1a over every field of the report, `f64`s by bits. A matched
+    /// peer is hashed only where something matched.
+    fn report_hash(report: &UploadAuditReport) -> u64 {
+        fn eat(h: &mut u64, x: u64) {
+            for b in x.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for p in &report.profiles {
+            for x in [
+                p.client as u64,
+                p.rows as u64,
+                p.declared_rows.map_or(u64::MAX, |d| d as u64),
+                p.mean_density.to_bits(),
+                p.self_support.to_bits(),
+                p.label_incoherence.to_bits(),
+                p.incoherence_excess.to_bits(),
+                p.peer_match_frac.to_bits(),
+                p.duplicate_excess as u64,
+            ] {
+                eat(&mut h, x);
+            }
+            if p.peer_match_frac > 0.0 {
+                eat(&mut h, p.matched_peer.map_or(u64::MAX, |c| c as u64));
+            }
+        }
+        for list in [
+            &report.suspected_inflators,
+            &report.suspected_squatters,
+            &report.suspected_label_gamers,
+            &report.suspected_budget_violators,
+            &report.flagged,
+        ] {
+            eat(&mut h, list.len() as u64);
+            for &c in list {
+                eat(&mut h, c as u64);
+            }
+        }
+        h
+    }
+
+    /// Goldens captured from the pairwise containment scan, before the
+    /// inverted index replaced it.
+    #[test]
+    fn audit_report_matches_its_pairwise_scan_golden() {
+        for (seed, n, n_bits, percent, golden) in [
+            (0xA0D1, 300, 230, 10, 0x21c6_da8c_5fd4_c5e3u64),
+            (0xA0D2, 240, 8, 30, 0x8630_2667_ccd1_be99),
+        ] {
+            let (weights, masks, ups, declared) = golden_cohort(seed, n, n_bits, percent);
+            let inputs: Vec<UploadAuditInput<'_>> = ups
+                .iter()
+                .map(|(client, acts, labels, p)| UploadAuditInput {
+                    client: *client,
+                    activations: acts,
+                    labels,
+                    claimed_flip_probability: *p,
+                })
+                .collect();
+            let report = audit_uploads(
+                &inputs,
+                &weights,
+                &masks,
+                Some(&declared),
+                &UploadAuditConfig::default(),
+            )
+            .unwrap();
+            let planted = [
+                &report.suspected_inflators,
+                &report.suspected_squatters,
+                &report.suspected_budget_violators,
+            ];
+            assert!(planted.iter().all(|l| !l.is_empty()), "each planted attack family is flagged");
+            assert_eq!(report_hash(&report), golden, "n_bits {n_bits}");
+        }
     }
 
     #[test]
