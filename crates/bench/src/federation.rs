@@ -170,12 +170,6 @@ impl Federation {
         ModelUtility::new(self.client_datasets(), self.test.clone(), self.net_config.clone())
             .federated(default_fl())
     }
-
-    /// A cheaper centralized-retraining utility (for quick experiments and
-    /// tests).
-    pub fn utility_centralized(&self) -> ModelUtility {
-        ModelUtility::new(self.client_datasets(), self.test.clone(), self.net_config.clone())
-    }
 }
 
 #[cfg(test)]

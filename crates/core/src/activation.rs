@@ -8,27 +8,6 @@
 
 use crate::error::{CoreError, Result};
 
-/// Calls `f(bit)` for every set bit of a packed row, ascending.
-///
-/// The zero-allocation word-iterating visitor behind the matrix methods;
-/// free-standing so sharded stores can run it on borrowed word slices.
-#[inline]
-pub fn for_each_bit_in_words(words: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &w) in words.iter().enumerate() {
-        let mut bits = w;
-        while bits != 0 {
-            f(wi * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-}
-
-/// `popcount(a AND b)` over two equally wide packed rows.
-#[inline]
-pub fn and_count_words(a: &[u64], b: &[u64]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
-}
-
 /// Sum of `weights[bit]` over the set bits of `row AND mask` (word slices).
 #[inline]
 pub fn masked_weight_sum_words(row: &[u64], mask: &[u64], weights: &[f64]) -> f64 {
@@ -103,11 +82,6 @@ impl ActivationMatrix {
             words_per_row,
             words: Vec::with_capacity(row_capacity * words_per_row),
         }
-    }
-
-    /// Reserves word storage for at least `additional` more rows.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.words.reserve(additional * self.words_per_row);
     }
 
     /// Builds a matrix directly from a packed word arena (row-major,
@@ -197,38 +171,17 @@ impl ActivationMatrix {
         self.row_words(row).iter().map(|w| w.count_ones()).sum()
     }
 
-    /// Indices of the set bits in a row, ascending.
-    ///
-    /// Allocates a fresh `Vec` per call; kept as the readable reference.
-    /// Hot paths should use [`ActivationMatrix::for_each_bit`] (no buffer
-    /// at all) or [`ActivationMatrix::row_bits_into`] (caller-owned,
-    /// reusable buffer) instead.
-    pub fn row_bits(&self, row: usize) -> Vec<usize> {
-        let mut out = Vec::new();
+    /// Calls `f(bit)` for every set bit in `row`, ascending, without
+    /// allocating.
+    #[inline]
+    pub fn for_each_bit(&self, row: usize, mut f: impl FnMut(usize)) {
         for (wi, &w) in self.row_words(row).iter().enumerate() {
             let mut bits = w;
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(wi * 64 + b);
+                f(wi * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
         }
-        out
-    }
-
-    /// Calls `f(bit)` for every set bit in `row`, ascending — the
-    /// zero-allocation replacement for iterating [`ActivationMatrix::row_bits`].
-    #[inline]
-    pub fn for_each_bit(&self, row: usize, f: impl FnMut(usize)) {
-        for_each_bit_in_words(self.row_words(row), f);
-    }
-
-    /// Clears `out` and fills it with the set-bit indices of `row`,
-    /// ascending. Reusing one buffer across rows amortises the allocation
-    /// that [`ActivationMatrix::row_bits`] pays per call.
-    pub fn row_bits_into(&self, row: usize, out: &mut Vec<usize>) {
-        out.clear();
-        for_each_bit_in_words(self.row_words(row), |b| out.push(b));
     }
 
     /// Appends a row given as a boolean slice.
@@ -260,20 +213,6 @@ impl ActivationMatrix {
         Ok(m)
     }
 
-    /// `popcount(row_a AND row_b)` where the rows may live in different
-    /// matrices (typically train vs. test) but must have equal widths.
-    pub fn and_count(&self, row: usize, other: &ActivationMatrix, other_row: usize) -> u32 {
-        debug_assert_eq!(self.n_bits, other.n_bits, "mismatched activation widths");
-        and_count_words(self.row_words(row), other.row_words(other_row))
-    }
-
-    /// `popcount(row AND mask)` against an externally supplied word mask
-    /// (e.g. a class mask).
-    pub fn mask_count(&self, row: usize, mask: &[u64]) -> u32 {
-        debug_assert_eq!(mask.len(), self.words_per_row);
-        self.row_words(row).iter().zip(mask).map(|(a, b)| (a & b).count_ones()).sum()
-    }
-
     /// Sum of `weights[bit]` over the set bits of `row AND mask`.
     ///
     /// This is the weighted activation count `w* · r*(x)` of Eq. 4 restricted
@@ -281,23 +220,6 @@ impl ActivationMatrix {
     pub fn masked_weight_sum(&self, row: usize, mask: &[u64], weights: &[f64]) -> f64 {
         debug_assert_eq!(mask.len(), self.words_per_row);
         masked_weight_sum_words(self.row_words(row), mask, weights)
-    }
-
-    /// Sum of `weights[bit]` over bits set in **all three** of: this row,
-    /// `other`'s row, and `mask`.
-    ///
-    /// This is Eq. 4's numerator `w* ⊙ r*(x_tr) · r*(x_te)` restricted to the
-    /// class mask: the weighted count of intersecting activated rules.
-    pub fn triple_weight_sum(
-        &self,
-        row: usize,
-        other: &ActivationMatrix,
-        other_row: usize,
-        mask: &[u64],
-        weights: &[f64],
-    ) -> f64 {
-        debug_assert_eq!(self.n_bits, other.n_bits);
-        triple_weight_sum_words(self.row_words(row), other.row_words(other_row), mask, weights)
     }
 
     /// Sets bit-column `bit` from a row-indexed bitmask (`rows[i / 64] >>
@@ -359,7 +281,9 @@ mod tests {
         m.set(0, 63, false);
         assert!(!m.get(0, 63));
         assert_eq!(m.row_count(0), 2);
-        assert_eq!(m.row_bits(1), vec![129]);
+        let mut bits = Vec::new();
+        m.for_each_bit(1, |b| bits.push(b));
+        assert_eq!(bits, vec![129]);
     }
 
     #[test]
@@ -369,7 +293,10 @@ mod tests {
         m.push_row(&[false, true, true, false, false]).unwrap();
         assert_eq!(m.n_rows(), 2);
         assert_eq!(m.row_count(0), 3);
-        assert_eq!(m.and_count(0, &m.clone(), 1), 1); // only bit 2 overlaps
+        let ones = [1.0; 5];
+        let full = ActivationMatrix::build_mask(5, 0..5);
+        // Only bit 2 overlaps.
+        assert_eq!(triple_weight_sum_words(m.row_words(0), m.row_words(1), &full, &ones), 1.0);
         assert!(m.push_row(&[true]).is_err());
     }
 
@@ -385,7 +312,8 @@ mod tests {
         // Test row's masked weight: bits 0,1 active within mask = 1.0 + 0.5.
         assert_eq!(test.masked_weight_sum(0, &mask, &weights), 1.5);
         // Intersection within mask: bits 0,1.
-        assert_eq!(test.triple_weight_sum(0, &train, 0, &mask, &weights), 1.5);
+        let (te, tr) = (test.row_words(0), train.row_words(0));
+        assert_eq!(triple_weight_sum_words(te, tr, &mask, &weights), 1.5);
         // Full mask includes bit 2 for test row.
         let full = ActivationMatrix::build_mask(4, 0..4);
         assert_eq!(test.masked_weight_sum(0, &full, &weights), 3.5);
@@ -438,20 +366,17 @@ mod tests {
     }
 
     #[test]
-    fn visitors_match_row_bits_reference() {
+    fn for_each_bit_matches_a_get_scan() {
         let mut m = ActivationMatrix::zeros(0, 130);
         for r in 0..5 {
             let row: Vec<bool> = (0..130).map(|i| (i * 7 + r * 13) % 5 == 0).collect();
             m.push_row(&row).unwrap();
         }
-        let mut buf = Vec::new();
         for r in 0..m.n_rows() {
-            let reference = m.row_bits(r);
+            let reference: Vec<usize> = (0..m.n_bits()).filter(|&b| m.get(r, b)).collect();
             let mut visited = Vec::new();
             m.for_each_bit(r, |b| visited.push(b));
             assert_eq!(visited, reference);
-            m.row_bits_into(r, &mut buf);
-            assert_eq!(buf, reference);
         }
     }
 

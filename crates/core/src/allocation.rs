@@ -68,27 +68,8 @@ pub fn macro_scores(
             message: "must be >= 1".into(),
         });
     }
-    let n_test = outcome.per_test.len().max(1);
-    let mut scores = vec![0.0; outcome.n_clients];
-    for t in &outcome.per_test {
-        if !direction_matches(direction, t.correct()) {
-            continue;
-        }
-        let qualifying = t.related_per_client.iter().filter(|&&c| c >= delta).count();
-        if qualifying == 0 {
-            continue;
-        }
-        let share = 1.0 / qualifying as f64;
-        for (i, &cnt) in t.related_per_client.iter().enumerate() {
-            if cnt >= delta {
-                scores[i] += share;
-            }
-        }
-    }
-    for s in &mut scores {
-        *s /= n_test as f64;
-    }
-    Ok(scores)
+    let mut all = macro_scores_multi(outcome, &[delta], direction)?;
+    Ok(all.swap_remove(0))
 }
 
 /// Macro scores for several `δ` values in one pass (paper: *"we can

@@ -13,7 +13,6 @@
 //! [`Dataset::from_rows`]) is preserved as a compatibility layer on top.
 //! Row selection without copying cell data goes through [`DatasetView`].
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -478,7 +477,7 @@ impl Dataset {
             indices.iter().all(|&i| (i as usize) < n),
             "view index out of range ({n} rows)"
         );
-        DatasetView { data: self, indices: Some(Cow::Owned(indices)) }
+        DatasetView { data: self, indices: Some(indices) }
     }
 
     /// A new dataset containing the rows at `indices` (in order; duplicates
@@ -535,7 +534,7 @@ impl Dataset {
 }
 
 /// A zero-copy row selection over a [`Dataset`]: shared columns plus an
-/// optional index list (`None` = all rows, in order).
+/// optional owned index list (`None` = all rows, in order).
 ///
 /// Views are what partitioners, splitters, adverse injectors, and coalition
 /// construction hand around — selecting rows never clones cell data. The
@@ -544,23 +543,10 @@ impl Dataset {
 #[derive(Debug, Clone)]
 pub struct DatasetView<'a> {
     data: &'a Dataset,
-    indices: Option<Cow<'a, [u32]>>,
+    indices: Option<Vec<u32>>,
 }
 
 impl<'a> DatasetView<'a> {
-    /// A view borrowing `indices` instead of owning them.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn with_indices(data: &'a Dataset, indices: &'a [u32]) -> Self {
-        let n = data.len();
-        assert!(
-            indices.iter().all(|&i| (i as usize) < n),
-            "view index out of range ({n} rows)"
-        );
-        DatasetView { data, indices: Some(Cow::Borrowed(indices)) }
-    }
-
     /// The underlying dataset the view selects from.
     pub fn source(&self) -> &'a Dataset {
         self.data

@@ -43,24 +43,16 @@ pub struct ClientProfile {
 /// Builds per-client profiles from a trace outcome.
 ///
 /// `top_k` bounds how many rules are reported per list.
+///
+/// # Panics
+/// Panics if an owner id in `client_of` is `>= outcome.n_clients`.
 pub fn client_profiles(
     outcome: &TraceOutcome,
     client_of: &[u32],
     top_k: usize,
 ) -> Vec<ClientProfile> {
-    let n = outcome.n_clients;
-    let mut total = vec![0usize; n];
-    let mut unmatched = vec![0usize; n];
-    for (i, &c) in client_of.iter().enumerate() {
-        let c = c as usize;
-        total[c] += 1;
-        let b = outcome.train_benefit_counts.get(i).copied().unwrap_or(0);
-        let h = outcome.train_harm_counts.get(i).copied().unwrap_or(0);
-        if b == 0 && h == 0 {
-            unmatched[c] += 1;
-        }
-    }
-    (0..n)
+    let useless = useless_ratios(outcome, client_of);
+    (0..outcome.n_clients)
         .map(|c| {
             let mut beneficial: Vec<RuleFrequency> = (0..outcome.n_rules)
                 .map(|r| RuleFrequency { rule: r, frequency: outcome.benefit_freq(c, r) })
@@ -74,17 +66,34 @@ pub fn client_profiles(
                 .collect();
             harmful.sort_by(|a, b| b.frequency.total_cmp(&a.frequency));
             harmful.truncate(top_k);
-            ClientProfile {
-                client: c,
-                beneficial,
-                harmful,
-                useless_ratio: if total[c] == 0 {
-                    0.0
-                } else {
-                    unmatched[c] as f64 / total[c] as f64
-                },
-            }
+            ClientProfile { client: c, beneficial, harmful, useless_ratio: useless[c] }
         })
+        .collect()
+}
+
+/// Each client's fraction of training rows (row `i` owned by `client_of[i]`)
+/// that no test instance related to in either direction; 0 for a client
+/// with no rows.
+///
+/// # Panics
+/// Panics if an owner id is `>= outcome.n_clients`.
+pub(crate) fn useless_ratios(outcome: &TraceOutcome, client_of: &[u32]) -> Vec<f64> {
+    let n = outcome.n_clients;
+    let mut total = vec![0usize; n];
+    let mut unmatched = vec![0usize; n];
+    for (i, &c) in client_of.iter().enumerate() {
+        let c = c as usize;
+        total[c] += 1;
+        let b = outcome.train_benefit_counts.get(i).copied().unwrap_or(0);
+        let h = outcome.train_harm_counts.get(i).copied().unwrap_or(0);
+        if b == 0 && h == 0 {
+            unmatched[c] += 1;
+        }
+    }
+    total
+        .iter()
+        .zip(&unmatched)
+        .map(|(&t, &u)| if t == 0 { 0.0 } else { u as f64 / t as f64 })
         .collect()
 }
 

@@ -15,6 +15,7 @@
 use crate::activation::ActivationMatrix;
 use crate::allocation::{macro_scores, micro_scores, CreditDirection};
 use crate::error::{CoreError, Result};
+use crate::interpret::useless_ratios;
 use crate::tracing::TraceOutcome;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -144,21 +145,16 @@ impl Default for RobustnessConfig {
     }
 }
 
-/// Computes the robustness report from a trace outcome and the client
-/// assignment of training rows (no participation record — see
-/// [`analyze_with_participation`]).
-pub fn analyze(
-    outcome: &TraceOutcome,
-    client_of: &[u32],
-    config: &RobustnessConfig,
-) -> Result<RobustnessReport> {
-    analyze_with_participation(outcome, client_of, None, config)
-}
-
-/// [`analyze`] plus the federation runtime's participation record: each
-/// client gains a `participation_rate` signal and clients below
-/// `min_participation` (or with any server-rejected update) are flagged
-/// unreliable.
+/// Computes the robustness report from a trace outcome, the client
+/// assignment of training rows and, optionally, the federation runtime's
+/// participation record: with a record, each client gains a
+/// `participation_rate` signal and clients below `min_participation` (or
+/// with any server-rejected update) are flagged unreliable.
+///
+/// # Errors
+/// Returns an error if the record's length differs from the trace's client
+/// count, if an owner id in `client_of` is outside the trace, or if
+/// `config.macro_delta` is 0.
 pub fn analyze_with_participation(
     outcome: &TraceOutcome,
     client_of: &[u32],
@@ -175,23 +171,17 @@ pub fn analyze_with_participation(
             });
         }
     }
+    if let Some(&c) = client_of.iter().find(|&&c| c as usize >= n) {
+        return Err(CoreError::InvalidParameter {
+            name: "client_of",
+            message: format!("client {c} >= n_clients {n}"),
+        });
+    }
     let micro = micro_scores(outcome, CreditDirection::Gain);
     let macro_ = macro_scores(outcome, config.macro_delta, CreditDirection::Gain)?;
     let loss = micro_scores(outcome, CreditDirection::Loss);
 
-    // Useless ratio: training rows with zero benefit AND zero harm matches.
-    let mut total_rows = vec![0usize; n];
-    let mut unmatched_rows = vec![0usize; n];
-    for (i, &c) in client_of.iter().enumerate() {
-        let c = c as usize;
-        total_rows[c] += 1;
-        let benefit = outcome.train_benefit_counts.get(i).copied().unwrap_or(0);
-        let harm = outcome.train_harm_counts.get(i).copied().unwrap_or(0);
-        if benefit == 0 && harm == 0 {
-            unmatched_rows[c] += 1;
-        }
-    }
-
+    let useless = useless_ratios(outcome, client_of);
     let clients: Vec<ClientRobustness> = (0..n)
         .map(|i| {
             let inflation = if macro_[i] > f64::EPSILON {
@@ -205,11 +195,7 @@ pub fn analyze_with_participation(
                 micro: micro[i],
                 macro_: macro_[i],
                 replication_inflation: inflation,
-                useless_ratio: if total_rows[i] == 0 {
-                    0.0
-                } else {
-                    unmatched_rows[i] as f64 / total_rows[i] as f64
-                },
+                useless_ratio: useless[i],
                 loss_share: loss[i],
                 participation_rate: participation.map_or(1.0, |p| p[i].rate()),
                 rejected_rounds: participation.map_or(0, |p| p[i].rejected),
@@ -391,11 +377,12 @@ pub struct SignatureReport {
 /// Runs the update-level detectors over a run's accumulated round
 /// signatures (`ctfl-fl`'s `FederationLog::update_signatures`).
 ///
-/// Complements [`analyze`]: data-level detectors (replication, low quality,
-/// label flips) are blind to clients that game the *updates* they submit
-/// while holding perfectly honest data; these detectors are blind to data
-/// attacks. Together they cover both sides of the paper's §IV-A threat
-/// model plus the update-level gap shown by Pejó et al.
+/// Complements [`analyze_with_participation`]: data-level detectors
+/// (replication, low quality, label flips) are blind to clients that game
+/// the *updates* they submit while holding perfectly honest data; these
+/// detectors are blind to data attacks. Together they cover both sides of
+/// the paper's §IV-A threat model plus the update-level gap shown by Pejó
+/// et al.
 pub fn analyze_signatures(
     rounds: &[RoundSignatures],
     n_clients: usize,
@@ -404,15 +391,7 @@ pub fn analyze_signatures(
     let mut clients = vec![ClientSignatureStats::default(); n_clients];
     for round in rounds {
         // Median delta norm of the round — the free-ride scale reference.
-        let mut norms: Vec<f64> = round.entries.iter().map(|s| s.delta_norm).collect();
-        norms.sort_by(f64::total_cmp);
-        let median = if norms.is_empty() {
-            0.0
-        } else if norms.len() % 2 == 1 {
-            norms[norms.len() / 2]
-        } else {
-            0.5 * (norms[norms.len() / 2 - 1] + norms[norms.len() / 2])
-        };
+        let median = median_of(round.entries.iter().map(|s| s.delta_norm).collect());
         for sig in &round.entries {
             if sig.client >= n_clients {
                 return Err(CoreError::InvalidParameter {
@@ -1159,6 +1138,11 @@ mod tests {
         TraceOutcome::from_per_test(per_test, n_clients, 0)
     }
 
+    /// The report without a participation record.
+    fn analyze(o: &TraceOutcome, owners: &[u32], c: &RobustnessConfig) -> Result<RobustnessReport> {
+        analyze_with_participation(o, owners, None, c)
+    }
+
     #[test]
     fn flags_label_flipper_with_concentrated_loss() {
         // Client 2 matches most misclassified tests; 0 and 1 are honest.
@@ -1247,6 +1231,9 @@ mod tests {
             &RobustnessConfig::default()
         )
         .is_err());
+        // An owner id outside the trace is a typed error, not a panic.
+        let err = analyze(&outcome, &[0, 1, 5], &RobustnessConfig::default()).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidParameter { name: "client_of", .. }), "{err}");
         // Without a record, nothing is flagged and rates default to 1.
         let plain = analyze(&outcome, &[0, 1, 2], &RobustnessConfig::default()).unwrap();
         assert!(plain.suspected_unreliable.is_empty());

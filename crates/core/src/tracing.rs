@@ -35,6 +35,7 @@ use crate::model::RuleModel;
 use crate::parallel::plan_threads;
 use crate::shard::ShardedActivations;
 use ctfl_rulemine::{assign_groups, max_miner, MaxMinerConfig, TransactionSet};
+use std::collections::HashMap;
 
 /// Strategy for organising the `|D_te| × |D_N|` comparison.
 ///
@@ -651,15 +652,10 @@ fn trace_kernel<T: TrainAccess>(
         GroupingStrategy::BruteForce => {
             (0..n_test).map(|t| WorkGroup { members: vec![t as u32], candidates: None }).collect()
         }
-        GroupingStrategy::SignatureDedup => {
-            use std::collections::HashMap;
-            let mut map: HashMap<(usize, u64), Vec<u32>> = HashMap::new();
-            for t in 0..n_test {
-                let key = (traced_class[t], test.acts.row_signature(t));
-                map.entry(key).or_default().push(t as u32);
-            }
-            map.into_values().map(|members| WorkGroup { members, candidates: None }).collect()
-        }
+        GroupingStrategy::SignatureDedup => signature_groups(test, &traced_class)
+            .into_values()
+            .map(|members| WorkGroup { members, candidates: None })
+            .collect(),
         GroupingStrategy::FrequentRuleSets { min_support } => build_frequent_groups(
             train,
             test,
@@ -732,6 +728,19 @@ fn trace_kernel<T: TrainAccess>(
         client_rule_benefit: cells_to_table(&benefit_cells, test.weights, n_rules),
         client_rule_harm: cells_to_table(&harm_cells, test.weights, n_rules),
     }
+}
+
+/// Test rows keyed by `(traced class, activation signature)`: the members
+/// of one key share their related set, so the kernel traces each key once.
+fn signature_groups(
+    test: &TestSide<'_>,
+    traced_class: &[usize],
+) -> HashMap<(usize, u64), Vec<u32>> {
+    let mut groups: HashMap<(usize, u64), Vec<u32>> = HashMap::new();
+    for (t, &c) in traced_class.iter().enumerate() {
+        groups.entry((c, test.acts.row_signature(t))).or_default().push(t as u32);
+    }
+    groups
 }
 
 struct WorkGroup {
@@ -852,19 +861,13 @@ fn build_frequent_groups<T: TrainAccess>(
     tau_w: f64,
     train_by_class: &[Vec<u32>],
 ) -> Vec<WorkGroup> {
-    use std::collections::HashMap;
-    let n_test = test.acts.n_rows();
     let n_rules = test.acts.n_bits();
     let n_classes = test.class_masks.len();
 
     // First dedup by (class, signature) — members of a signature group have
     // identical related sets, so the frequent-set machinery only needs to
     // run per unique signature.
-    let mut sig_groups: HashMap<(usize, u64), Vec<u32>> = HashMap::new();
-    for t in 0..n_test {
-        let key = (traced_class[t], test.acts.row_signature(t));
-        sig_groups.entry(key).or_default().push(t as u32);
-    }
+    let sig_groups = signature_groups(test, traced_class);
 
     let mut out = Vec::new();
     for c in 0..n_classes {

@@ -344,11 +344,6 @@ impl<'a> FederationEngine<'a> {
         &self.log
     }
 
-    /// The most recent round's report, if any round has run.
-    pub fn last_report(&self) -> Option<&RoundReport> {
-        self.log.rounds.last()
-    }
-
     /// Per-node model parameters under [`Topology::Gossip`] — one vector
     /// per client, in client order. Empty before the first gossip round and
     /// always empty under [`Topology::Star`], where only the global exists.

@@ -358,11 +358,6 @@ impl FaultInjector {
         self.crashed.iter().filter(|&&c| c).count()
     }
 
-    /// Whether a given client has crashed.
-    pub fn is_crashed(&self, client: usize) -> bool {
-        self.crashed[client]
-    }
-
     /// Applies a corruption mode to a freshly computed parameter vector.
     /// `global` is the round's global parameter vector (norm explosion
     /// scales the *delta* from it, which is what the guard's norm check

@@ -362,12 +362,11 @@ pub struct JudgedUpdate {
     pub outcome: Participation,
 }
 
-fn delta_norm(params: &[f32], global: &[f32]) -> f64 {
-    params
-        .iter()
-        .zip(global)
-        .map(|(&p, &g)| {
-            let d = f64::from(p) - f64::from(g);
+fn l2_dist(a: &[f32], b: &[f32]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| {
+            let d = f64::from(x) - f64::from(y);
             d * d
         })
         .sum::<f64>()
@@ -397,7 +396,7 @@ pub fn judge_round(
         let bad = c.params.iter().filter(|p| !p.is_finite()).count();
         n_bad.push(bad);
         if bad == 0 {
-            norms.push(delta_norm(&c.params, global));
+            norms.push(l2_dist(&c.params, global));
         } else {
             norms.push(f64::NAN);
         }
@@ -443,17 +442,6 @@ pub fn judge_round(
     Ok(out)
 }
 
-fn l2_dist(a: &[f32], b: &[f32]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = f64::from(x) - f64::from(y);
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt()
-}
-
 /// Computes the update-similarity signatures of one round's candidates, as
 /// submitted (call it *before* [`judge_round`] clips anything).
 ///
@@ -473,7 +461,7 @@ pub fn sign_updates(
         .iter()
         .filter(|c| !c.stale && c.params.iter().all(|p| p.is_finite()))
         .collect();
-    let norms: Vec<f64> = signed.iter().map(|c| delta_norm(&c.params, global)).collect();
+    let norms: Vec<f64> = signed.iter().map(|c| l2_dist(&c.params, global)).collect();
     signed
         .iter()
         .enumerate()
@@ -582,7 +570,7 @@ mod tests {
             assert_eq!(j.outcome, Participation::Accepted { clipped: false });
         }
         assert_eq!(judged[3].outcome, Participation::Accepted { clipped: true });
-        let clipped_norm = delta_norm(&judged[3].candidate.params, &global);
+        let clipped_norm = l2_dist(&judged[3].candidate.params, &global);
         let median = 2.0;
         assert!((clipped_norm - 3.0 * median).abs() < 1e-3, "clipped to bound: {clipped_norm}");
         assert!(matches!(

@@ -120,11 +120,6 @@ impl Schedule {
         }
     }
 
-    /// True for the policy that reproduces the legacy engine bit-for-bit.
-    pub fn is_full(&self) -> bool {
-        matches!(self, Schedule::Full)
-    }
-
     /// The weight multiplier applied per round of arrival delay (1.0 for
     /// every synchronous policy).
     pub fn staleness_decay(&self) -> f64 {

@@ -258,125 +258,28 @@ impl LogicalLayer {
         }
     }
 
-    /// Continuous forward into a caller-owned buffer.
+    /// Continuous forward into a caller-owned buffer, reading the weights
+    /// through a pre-transposed pack.
     ///
     /// Bit-identical to [`Self::forward_soft`], restructured for
     /// instruction-level parallelism: each node's soft product is a serial
     /// FP multiply chain (`p *= …` depends on the previous multiply), so
     /// single-node evaluation is latency-bound. Nodes are therefore
-    /// processed four at a time — four *independent* chains keep the
+    /// processed eight at a time — eight *independent* chains keep the
     /// multiplier pipeline full — while each chain still multiplies its
     /// factors in the same k-ascending order as the naive loop.
     ///
-    /// Two further identities keep the blocked lanes exact:
+    /// `wt` must be this layer's weight matrix packed column-major
+    /// (`wt.col(i)` holds every node's weight for input `i`, contiguous),
+    /// so the eight chains advance on one contiguous load per input
+    /// column — the layout the vectorizer needs. Two further identities
+    /// keep the blocked lanes exact:
     /// * terms with `w_i == 0` contribute a factor of exactly `1.0`
     ///   (`1 − 0·(1−x) = 1` and `1 − 0·x = 1`), and `p × 1.0 == p` in
     ///   IEEE-754 — so the lanes multiply unconditionally where the scalar
     ///   loop skips;
-    /// * hoisting `1 − x_i` out of the four lanes reuses the identical
+    /// * hoisting `1 − x_i` out of the eight lanes reuses the identical
     ///   subtraction the scalar loop performs per term.
-    pub fn forward_soft_into(&self, x: &Matrix, y: &mut Matrix) {
-        assert_eq!(x.cols(), self.in_dim, "input width mismatch");
-        y.resize(x.rows(), self.n_nodes());
-        let n = self.n_nodes();
-        for b in 0..x.rows() {
-            let xr = x.row(b);
-            let yr = y.row_mut(b);
-            // Walk maximal runs of equal node kind (layers lay nodes out as
-            // one Conj run then one Disj run, but any layout works).
-            let mut s = 0;
-            while s < n {
-                let kind = self.kinds[s];
-                let mut e = s + 1;
-                while e < n && self.kinds[e] == kind {
-                    e += 1;
-                }
-                let in_dim = self.in_dim;
-                let xs = &xr[..in_dim];
-                let mut j = s;
-                while j + 8 <= e {
-                    let w0 = &self.w.row(j)[..in_dim];
-                    let w1 = &self.w.row(j + 1)[..in_dim];
-                    let w2 = &self.w.row(j + 2)[..in_dim];
-                    let w3 = &self.w.row(j + 3)[..in_dim];
-                    let w4 = &self.w.row(j + 4)[..in_dim];
-                    let w5 = &self.w.row(j + 5)[..in_dim];
-                    let w6 = &self.w.row(j + 6)[..in_dim];
-                    let w7 = &self.w.row(j + 7)[..in_dim];
-                    let mut p = [1.0f32; 8];
-                    match kind {
-                        NodeKind::Conj => {
-                            for i in 0..in_dim {
-                                let u = 1.0 - xs[i];
-                                p[0] *= 1.0 - w0[i] * u;
-                                p[1] *= 1.0 - w1[i] * u;
-                                p[2] *= 1.0 - w2[i] * u;
-                                p[3] *= 1.0 - w3[i] * u;
-                                p[4] *= 1.0 - w4[i] * u;
-                                p[5] *= 1.0 - w5[i] * u;
-                                p[6] *= 1.0 - w6[i] * u;
-                                p[7] *= 1.0 - w7[i] * u;
-                            }
-                            yr[j..j + 8].copy_from_slice(&p);
-                        }
-                        NodeKind::Disj => {
-                            for i in 0..in_dim {
-                                let xi = xs[i];
-                                p[0] *= 1.0 - w0[i] * xi;
-                                p[1] *= 1.0 - w1[i] * xi;
-                                p[2] *= 1.0 - w2[i] * xi;
-                                p[3] *= 1.0 - w3[i] * xi;
-                                p[4] *= 1.0 - w4[i] * xi;
-                                p[5] *= 1.0 - w5[i] * xi;
-                                p[6] *= 1.0 - w6[i] * xi;
-                                p[7] *= 1.0 - w7[i] * xi;
-                            }
-                            for (dst, pk) in yr[j..j + 8].iter_mut().zip(p) {
-                                *dst = 1.0 - pk;
-                            }
-                        }
-                    }
-                    j += 8;
-                }
-                for jj in j..e {
-                    let wr = self.w.row(jj);
-                    yr[jj] = match kind {
-                        NodeKind::Conj => {
-                            let mut p = 1.0f32;
-                            for (xi, wi) in xr.iter().zip(wr) {
-                                if *wi == 0.0 {
-                                    continue;
-                                }
-                                p *= 1.0 - wi * (1.0 - xi);
-                            }
-                            p
-                        }
-                        NodeKind::Disj => {
-                            let mut p = 1.0f32;
-                            for (xi, wi) in xr.iter().zip(wr) {
-                                if *wi == 0.0 {
-                                    continue;
-                                }
-                                p *= 1.0 - wi * xi;
-                            }
-                            1.0 - p
-                        }
-                    };
-                }
-                s = e;
-            }
-        }
-    }
-
-    /// [`Self::forward_soft_into`] against pre-transposed weights.
-    ///
-    /// `wt` must be this layer's weight matrix packed column-major
-    /// (`wt.col(i)` holds every node's weight for input `i`, contiguous),
-    /// so eight product chains advance on one contiguous load per input
-    /// column — the layout the vectorizer needs. Each chain still
-    /// multiplies its factors in the same k-ascending order as the scalar
-    /// loop, and zero weights multiply through as exact `×1.0` factors, so
-    /// the output is bit-identical (see [`Self::forward_soft_into`]).
     ///
     /// # Panics
     /// Panics if `x`'s width or `wt`'s shape disagree with the layer.

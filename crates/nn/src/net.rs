@@ -199,18 +199,24 @@ struct TrainWorkspace {
     snapshot: Option<(Vec<LogicalLayer>, LinearHead)>,
 }
 
+/// The two forward passes a training step runs.
+#[derive(Clone, Copy)]
+enum Pass<'a> {
+    /// Binarized weights and boolean logic, through per-layer CSR plans.
+    Discrete(&'a [DiscretePlan]),
+    /// Soft logic, through per-layer transposed weight packs.
+    Soft(&'a [PackedRhs]),
+}
+
 /// Forward pass through `layers` into `buf`, reading the batch from `x`.
-/// `plans` selects the discrete path (binarized weights, boolean logic);
-/// `None` runs the soft path, through per-layer transposed weight packs
-/// when `packed` provides them. Bit-identical to [`LogicalNet::forward`]:
-/// the per-layer kernels replay the naive summation order exactly and the
-/// skip/rule concatenation copies the same slices in the same order.
+/// Bit-identical to [`LogicalNet::forward`]: the per-layer kernels replay
+/// the naive summation order exactly and the skip/rule concatenation copies
+/// the same slices in the same order.
 fn forward_ws(
     layers: &[LogicalLayer],
     literal_skip: bool,
     x: &Matrix,
-    plans: Option<&[DiscretePlan]>,
-    packed: Option<&[PackedRhs]>,
+    pass: Pass<'_>,
     buf: &mut PassBuffers,
 ) {
     let batch = x.rows();
@@ -218,12 +224,8 @@ fn forward_ws(
     for k in 0..layers.len() {
         let (prior, rest) = buf.outputs.split_at_mut(k);
         let out = &mut rest[0];
-        if k == 0 {
-            match (plans, packed) {
-                (Some(p), _) => layers[0].forward_discrete_planned_into(x, &p[0], out),
-                (None, Some(w)) => layers[0].forward_soft_packed_into(x, &w[0], out),
-                (None, None) => layers[0].forward_soft_into(x, out),
-            }
+        let input = if k == 0 {
+            x
         } else {
             // Skip connection: previous output ++ literals.
             let prev = &prior[k - 1];
@@ -234,11 +236,11 @@ fn forward_ws(
                 row[..prev.cols()].copy_from_slice(prev.row(b));
                 row[prev.cols()..].copy_from_slice(x.row(b));
             }
-            match (plans, packed) {
-                (Some(p), _) => layers[k].forward_discrete_planned_into(input, &p[k], out),
-                (None, Some(w)) => layers[k].forward_soft_packed_into(input, &w[k], out),
-                (None, None) => layers[k].forward_soft_into(input, out),
-            }
+            &*input
+        };
+        match pass {
+            Pass::Discrete(plans) => layers[k].forward_discrete_planned_into(input, &plans[k], out),
+            Pass::Soft(packs) => layers[k].forward_soft_packed_into(input, &packs[k], out),
         }
     }
     // Rule vector: all layer outputs (++ literals if skip).
@@ -460,7 +462,8 @@ impl LogicalNet {
         self.head.pack_weights_into(&mut ws.packed_head);
 
         // Discrete forward → loss gradient at the binarized output.
-        forward_ws(&self.layers, self.config.literal_skip, &ws.x, Some(&ws.plans), None, &mut ws.disc);
+        let disc = Pass::Discrete(&ws.plans);
+        forward_ws(&self.layers, self.config.literal_skip, &ws.x, disc, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         let loss = cross_entropy(&ws.logits, &ws.labels);
         cross_entropy_grad_into(&ws.logits, &ws.labels, &mut ws.dlogits, &mut ws.exp_scratch);
@@ -470,8 +473,7 @@ impl LogicalNet {
             &self.layers,
             self.config.literal_skip,
             &ws.x,
-            None,
-            Some(&ws.packed_layers),
+            Pass::Soft(&ws.packed_layers),
             &mut ws.cont,
         );
         ws.dv.resize(self.head.n_rules(), self.n_classes);
@@ -534,7 +536,8 @@ impl LogicalNet {
             layer.plan_discrete_into(plan);
         }
         self.head.pack_weights_into(&mut ws.packed_head);
-        forward_ws(&self.layers, self.config.literal_skip, &data.x, Some(&ws.plans), None, &mut ws.disc);
+        let disc = Pass::Discrete(&ws.plans);
+        forward_ws(&self.layers, self.config.literal_skip, &data.x, disc, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         accuracy(&ws.logits, &data.labels)
     }

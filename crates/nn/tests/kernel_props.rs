@@ -202,18 +202,6 @@ fn random_layer(c: &LayerCase, rng: &mut StdRng) -> (LogicalLayer, Matrix) {
 }
 
 #[test]
-fn forward_soft_into_matches_naive_bitwise() {
-    check("forward_soft_into_matches_naive_bitwise", 64, gen_layer_case, |c| {
-        let mut rng = StdRng::seed_from_u64(c.seed);
-        let (layer, x) = random_layer(c, &mut rng);
-        let naive = layer.forward_soft(&x);
-        let mut out = dirty(&mut rng);
-        layer.forward_soft_into(&x, &mut out);
-        assert_bits_eq(&out, &naive, "forward_soft_into")
-    });
-}
-
-#[test]
 fn forward_soft_packed_into_matches_naive_bitwise() {
     check("forward_soft_packed_into_matches_naive_bitwise", 64, gen_layer_case, |c| {
         let mut rng = StdRng::seed_from_u64(c.seed);

@@ -49,23 +49,25 @@ cmd_gate() {
     end_gate
 }
 
-# A determinism gate: build one bench binary, run it twice with the same
-# seed, byte-diff the outputs, and (optionally) require an OK marker that
-# the binary prints only when its internal assertions all held.
-# $3 = marker ("" for none); $4 = "merge" to capture stderr with stdout,
-# "drop" to discard stderr (train_speed keeps timings out of the diff).
+# A determinism gate: build one binary of a package, run it twice with the
+# same arguments, byte-diff the outputs, and (optionally) require an OK
+# marker that the binary prints only when its internal assertions all held.
+# $2 = package; $3 = binary; $4 = marker ("" for none); $5 = "merge" to
+# capture stderr with stdout, "drop" to discard stderr (train_speed keeps
+# timings out of the diff); the remaining arguments go to the binary.
 diff_gate() {
-    local name="$1" bin="$2" marker="$3" stderr_mode="$4"
+    local name="$1" pkg="$2" bin="$3" marker="$4" stderr_mode="$5"
+    shift 5
     begin_gate "$name"
-    cargo build --release -p ctfl-bench --bin "$bin" || fail_gate "build failed"
+    cargo build --release -p "$pkg" --bin "$bin" || fail_gate "build failed"
     local a b
     a=$(mktemp) && b=$(mktemp)
     if [ "$stderr_mode" = merge ]; then
-        "$BIN/$bin" --seed 7 > "$a" 2>&1
-        "$BIN/$bin" --seed 7 > "$b" 2>&1
+        "$BIN/$bin" "$@" > "$a" 2>&1
+        "$BIN/$bin" "$@" > "$b" 2>&1
     else
-        "$BIN/$bin" --seed 7 2>/dev/null > "$a"
-        "$BIN/$bin" --seed 7 2>/dev/null > "$b"
+        "$BIN/$bin" "$@" 2>/dev/null > "$a"
+        "$BIN/$bin" "$@" 2>/dev/null > "$b"
     fi
     if ! diff -q "$a" "$b" > /dev/null; then
         diff "$a" "$b" | head -20 >&2
@@ -101,13 +103,17 @@ check() {
     # fig7 exercises the full pipeline (partition -> FedAvg -> extraction ->
     # tracing -> interpretation) including the parallel code paths, in
     # seconds; the slower Shapley-bearing binaries share the same RNG plumbing.
-    diff_gate "determinism (fig7 pipeline)" fig7_interpret_ttt "" merge
+    diff_gate "determinism (fig7 pipeline)" ctfl-bench fig7_interpret_ttt "" merge --seed 7
+
+    # The shipped CLI end to end: `ctfl demo` trains, extracts, traces and
+    # prints scores, robustness flags and rule profiles on tic-tac-toe.
+    diff_gate "cli demo (ctfl demo)" ctfl ctfl "" merge demo --seed 7
 
     # 5 clients, 30% dropout + one persistently-NaN client: the guard must
     # reject the corrupted client every round, quorum retries must absorb
     # the dropouts, and the full federation log + participation-weighted
     # scores must be byte-identical across identical-seed runs.
-    diff_gate "chaos (seeded fault injection)" chaos CHAOS_SCENARIO_OK merge
+    diff_gate "chaos (seeded fault injection)" ctfl-bench chaos CHAOS_SCENARIO_OK merge --seed 7
 
     # 10 clients, 30% adversarial per attack (sign-flip, scaled-gradient,
     # collusion, free-riding, class-bias) x 4 aggregation rules. The binary
@@ -115,7 +121,8 @@ check() {
     # least one robust rule and that the update-signature detectors name the
     # injected ring/free-riders exactly with no honest-baseline false
     # positives; ATTACK_SWEEP_OK prints only if every gate held.
-    diff_gate "attack sweep (update-level attacks)" attack_sweep ATTACK_SWEEP_OK merge
+    diff_gate "attack sweep (update-level attacks)" ctfl-bench attack_sweep ATTACK_SWEEP_OK merge \
+        --seed 7
 
     # Upload-level score gaming x upload-audit defenses across the privacy
     # grid {eps=inf, eps=2.20}. The binary asserts the audit names the
@@ -126,13 +133,15 @@ check() {
     # >= 0.95, that the update/upload cross-check names free-riders claiming
     # uploads, and that cross-run consistency flags nobody honest;
     # GAMING_OK prints only if every gate held.
-    diff_gate "gaming sweep (upload-level score attacks)" gaming_sweep GAMING_OK merge
+    diff_gate "gaming sweep (upload-level score attacks)" ctfl-bench gaming_sweep GAMING_OK merge \
+        --seed 7
 
     # Three gates inside the binary: bit-identity of trained parameters,
     # >= 2x median wall-clock speedup, and pre-encoded coalition parity.
     # Stdout carries only deterministic content (hashes, verdicts) so the
     # double run can byte-diff it; timings go to stderr and the JSON report.
-    diff_gate "train speed (data plane vs naive)" train_speed TRAIN_SPEED_OK drop
+    diff_gate "train speed (data plane vs naive)" ctfl-bench train_speed TRAIN_SPEED_OK drop \
+        --seed 7
 
     # The million-row / thousand-client data plane: a {20k,200k,1M} rows x
     # {10,100,1000} clients grid traced off sharded activation stores. The
@@ -142,12 +151,12 @@ check() {
     # with parallelism on and off, and the fast path beats the pinned
     # per-bit oracle >= 2x at the largest cell. Timings go to stderr and
     # results/BENCH_scale.json; stdout carries only hashes and verdicts.
-    diff_gate "scale sweep (data-plane throughput)" scale_sweep SCALE_OK drop
+    diff_gate "scale sweep (data-plane throughput)" ctfl-bench scale_sweep SCALE_OK drop --seed 7
 
     # A seeded batch of healthy/faulty/adversarial jobs runs serially, over
     # the worker pool, and through the wire dispatcher; the binary asserts
     # all paths produce identical result fingerprints.
-    diff_gate "engine soak (multiplexed sessions)" engine_soak ENGINE_OK merge
+    diff_gate "engine soak (multiplexed sessions)" ctfl-bench engine_soak ENGINE_OK merge --seed 7
 
     # The engine-soak batch again, but through a NetClient whose every
     # connection crosses a seeded ChaosTransport (split writes, bit flips,
@@ -156,7 +165,7 @@ check() {
     # ctfl_server does. The binary asserts the fingerprints match direct
     # execution byte for byte, a session resumes across a deliberate
     # disconnect, and every result replays by job id.
-    diff_gate "net soak (chaos transport)" net_soak NET_OK merge
+    diff_gate "net soak (chaos transport)" ctfl-bench net_soak NET_OK merge --seed 7
 
     # 5 clients under four regimes (full, 50% uniform sampling, async with
     # bounded staleness, degree-2 gossip) x three schemes (CTFL effective
@@ -165,7 +174,8 @@ check() {
     # full-vs-full column is the identity ranking, every Spearman cell is a
     # well-formed correlation, sampling actually benched clients, and the
     # async regime actually landed stale updates.
-    diff_gate "scenario sweep (regimes x schemes)" scenario_sweep SCENARIO_OK merge
+    diff_gate "scenario sweep (regimes x schemes)" ctfl-bench scenario_sweep SCENARIO_OK merge \
+        --seed 7
 
     echo
     echo "gate wall-time summary:"

@@ -20,6 +20,7 @@ use ctfl::fl::fedavg::{train_federated, FlConfig};
 use ctfl::nn::extract::{extract_rules, ExtractOptions};
 use ctfl::nn::net::LogicalNetConfig;
 use ctfl_rng::rngs::StdRng;
+use ctfl_rng::seq::SliceRandom;
 use ctfl_rng::SeedableRng;
 use std::fs::File;
 use std::io::BufReader;
@@ -36,7 +37,8 @@ USAGE:
 
 `estimate` expects one CSV with a class-label column and a client-id column;
 every other column is a feature (numeric columns become continuous features,
-the rest categorical). A stratified test split is reserved automatically.
+the rest categorical). A test split stratified by client is reserved
+automatically: a --test-fraction share of each client's rows, never all of them.
 ";
 
 fn main() -> ExitCode {
@@ -182,10 +184,8 @@ fn estimate(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Load with the CLIENT column treated as the label first, to extract
-    // ownership; then reload with the real label. Simpler: load once with
-    // the real label and recover client ids from the (discrete) client
-    // feature column, then drop it by rebuilding the dataset.
+    // The client column loads as a feature; its values become the row
+    // owners and the dataset is rebuilt without it.
     let loaded = match load_csv(BufReader::new(file), &label) {
         Ok(l) => l,
         Err(e) => {
@@ -236,19 +236,56 @@ fn estimate(args: &[String]) -> ExitCode {
     let n_clients = ids.len();
     println!("loaded {} rows, {} clients, classes {:?}", train_all.len(), n_clients, loaded.classes);
 
-    // Reserve a stratified test split; ownership follows the train rows.
+    // Hold out test rows per client; ownership follows the train rows.
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<usize> = (0..train_all.len()).collect();
-    use ctfl_rng::seq::SliceRandom;
-    order.shuffle(&mut rng);
-    let n_test = ((train_all.len() as f64 * test_fraction) as usize)
-        .clamp(1, train_all.len().saturating_sub(n_clients).max(1));
-    let test_idx: Vec<usize> = order[..n_test].to_vec();
-    let train_idx: Vec<usize> = order[n_test..].to_vec();
+    let split = split_per_client(&owners, n_clients, test_fraction, &mut rng);
+    let (train_idx, test_idx) = match split {
+        Ok(split) => split,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let test = train_all.subset(&test_idx);
     let train = train_all.subset(&train_idx);
     let client_of: Vec<u32> = train_idx.iter().map(|&i| owners[i]).collect();
     let partition = Partition::new(client_of, n_clients);
 
     run_estimation(&train, &partition, &test, seed, tau_w, delta, rounds, local_epochs)
+}
+
+/// Holds out `⌊fraction · n_c⌋` of each client's `n_c` rows for testing,
+/// chosen by a seeded shuffle of that client's rows, but never all of them:
+/// every client keeps at least one training row. When that holds out
+/// nothing, one row of the first client with two or more is held out.
+/// Returns the `(train, test)` row indices, each ascending.
+fn split_per_client(
+    owners: &[u32],
+    n_clients: usize,
+    fraction: f64,
+    rng: &mut StdRng,
+) -> Result<(Vec<usize>, Vec<usize>), String> {
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_clients];
+    for (i, &c) in owners.iter().enumerate() {
+        rows[c as usize].push(i);
+    }
+    let mut held: Vec<usize> = rows
+        .iter()
+        .map(|r| ((r.len() as f64 * fraction) as usize).min(r.len().saturating_sub(1)))
+        .collect();
+    if held.iter().all(|&h| h == 0) {
+        match rows.iter().position(|r| r.len() > 1) {
+            Some(c) => held[c] = 1,
+            None => return Err("cannot hold out a test row: no client has two rows".into()),
+        }
+    }
+    let (mut train, mut test) = (Vec::new(), Vec::new());
+    for (r, h) in rows.iter_mut().zip(held) {
+        r.shuffle(rng);
+        test.extend_from_slice(&r[..h]);
+        train.extend_from_slice(&r[h..]);
+    }
+    train.sort_unstable();
+    test.sort_unstable();
+    Ok((train, test))
 }

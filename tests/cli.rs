@@ -1,0 +1,81 @@
+//! The shipped binaries, driven the way a user runs them: `ctfl estimate`
+//! on a CSV written to a temporary directory, and `ctfl_server --listen`
+//! over real loopback TCP.
+
+use ctfl::fl::netclient::{NetClient, RetryPolicy, TcpConnector};
+use ctfl::fl::server::FederationService;
+use ctfl::fl::wire::{JobSpec, Message};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, Command, Stdio};
+
+/// Kills the child if the test fails before it exits on its own.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn estimate_keeps_a_one_row_client_in_training() {
+    // Clients a, b and c hold 60 rows each; d holds one. A split that
+    // shuffles every row together can send d's only row to the test set
+    // (seed 3 did), leaving client 3 with no training data.
+    let mut csv = String::from("x1,x2,owner,y\n");
+    for owner in ["a", "b", "c"] {
+        for i in 0..60u32 {
+            let (x1, x2) = ((i * 7) % 10, (i * 3 + 1) % 10);
+            let y = if x1 > x2 { "yes" } else { "no" };
+            writeln!(csv, "{x1},{x2},{owner},{y}").unwrap();
+        }
+    }
+    csv.push_str("1,2,d,no\n");
+    let path = std::env::temp_dir().join(format!("ctfl-cli-{}.csv", std::process::id()));
+    std::fs::write(&path, csv).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ctfl"))
+        .arg("estimate")
+        .arg("--train")
+        .arg(&path)
+        .args(["--label", "y", "--client-column", "owner", "--seed", "3"])
+        .args(["--rounds", "3", "--local-epochs", "1"])
+        .output()
+        .expect("run ctfl estimate");
+    std::fs::remove_file(&path).unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}\n{stdout}\n{stderr}", out.status);
+    assert!(stdout.contains("client 3: 1 records"), "{stdout}");
+}
+
+#[test]
+fn server_answers_a_tcp_client_until_shutdown() {
+    let mut server = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_ctfl_server"))
+            .args(["--listen", "127.0.0.1:0", "--once", "--idle-timeout", "5"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn ctfl_server"),
+    );
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    let addr = first.trim().strip_prefix("listening on ").expect("bound address line").to_string();
+
+    let policy = RetryPolicy { deadline_nanos: Some(30_000_000_000), ..RetryPolicy::default() };
+    let mut client = NetClient::new(TcpConnector { addr }, policy, 7).unwrap();
+    client.ping().unwrap();
+    let spec = JobSpec::clean(7, 4, 3);
+    let expected = FederationService::execute_job(3, &spec).unwrap();
+    assert_eq!(client.submit_job(3, &spec).unwrap(), expected);
+    assert_eq!(client.poll_job(3).unwrap(), expected);
+    assert_eq!(client.request(&Message::Shutdown).unwrap(), Message::Shutdown);
+
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("served 4 requests (shutdown)"), "{rest}");
+    assert!(server.0.wait().unwrap().success());
+}
