@@ -24,7 +24,7 @@ use ctfl_bench::federation::{Federation, FederationConfig, SkewMode};
 use ctfl_bench::measure::spearman_honest;
 use ctfl_bench::report::Table;
 use ctfl_core::estimator::{CtflConfig, CtflEstimator};
-use ctfl_core::robustness::{analyze_signatures, SignatureConfig};
+use ctfl_core::robustness::analyze_signatures;
 use ctfl_fl::adversary::{AdversaryPlan, AttackKind};
 use ctfl_fl::aggregate::{Aggregator, CoordinateMedian, MultiKrum, TrimmedMean, WeightedFedAvg};
 use ctfl_fl::faults::FaultPlan;
@@ -135,12 +135,11 @@ fn main() {
     // Attack-free baseline per rule (the reference ranking), plus the
     // honest-run detector false-positive check on the FedAvg log.
     let honest_plan = AdversaryPlan::none(N_CLIENTS);
-    let sig_cfg = SignatureConfig::default();
     let mut baselines: Vec<Vec<f64>> = Vec::new();
     for (i, rule) in rules.iter().enumerate() {
         let (scores, log) = run_cell(&fed, &fl, &faults, &guard, &honest_plan, rule.as_ref());
         if i == 0 {
-            let report = analyze_signatures(&log.update_signatures(), N_CLIENTS, &sig_cfg)
+            let report = analyze_signatures(&log.update_signatures(), N_CLIENTS)
                 .expect("signatures are well-formed");
             assert!(
                 report.suspected_colluders.is_empty() && report.suspected_free_riders.is_empty(),
@@ -194,7 +193,7 @@ fn main() {
     ]);
     for (a, log) in &detector_logs {
         let (attack_name, plan) = &attacks[*a];
-        let report = analyze_signatures(&log.update_signatures(), N_CLIENTS, &sig_cfg)
+        let report = analyze_signatures(&log.update_signatures(), N_CLIENTS)
             .expect("signatures are well-formed");
         dt.row(vec![
             attack_name.to_string(),

@@ -38,8 +38,7 @@ use ctfl_bench::federation::{Federation, FederationConfig, SkewMode};
 use ctfl_bench::measure::spearman_honest;
 use ctfl_bench::report::{fmt_scores, Table};
 use ctfl_core::robustness::{
-    analyze_signatures, cross_check_uploads, score_consistency, slash_scores, ConsistencyConfig,
-    CrossCheckConfig, SignatureConfig, SlashPolicy, UploadAuditConfig,
+    analyze_signatures, cross_check_uploads, score_consistency, slash_scores, UploadAuditConfig,
 };
 use ctfl_core::tracing::TraceConfig;
 use ctfl_fl::adversary::{AdversaryPlan, AttackKind};
@@ -270,8 +269,8 @@ fn main() {
             }
             // Slashing: flagged clients' naive winnings are confiscated and
             // redistributed pro rata over unflagged earners.
-            let slashed = slash_scores(&naive, &hardened.audit.flagged, &SlashPolicy::default())
-                .expect("flags are in range");
+            let slashed =
+                slash_scores(&naive, &hardened.audit.flagged).expect("flags are in range");
             assert!(
                 hardened.audit.flagged.iter().all(|&g| slashed[g] == 0.0),
                 "slashing zeroes flagged clients"
@@ -344,12 +343,8 @@ fn main() {
     let fr_model =
         extract_rules(&fr_run.net, ExtractOptions::default()).expect("extraction succeeds");
     let fr_log = fr_run.log;
-    let signatures = analyze_signatures(
-        &fr_log.update_signatures(),
-        N_CLIENTS,
-        &SignatureConfig::default(),
-    )
-    .expect("signatures are well-formed");
+    let signatures = analyze_signatures(&fr_log.update_signatures(), N_CLIENTS)
+        .expect("signatures are well-formed");
     let mut fr_rng = StdRng::seed_from_u64(args.seed ^ 0xF00D);
     let fr_uploads: Vec<ActivationUpload> = shards
         .iter()
@@ -368,7 +363,7 @@ fn main() {
         &audit_cfg,
     )
     .expect("uploads are well-formed");
-    let cross = cross_check_uploads(&fr_audit, &signatures, &CrossCheckConfig::default());
+    let cross = cross_check_uploads(&fr_audit, &signatures);
     assert_eq!(
         cross,
         free_plan.adversaries(),
@@ -420,8 +415,7 @@ fn main() {
             .collect();
         runs.push(sub_scoring.score(&honest).expect("honest uploads are consistent"));
     }
-    let consistency =
-        score_consistency(&runs, &ConsistencyConfig::default()).expect("runs are aligned");
+    let consistency = score_consistency(&runs).expect("runs are aligned");
     assert!(
         consistency.suspected_inconsistent.is_empty(),
         "honest clients must score consistently across test subsamples: {:?}",

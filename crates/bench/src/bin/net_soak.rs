@@ -28,9 +28,7 @@
 
 use ctfl_bench::args::CommonArgs;
 use ctfl_fl::chaos_net::{duplex, ChaosTransport, NetFaultPlan, NetFaultSpec, PipeEnd};
-use ctfl_fl::netclient::{
-    BackoffPolicy, Connect, NetClient, RetryPolicy, SessionResume, UpdateReply,
-};
+use ctfl_fl::netclient::{Connect, NetClient, RetryPolicy, SessionResume, UpdateReply};
 use ctfl_fl::server::{self, FederationService};
 use ctfl_fl::wire::JobSpec;
 use std::io;
@@ -144,13 +142,7 @@ fn main() {
     let (server, server_thread) = spawn_server();
     let connector =
         ChaosConnector { server, spec: storm(), seed: args.seed ^ 0xC4A05, conns: 0 };
-    // Retries sleep their backoff, as a deployed client's would.
-    let policy = RetryPolicy {
-        max_attempts: 16,
-        deadline_nanos: Some(DEADLINE_NANOS),
-        backoff: BackoffPolicy::default(),
-        sleep: true,
-    };
+    let policy = RetryPolicy { max_attempts: 16, deadline_nanos: Some(DEADLINE_NANOS) };
     let mut client =
         NetClient::new(connector, policy, args.seed).expect("soak retry policy is valid");
 

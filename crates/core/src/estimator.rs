@@ -13,8 +13,7 @@ use crate::error::{CoreError, Result};
 use crate::interpret::{client_profiles, coverage_gaps, ClientProfile, CoverageGap};
 use crate::model::RuleModel;
 use crate::robustness::{
-    analyze_with_participation, slash_scores, ClientParticipation, RobustnessConfig,
-    RobustnessReport, SlashPolicy,
+    analyze_with_participation, ClientParticipation, RobustnessConfig, RobustnessReport,
 };
 use crate::tracing::{inputs_from_model, trace, GroupingStrategy, TraceConfig, TraceOutcome, TraceParts};
 
@@ -108,16 +107,6 @@ impl ContributionReport {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Effective scores after slashing `flagged` clients under `policy`:
-    /// flagged clients forfeit (part of) their `micro_effective` score,
-    /// optionally redistributed pro rata to the unflagged — the settlement
-    /// vector a marketplace pays from. Pass [`Self::flagged_clients`] to
-    /// slash what this report itself detected, or an external flag set
-    /// (e.g. an upload audit's) for cross-layer penalties.
-    pub fn slashed_scores(&self, flagged: &[usize], policy: &SlashPolicy) -> Result<Vec<f64>> {
-        slash_scores(&self.micro_effective, flagged, policy)
     }
 }
 
@@ -404,7 +393,7 @@ mod tests {
 
     #[test]
     fn slashing_threads_through_the_report() {
-        use crate::robustness::SlashPolicy;
+        use crate::robustness::slash_scores;
         let (est, mut train, client_of, test) = separable_setup();
         // Client 0 flips its labels; the report flags it as low-quality.
         for i in 0..10 {
@@ -412,15 +401,14 @@ mod tests {
         }
         let report = est.estimate(&train, &client_of, &test).unwrap();
         assert_eq!(report.flagged_clients(), vec![0]);
-        let settled =
-            report.slashed_scores(&report.flagged_clients(), &SlashPolicy::default()).unwrap();
+        let settled = slash_scores(&report.micro_effective, &report.flagged_clients()).unwrap();
         assert_eq!(settled[0], 0.0, "flagged client forfeits everything");
         let total: f64 = report.micro_effective.iter().sum();
         let settled_total: f64 = settled.iter().sum();
         assert!((total - settled_total).abs() < 1e-12, "redistribution preserves the total");
         assert!(settled[1] >= report.micro_effective[1]);
         // Out-of-range flag set is a typed error.
-        assert!(report.slashed_scores(&[9], &SlashPolicy::default()).is_err());
+        assert!(slash_scores(&report.micro_effective, &[9]).is_err());
     }
 
     #[test]

@@ -19,17 +19,8 @@
 //! runs with the same seed produce byte-identical logs.
 
 use ctfl_core::error::{CoreError, Result};
-use ctfl_core::robustness::{ClientParticipation, RoundSignatures, UpdateSignature};
+use ctfl_core::robustness::{ClientParticipation, RoundSignatures, UpdateSignature, NORM_EPS};
 use std::fmt::Write as _;
-
-/// Median delta norms at or below this are treated as *no scale at all* by
-/// [`judge_round`]: relative norm checks against a (near-)zero median are
-/// meaningless — the old `median.max(f64::MIN_POSITIVE)` fallback made the
-/// rejection bound effectively zero, so a fully converged federation (or a
-/// round where most clients submit zero deltas) would reject every honest
-/// nonzero update. With the median at or below this epsilon, no clipping or
-/// rejection happens; the finiteness check still applies.
-pub const NORM_EPS: f64 = 1e-12;
 
 /// What the runtime does when a client thread panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

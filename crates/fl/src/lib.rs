@@ -91,8 +91,8 @@ pub use chaos_net::{
     duplex, ChaosStats, ChaosTransport, NetFaultPlan, NetFaultSpec, PipeEnd, ReadFault, WriteFault,
 };
 pub use netclient::{
-    BackoffPolicy, BackoffSchedule, ClientError, ClientStats, Connect, NetClient, RetryPolicy,
-    SessionResume, TcpConnector, Transport, UpdateReply,
+    BackoffSchedule, ClientError, ClientStats, Connect, NetClient, RetryPolicy, SessionResume,
+    TcpConnector, Transport, UpdateReply,
 };
 pub use server::{FederationService, JobResult, ServeEnd, ServeSummary};
 pub use wire::{Message, RejectCode, WireError};

@@ -10,12 +10,13 @@
 //! * **Deadlines** — every connection gets the policy's read/write deadline
 //!   ([`Transport::set_deadline`]), so a stalled frame surfaces as
 //!   `TimedOut` instead of hanging the client forever.
-//! * **Seeded backoff** — retry delays come from [`BackoffPolicy`], a
+//! * **Seeded backoff** — retry delays come from [`BackoffSchedule`], a
 //!   deterministic schedule seeded per request: `delay_k = min(max, base ·
 //!   factor^k · (1 + jitter·u_k))` with `u_k` uniform in `[0, 1)` from
-//!   [`ctfl_rng`]. Bounding `jitter ≤ factor − 1` makes every schedule
-//!   provably monotone non-decreasing (see `tests/net_props.rs`), and the
-//!   same seed always produces the same schedule.
+//!   [`ctfl_rng`], 1 ms doubling to a 100 ms ceiling with jitter 0.5.
+//!   Since `jitter ≤ factor − 1`, every schedule is provably monotone
+//!   non-decreasing (see `tests/net_props.rs`), and the same seed always
+//!   produces the same schedule.
 //! * **Bounded retries** — at most [`RetryPolicy::max_attempts`] tries,
 //!   then a typed [`ClientError::Exhausted`] carrying the last failure.
 //!   Transport errors and `BadFrame` rejections reconnect first (the
@@ -82,94 +83,37 @@ impl Connect for TcpConnector {
     }
 }
 
-/// Seeded exponential backoff with bounded jitter:
-/// `delay_k = min(max_nanos, base_nanos · factor^k · (1 + jitter · u_k))`
-/// with `u_k` uniform in `[0, 1)`.
-///
-/// The jitter bound `jitter ≤ factor − 1` is what makes every schedule
-/// monotone non-decreasing: consecutive raw delays satisfy
-/// `d_{k+1}/d_k ≥ factor / (1 + jitter) ≥ 1`, and clamping with
-/// `min(max, ·)` preserves monotonicity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackoffPolicy {
-    /// First delay, in nanoseconds.
-    pub base_nanos: u64,
-    /// Multiplicative growth per retry (must be ≥ 1).
-    pub factor: f64,
-    /// Delay ceiling, in nanoseconds.
-    pub max_nanos: u64,
-    /// Jitter amplitude in `[0, factor − 1]`.
-    pub jitter: f64,
-}
+/// First retry delay: 1 ms.
+const BACKOFF_BASE_NANOS: u64 = 1_000_000;
 
-impl Default for BackoffPolicy {
-    /// 1ms doubling to a 100ms ceiling with half-range jitter.
-    fn default() -> Self {
-        BackoffPolicy { base_nanos: 1_000_000, factor: 2.0, max_nanos: 100_000_000, jitter: 0.5 }
-    }
-}
+/// Growth of the delay per retry.
+const BACKOFF_FACTOR: f64 = 2.0;
 
-impl BackoffPolicy {
-    /// Validates the policy as typed errors: `factor ≥ 1`,
-    /// `0 ≤ jitter ≤ factor − 1` (the monotonicity bound), and a ceiling
-    /// no lower than the base.
-    pub fn validate(&self) -> Result<()> {
-        if !self.factor.is_finite() || self.factor < 1.0 {
-            return Err(CoreError::InvalidParameter {
-                name: "backoff policy",
-                message: format!("factor {} must be finite and ≥ 1", self.factor),
-            });
-        }
-        if !self.jitter.is_finite() || self.jitter < 0.0 || self.jitter > self.factor - 1.0 {
-            return Err(CoreError::InvalidParameter {
-                name: "backoff policy",
-                message: format!(
-                    "jitter {} outside [0, factor − 1 = {}] — the bound that keeps schedules \
-                     monotone",
-                    self.jitter,
-                    self.factor - 1.0
-                ),
-            });
-        }
-        if self.max_nanos < self.base_nanos {
-            return Err(CoreError::InvalidParameter {
-                name: "backoff policy",
-                message: format!(
-                    "max_nanos {} below base_nanos {}",
-                    self.max_nanos, self.base_nanos
-                ),
-            });
-        }
-        Ok(())
-    }
+/// Delay ceiling: 100 ms.
+const BACKOFF_MAX_NANOS: u64 = 100_000_000;
 
-    /// The deterministic delay schedule for one request. Same policy + same
-    /// seed → identical schedule, forever.
-    ///
-    /// Panics on an invalid policy — validate first when the policy comes
-    /// from untrusted input.
-    pub fn schedule(&self, seed: u64) -> BackoffSchedule {
-        self.validate().expect("valid backoff policy");
-        BackoffSchedule {
-            base: self.base_nanos as f64,
-            factor: self.factor,
-            max: self.max_nanos,
-            jitter: self.jitter,
-            growth: 1.0,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
+/// Jitter amplitude. It is at most `BACKOFF_FACTOR − 1`, which is what
+/// makes every schedule monotone non-decreasing: consecutive raw delays
+/// satisfy `d_{k+1}/d_k ≥ factor / (1 + jitter) ≥ 1`, and clamping with
+/// `min(max, ·)` preserves the order.
+const BACKOFF_JITTER: f64 = 0.5;
 
-/// The (infinite) iterator of retry delays a [`BackoffPolicy`] seeds.
+/// The (infinite) iterator of one request's retry delays, in nanoseconds:
+/// seeded exponential backoff with bounded jitter,
+/// `delay_k = min(max, base · factor^k · (1 + jitter · u_k))` with `u_k`
+/// uniform in `[0, 1)`.
 #[derive(Debug, Clone)]
 pub struct BackoffSchedule {
-    base: f64,
-    factor: f64,
-    max: u64,
-    jitter: f64,
     growth: f64,
     rng: StdRng,
+}
+
+impl BackoffSchedule {
+    /// The deterministic delay schedule for one request. Same seed →
+    /// identical schedule, forever.
+    pub fn new(seed: u64) -> Self {
+        BackoffSchedule { growth: 1.0, rng: StdRng::seed_from_u64(seed) }
+    }
 }
 
 impl Iterator for BackoffSchedule {
@@ -177,42 +121,32 @@ impl Iterator for BackoffSchedule {
 
     fn next(&mut self) -> Option<u64> {
         let u: f64 = self.rng.gen();
-        let raw = self.base * self.growth * (1.0 + self.jitter * u);
-        self.growth *= self.factor;
+        let raw = BACKOFF_BASE_NANOS as f64 * self.growth * (1.0 + BACKOFF_JITTER * u);
+        self.growth *= BACKOFF_FACTOR;
         // An overflowed raw is +inf, which clamps to the ceiling.
-        Some(if raw >= self.max as f64 { self.max } else { raw as u64 })
+        Some(if raw >= BACKOFF_MAX_NANOS as f64 { BACKOFF_MAX_NANOS } else { raw as u64 })
     }
 }
 
-/// How hard the client tries before giving up on a request.
+/// How hard the client tries before giving up on a request. Every retry
+/// sleeps its [`BackoffSchedule`] delay first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Most attempts per request (≥ 1; the first try counts).
     pub max_attempts: u32,
     /// Per-connection I/O deadline in nanoseconds (`None` = block forever).
     pub deadline_nanos: Option<u64>,
-    /// The retry delay schedule.
-    pub backoff: BackoffPolicy,
-    /// Actually sleep the backoff delays. Disable in deterministic tests
-    /// and soaks — the schedule is still consumed identically, so the
-    /// conversation bytes don't change, only the wall clock.
-    pub sleep: bool,
 }
 
 impl Default for RetryPolicy {
-    /// 8 attempts against a 2-second deadline, sleeping real backoff.
+    /// 8 attempts against a 2-second deadline.
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 8,
-            deadline_nanos: Some(2_000_000_000),
-            backoff: BackoffPolicy::default(),
-            sleep: true,
-        }
+        RetryPolicy { max_attempts: 8, deadline_nanos: Some(2_000_000_000) }
     }
 }
 
 impl RetryPolicy {
-    /// Validates the policy (at least one attempt, valid backoff).
+    /// Validates the policy: at least one attempt.
     pub fn validate(&self) -> Result<()> {
         if self.max_attempts == 0 {
             return Err(CoreError::InvalidParameter {
@@ -220,7 +154,7 @@ impl RetryPolicy {
                 message: "max_attempts must be at least 1".into(),
             });
         }
-        self.backoff.validate()
+        Ok(())
     }
 }
 
@@ -359,16 +293,14 @@ impl<C: Connect> NetClient<C> {
     /// request dies with [`ClientError::Exhausted`]. Safe to call blind for
     /// idempotent requests — which, by design, is all of them.
     pub fn request(&mut self, msg: &Message) -> std::result::Result<Message, ClientError> {
-        let mut schedule = self.policy.backoff.schedule(mix(self.seed, self.req_counter));
+        let mut schedule = BackoffSchedule::new(mix(self.seed, self.req_counter));
         self.req_counter += 1;
         self.stats.requests += 1;
         let mut last = String::new();
         for attempt in 0..self.policy.max_attempts {
             if attempt > 0 {
                 let delay = schedule.next().expect("schedule is infinite");
-                if self.policy.sleep && delay > 0 {
-                    std::thread::sleep(Duration::from_nanos(delay));
-                }
+                std::thread::sleep(Duration::from_nanos(delay));
             }
             self.stats.attempts += 1;
             match self.attempt(msg) {
@@ -486,26 +418,18 @@ mod tests {
 
     #[test]
     fn schedules_are_seed_deterministic_and_monotone() {
-        let policy = BackoffPolicy::default();
-        let a: Vec<u64> = policy.schedule(7).take(12).collect();
-        let b: Vec<u64> = policy.schedule(7).take(12).collect();
+        let a: Vec<u64> = BackoffSchedule::new(7).take(12).collect();
+        let b: Vec<u64> = BackoffSchedule::new(7).take(12).collect();
         assert_eq!(a, b, "same seed, same schedule");
         assert!(a.windows(2).all(|w| w[0] <= w[1]), "monotone non-decreasing: {a:?}");
-        assert!(a.iter().all(|&d| d <= policy.max_nanos));
-        assert!(a[0] >= policy.base_nanos);
-        let c: Vec<u64> = policy.schedule(8).take(12).collect();
+        assert!(a.iter().all(|&d| d <= BACKOFF_MAX_NANOS));
+        assert!(a[0] >= BACKOFF_BASE_NANOS);
+        let c: Vec<u64> = BackoffSchedule::new(8).take(12).collect();
         assert_ne!(a, c, "different seeds diverge");
     }
 
     #[test]
     fn invalid_policies_are_typed_errors() {
-        let shrink = BackoffPolicy { factor: 0.5, ..BackoffPolicy::default() };
-        assert!(shrink.validate().is_err());
-        // Jitter above factor − 1 breaks monotonicity and must be refused.
-        let wild = BackoffPolicy { factor: 2.0, jitter: 1.5, ..BackoffPolicy::default() };
-        assert!(wild.validate().is_err());
-        let inverted = BackoffPolicy { base_nanos: 10, max_nanos: 5, ..BackoffPolicy::default() };
-        assert!(inverted.validate().is_err());
         let no_tries = RetryPolicy { max_attempts: 0, ..RetryPolicy::default() };
         assert!(no_tries.validate().is_err());
     }
@@ -561,10 +485,6 @@ mod tests {
         }
     }
 
-    fn test_policy() -> RetryPolicy {
-        RetryPolicy { sleep: false, ..RetryPolicy::default() }
-    }
-
     fn done(job: u32) -> Message {
         Message::JobDone { job, params_hash: 1, log_hash: 2, rounds: 3, accuracy: 0.5 }
     }
@@ -573,7 +493,7 @@ mod tests {
     fn reconnects_after_a_refused_connect() {
         let connector =
             ScriptedConnector { conns: VecDeque::from([None, Some(vec![done(5)])]) };
-        let mut client = NetClient::new(connector, test_policy(), 11).unwrap();
+        let mut client = NetClient::new(connector, RetryPolicy::default(), 11).unwrap();
         let result = client.poll_job(5).unwrap();
         assert_eq!(result.job, 5);
         let stats = client.stats();
@@ -585,7 +505,7 @@ mod tests {
         let busy = Message::Reject { code: RejectCode::Busy, detail: "draining".into() };
         let connector =
             ScriptedConnector { conns: VecDeque::from([Some(vec![busy, done(9)])]) };
-        let mut client = NetClient::new(connector, test_policy(), 11).unwrap();
+        let mut client = NetClient::new(connector, RetryPolicy::default(), 11).unwrap();
         assert_eq!(client.poll_job(9).unwrap().job, 9);
         let stats = client.stats();
         assert_eq!((stats.attempts, stats.connects, stats.retryable_rejects), (2, 1, 1));
@@ -597,7 +517,7 @@ mod tests {
         let connector = ScriptedConnector {
             conns: VecDeque::from([Some(vec![bad]), Some(vec![done(3)])]),
         };
-        let mut client = NetClient::new(connector, test_policy(), 11).unwrap();
+        let mut client = NetClient::new(connector, RetryPolicy::default(), 11).unwrap();
         assert_eq!(client.poll_job(3).unwrap().job, 3);
         assert_eq!(client.stats().connects, 2, "BadFrame must force a fresh connection");
     }
@@ -606,7 +526,7 @@ mod tests {
     fn non_retryable_rejections_surface_typed() {
         let unknown = Message::Reject { code: RejectCode::UnknownJob, detail: "nope".into() };
         let connector = ScriptedConnector { conns: VecDeque::from([Some(vec![unknown])]) };
-        let mut client = NetClient::new(connector, test_policy(), 11).unwrap();
+        let mut client = NetClient::new(connector, RetryPolicy::default(), 11).unwrap();
         assert_eq!(
             client.poll_job(4).unwrap_err(),
             ClientError::Rejected { code: RejectCode::UnknownJob, detail: "nope".into() }
@@ -616,14 +536,18 @@ mod tests {
 
     #[test]
     fn exhaustion_is_bounded_and_typed() {
-        let policy = RetryPolicy { max_attempts: 3, ..test_policy() };
+        let policy = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
         let connector = ScriptedConnector { conns: VecDeque::new() };
         let mut client = NetClient::new(connector, policy, 11).unwrap();
+        let start = std::time::Instant::now();
         let Err(ClientError::Exhausted { attempts, last }) = client.ping() else {
             panic!("expected exhaustion");
         };
         assert_eq!(attempts, 3);
         assert!(!last.is_empty());
         assert_eq!(client.stats().attempts, 3);
+        // The two retries slept the first request's two scheduled delays.
+        let slept: u64 = BackoffSchedule::new(mix(11, 0)).take(2).sum();
+        assert!(start.elapsed() >= Duration::from_nanos(slept), "retries must sleep their backoff");
     }
 }

@@ -142,24 +142,27 @@ pub struct JobResult {
     pub accuracy: f64,
 }
 
-/// Fixed-capacity ring remembering ids evicted from a bounded store, so a
-/// lookup can answer "expired" instead of "never existed".
-#[derive(Debug)]
+/// Finished job results the store retains for poll and replay.
+const MAX_FINISHED_JOBS: usize = 256;
+
+/// Aggregation sessions (open and completed) the store retains at once.
+const MAX_SESSIONS: usize = 64;
+
+/// Evicted ids each eviction ring remembers, so they answer as expired,
+/// not unknown.
+const MAX_EVICTED: usize = 1024;
+
+/// Fixed-capacity ring remembering the last [`MAX_EVICTED`] ids evicted
+/// from a bounded store, so a lookup can answer "expired" instead of
+/// "never existed".
+#[derive(Debug, Default)]
 struct EvictRing {
     ids: VecDeque<u32>,
-    cap: usize,
 }
 
 impl EvictRing {
-    fn new(cap: usize) -> Self {
-        EvictRing { ids: VecDeque::new(), cap }
-    }
-
     fn push(&mut self, id: u32) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.ids.len() == self.cap {
+        if self.ids.len() == MAX_EVICTED {
             self.ids.pop_front();
         }
         self.ids.push_back(id);
@@ -181,27 +184,17 @@ struct JobRecord {
 }
 
 /// A bounded registry of finished jobs keyed by *client-chosen* job id.
-/// Records are retained (at most `max_finished`) so a retrying or
+/// Records are retained (at most [`MAX_FINISHED_JOBS`]) so a retrying or
 /// reconnecting client can recover a reply it never saw; evicted ids are
 /// remembered in a ring so they answer as expired, not unknown.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct JobRegistry {
     records: HashMap<u32, JobRecord>,
     finished: VecDeque<u32>,
     evicted: EvictRing,
-    max_finished: usize,
 }
 
 impl JobRegistry {
-    fn new(max_finished: usize, max_evicted: usize) -> Self {
-        JobRegistry {
-            records: HashMap::new(),
-            finished: VecDeque::new(),
-            evicted: EvictRing::new(max_evicted),
-            max_finished,
-        }
-    }
-
     /// The record of `job`, or why there is none: `Expired` if it aged out
     /// of the bounded store, `UnknownJob` if it was never submitted.
     fn lookup(&self, job: u32) -> std::result::Result<&JobRecord, RejectCode> {
@@ -217,7 +210,7 @@ impl JobRegistry {
     fn record(&mut self, job: u32, record: JobRecord) {
         self.records.insert(job, record);
         self.finished.push_back(job);
-        if self.finished.len() > self.max_finished {
+        if self.finished.len() > MAX_FINISHED_JOBS {
             if let Some(old) = self.finished.pop_front() {
                 self.records.remove(&old);
                 self.evicted.push(old);
@@ -240,25 +233,6 @@ fn job_reject(code: RejectCode, job: u32) -> Message {
 }
 
 // ---- session store -----------------------------------------------------
-
-/// Bounds on the cross-connection service state. Everything the store
-/// retains is capped, so a hostile or forgetful client degrades service
-/// into typed `Busy`/`Expired` rejections instead of unbounded memory.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StoreConfig {
-    /// Finished job results retained for poll/replay.
-    pub max_finished_jobs: usize,
-    /// Most aggregation sessions (open + completed) retained at once.
-    pub max_sessions: usize,
-    /// Evicted ids remembered so they answer as expired, not unknown.
-    pub max_evicted: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig { max_finished_jobs: 256, max_sessions: 64, max_evicted: 1024 }
-    }
-}
 
 /// One wire-level aggregation round: raw parameter uploads collected per
 /// client until every expected participant has reported, then the fused
@@ -288,34 +262,18 @@ pub const MAX_SESSION_CLIENTS: u32 = 65_536;
 /// The service state that must *survive disconnects*: the job registry and
 /// the aggregation sessions. A [`FederationService`] owns one and serves
 /// every connection from it, so a client that reconnects can resume its
-/// session or poll a result by job id.
-#[derive(Debug)]
+/// session or poll a result by job id. Everything the store retains is
+/// capped, so a hostile or forgetful client degrades service into typed
+/// `Busy`/`Expired` rejections instead of unbounded memory.
+#[derive(Debug, Default)]
 pub(crate) struct SessionStore {
     jobs: JobRegistry,
     sessions: HashMap<u32, AggregationSession>,
     completed_order: VecDeque<u32>,
     evicted_sessions: EvictRing,
-    config: StoreConfig,
-}
-
-impl Default for SessionStore {
-    fn default() -> Self {
-        Self::new(StoreConfig::default())
-    }
 }
 
 impl SessionStore {
-    /// An empty store with the given bounds.
-    pub fn new(config: StoreConfig) -> Self {
-        SessionStore {
-            jobs: JobRegistry::new(config.max_finished_jobs, config.max_evicted),
-            sessions: HashMap::new(),
-            completed_order: VecDeque::new(),
-            evicted_sessions: EvictRing::new(config.max_evicted),
-            config,
-        }
-    }
-
     /// Handles [`Message::OpenSession`]: registers the round, idempotently
     /// re-acknowledges an existing session of the same shape, and degrades
     /// into typed `Busy` when the bounded table is full of open sessions.
@@ -355,7 +313,7 @@ impl SessionStore {
                 detail: format!("session {session} aged out of the bounded session store"),
             };
         }
-        if self.sessions.len() >= self.config.max_sessions {
+        if self.sessions.len() >= MAX_SESSIONS {
             // Prefer evicting the oldest *completed* round over refusing.
             if let Some(old) = self.completed_order.pop_front() {
                 self.sessions.remove(&old);
@@ -1003,20 +961,39 @@ mod tests {
 
     #[test]
     fn bounded_job_registry_expires_the_oldest_record() {
-        let config = StoreConfig { max_finished_jobs: 2, ..StoreConfig::default() };
-        let mut store = SessionStore::new(config);
+        let mut store = SessionStore::default();
         // Unknown rule codes fail fast; failures are recorded like results.
         let spec = JobSpec { rule: 9, ..JobSpec::clean(1, 2, 1) };
-        for j in 0..3 {
+        let newest = MAX_FINISHED_JOBS as u32;
+        for j in 0..=newest {
             assert_eq!(reject_code(&store.submit_job(j, &spec)), RejectCode::Invalid);
         }
         // Past the retention bound the oldest record expires: typed, not a
         // re-run and not "never submitted".
         assert_eq!(reject_code(&store.poll_job(0)), RejectCode::Expired);
         assert_eq!(reject_code(&store.submit_job(0, &spec)), RejectCode::Expired);
-        assert_eq!(store.poll_job(2), store.submit_job(2, &spec));
-        assert_eq!(reject_code(&store.poll_job(2)), RejectCode::Invalid);
-        assert_eq!(reject_code(&store.poll_job(77)), RejectCode::UnknownJob);
+        assert_eq!(store.poll_job(newest), store.submit_job(newest, &spec));
+        assert_eq!(reject_code(&store.poll_job(newest)), RejectCode::Invalid);
+        assert_eq!(reject_code(&store.poll_job(newest + 1)), RejectCode::UnknownJob);
+    }
+
+    #[test]
+    fn eviction_ring_remembers_only_the_newest_evicted_ids() {
+        let mut store = SessionStore::default();
+        let spec = JobSpec { rule: 9, ..JobSpec::clean(1, 2, 1) };
+        let total = (MAX_FINISHED_JOBS + MAX_EVICTED + 1) as u32;
+        let replies: Vec<Message> = (0..total).map(|j| store.submit_job(j, &spec)).collect();
+        // The newest records replay; the evicted ids before them answer
+        // `Expired` while the ring holds them; the one pushed out of the
+        // ring is indistinguishable from an id never submitted.
+        let first_kept = total - MAX_FINISHED_JOBS as u32;
+        for j in first_kept..total {
+            assert_eq!(store.poll_job(j), replies[j as usize], "job {j}");
+        }
+        for j in first_kept - MAX_EVICTED as u32..first_kept {
+            assert_eq!(reject_code(&store.poll_job(j)), RejectCode::Expired, "job {j}");
+        }
+        assert_eq!(reject_code(&store.poll_job(0)), RejectCode::UnknownJob);
     }
 
     #[test]
@@ -1242,18 +1219,19 @@ mod tests {
 
     #[test]
     fn session_table_full_degrades_into_busy_then_evicts_completed() {
-        let config = StoreConfig { max_sessions: 2, ..StoreConfig::default() };
-        let mut store = SessionStore::new(config);
-        assert!(matches!(store.open_session(0, 1, 1), Message::Ack { .. }));
-        assert!(matches!(store.open_session(1, 1, 1), Message::Ack { .. }));
-        // Both open, table full: typed Busy, never a hang or a panic.
-        assert_eq!(reject_code(&store.open_session(2, 1, 1)), RejectCode::Busy);
+        let mut store = SessionStore::default();
+        let full = MAX_SESSIONS as u32;
+        for session in 0..full {
+            assert!(matches!(store.open_session(session, 1, 1), Message::Ack { .. }));
+        }
+        // All open, table full: typed Busy, never a hang or a panic.
+        assert_eq!(reject_code(&store.open_session(full, 1, 1)), RejectCode::Busy);
         // Complete session 0; the next open evicts it to make room.
         assert!(matches!(
             store.submit_update(0, 0, 1, vec![1.0]),
             Message::RoundComplete { .. }
         ));
-        assert!(matches!(store.open_session(2, 1, 1), Message::Ack { .. }));
+        assert!(matches!(store.open_session(full, 1, 1), Message::Ack { .. }));
         // The evicted session now answers as expired, not unknown.
         assert_eq!(reject_code(&store.resume_session(0)), RejectCode::Expired);
         assert_eq!(reject_code(&store.submit_update(0, 0, 1, vec![1.0])), RejectCode::Expired);

@@ -41,7 +41,9 @@
 //! scorer quarantines them, and the honest control stays flag-free.
 
 use ctfl::core::estimator::{CtflConfig, CtflEstimator};
-use ctfl::core::robustness::{analyze_signatures, SignatureConfig, UploadAuditConfig};
+use ctfl::core::robustness::{
+    analyze_signatures, SignatureReport, UploadAuditConfig, COLLUDER_ROUND_FRAC,
+};
 use ctfl::fl::privacy::{ActivationUpload, PrivacyConfig, PrivateScoring};
 use ctfl::fl::score_attack::{ScoreAttackInjector, ScoreAttackKind, ScoreAttackPlan};
 use ctfl::data::adverse::{flip_labels, replicate};
@@ -245,15 +247,13 @@ fn main() {
         assert_ne!(*gamed, vec![1, 2, 4], "data-level tracing must not attribute the gaming");
     }
 
-    let sig_config = SignatureConfig::default();
-    let control_sig =
-        analyze_signatures(&control.log.update_signatures(), n_clients, &sig_config)
-            .expect("signatures are well-formed");
+    let control_sig = analyze_signatures(&control.log.update_signatures(), n_clients)
+        .expect("signatures are well-formed");
     assert!(
         control_sig.suspected_colluders.is_empty() && control_sig.suspected_free_riders.is_empty(),
         "signature detectors must flag nobody on the honest control"
     );
-    let sig = analyze_signatures(&run.log.update_signatures(), n_clients, &sig_config)
+    let sig = analyze_signatures(&run.log.update_signatures(), n_clients)
         .expect("signatures are well-formed");
     println!("\nupdate signatures (server-side, per submitted update):");
     println!("client  signed  copy-rounds  free-ride-rounds  copy-peers");
@@ -290,28 +290,31 @@ fn main() {
 
     let k = 3.0; // scheduled per round
     let co_scheduling = (k - 1.0) / (n_clients as f64 - 1.0);
-    let sampled_sig_config = SignatureConfig {
-        colluder_round_frac: sig_config.colluder_round_frac * co_scheduling,
-        ..sig_config
-    };
+    let colluder_frac = COLLUDER_ROUND_FRAC * co_scheduling;
     println!(
         "collusion threshold scaled by the co-scheduling probability: {:.2} -> {:.2}",
-        sig_config.colluder_round_frac, sampled_sig_config.colluder_round_frac
+        COLLUDER_ROUND_FRAC, colluder_frac
     );
-    let sampled_ctrl_sig = analyze_signatures(
-        &sampled_control.log.update_signatures(),
-        n_clients,
-        &sampled_sig_config,
-    )
-    .expect("signatures are well-formed");
+    // The detector's collusion rule at the scaled threshold, applied to
+    // its per-client tallies.
+    let colluders = |sig: &SignatureReport| -> Vec<usize> {
+        (0..n_clients)
+            .filter(|&c| {
+                let s = &sig.clients[c];
+                s.copy_rounds > 0 && s.copy_rounds as f64 >= colluder_frac * s.signed_rounds as f64
+            })
+            .collect()
+    };
+    let sampled_ctrl_sig = analyze_signatures(&sampled_control.log.update_signatures(), n_clients)
+        .expect("signatures are well-formed");
     assert!(
-        sampled_ctrl_sig.suspected_colluders.is_empty()
+        colluders(&sampled_ctrl_sig).is_empty()
             && sampled_ctrl_sig.suspected_free_riders.is_empty(),
         "the scaled threshold must not flag the sampled honest control"
     );
-    let sampled_sig =
-        analyze_signatures(&sampled_run.log.update_signatures(), n_clients, &sampled_sig_config)
-            .expect("signatures are well-formed");
+    let sampled_sig = analyze_signatures(&sampled_run.log.update_signatures(), n_clients)
+        .expect("signatures are well-formed");
+    let sampled_colluders = colluders(&sampled_sig);
     println!("\nupdate signatures under sampling (copier signs ~half the rounds):");
     println!("client  signed  copy-rounds  free-ride-rounds");
     for (c, stats) in sampled_sig.clients.iter().enumerate() {
@@ -321,10 +324,10 @@ fn main() {
         );
     }
     println!();
-    println!("suspected colluders:       {:?}", sampled_sig.suspected_colluders);
+    println!("suspected colluders:       {:?}", sampled_colluders);
     println!("suspected free-riders:     {:?}", sampled_sig.suspected_free_riders);
     assert_eq!(
-        sampled_sig.suspected_colluders,
+        sampled_colluders,
         vec![1, 4],
         "the ring survives 50% sampling once the threshold accounts for co-scheduling"
     );

@@ -15,11 +15,11 @@
 //! A second act settles the same pool under the *privacy pipeline*: clients
 //! submit activation uploads instead of raw data, one of them inflates its
 //! claimed activations to capture credit, the upload audit names it, and
-//! `slashed_scores` confiscates its payout and redistributes the slash pro
+//! `slash_scores` confiscates its payout and redistributes the slash pro
 //! rata over the unflagged earners — the pot is conserved to the unit.
 
 use ctfl::core::estimator::{CtflConfig, CtflEstimator};
-use ctfl::core::robustness::{SlashPolicy, UploadAuditConfig};
+use ctfl::core::robustness::{slash_scores, UploadAuditConfig};
 use ctfl::core::tracing::TraceConfig;
 use ctfl::fl::privacy::{ActivationUpload, PrivacyConfig, PrivateScoring};
 use ctfl::fl::score_attack::{ScoreAttackInjector, ScoreAttackKind, ScoreAttackPlan};
@@ -151,12 +151,7 @@ fn main() {
         audit.suspected_inflators.contains(&1),
         "the upload audit must name the inflator: {audit:?}"
     );
-    let settled = ctfl::core::robustness::slash_scores(
-        &naive,
-        &audit.flagged,
-        &SlashPolicy::default(),
-    )
-    .expect("flags are in range");
+    let settled = slash_scores(&naive, &audit.flagged).expect("flags are in range");
     let naive_total: f64 = naive.iter().sum();
     let settled_total: f64 = settled.iter().sum();
     assert!((naive_total - settled_total).abs() < 1e-9, "slashing must conserve the pot");

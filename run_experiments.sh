@@ -52,14 +52,19 @@ cmd_gate() {
 # A determinism gate: build one binary of a package, run it twice with the
 # same arguments, byte-diff the outputs, and (optionally) require an OK
 # marker that the binary prints only when its internal assertions all held.
-# $2 = package; $3 = binary; $4 = marker ("" for none); $5 = "merge" to
-# capture stderr with stdout, "drop" to discard stderr (train_speed keeps
-# timings out of the diff); the remaining arguments go to the binary.
+# $2 = package; $3 = binary, or examples/<name> for an example target;
+# $4 = marker ("" for none); $5 = "merge" to capture stderr with stdout,
+# "drop" to discard stderr (train_speed keeps timings out of the diff); the
+# remaining arguments go to the binary.
 diff_gate() {
     local name="$1" pkg="$2" bin="$3" marker="$4" stderr_mode="$5"
     shift 5
     begin_gate "$name"
-    cargo build --release -p "$pkg" --bin "$bin" || fail_gate "build failed"
+    local target=(--bin "$bin")
+    if [[ "$bin" == examples/* ]]; then
+        target=(--example "${bin#examples/}")
+    fi
+    cargo build --release -p "$pkg" "${target[@]}" || fail_gate "build failed"
     local a b
     a=$(mktemp) && b=$(mktemp)
     if [ "$stderr_mode" = merge ]; then
@@ -176,6 +181,14 @@ check() {
     # async regime actually landed stale updates.
     diff_gate "scenario sweep (regimes x schemes)" ctfl-bench scenario_sweep SCENARIO_OK merge \
         --seed 7
+
+    # `cargo test` only compiles the examples; running each one executes
+    # its own assertions, and the double run is byte-diffed like any other.
+    local example
+    for example in adverse_detection interpret_participants marketplace privacy_pipeline \
+        quickstart; do
+        diff_gate "example ($example)" ctfl "examples/$example" "" merge
+    done
 
     echo
     echo "gate wall-time summary:"

@@ -171,6 +171,11 @@ fn estimate(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let test_fraction: f64 = parse_flag(args, "--test-fraction", 0.2);
+    // The same (0, 1) contract as `train_test_split`, the split `demo` uses.
+    if !(test_fraction > 0.0 && test_fraction < 1.0) {
+        eprintln!("invalid value for --test-fraction: {test_fraction}");
+        return ExitCode::from(2);
+    }
     let seed: u64 = parse_flag(args, "--seed", 7);
     let tau_w: f64 = parse_flag(args, "--tau-w", 0.9);
     let delta: u32 = parse_flag(args, "--delta", 2);

@@ -7,7 +7,7 @@ use ctfl::fl::server::FederationService;
 use ctfl::fl::wire::{JobSpec, Message};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 
 /// Kills the child if the test fails before it exits on its own.
 struct Reaped(Child);
@@ -19,11 +19,9 @@ impl Drop for Reaped {
     }
 }
 
-#[test]
-fn estimate_keeps_a_one_row_client_in_training() {
-    // Clients a, b and c hold 60 rows each; d holds one. A split that
-    // shuffles every row together can send d's only row to the test set
-    // (seed 3 did), leaving client 3 with no training data.
+/// Runs `ctfl estimate` with `extra` arguments on a temporary CSV named
+/// after `tag`: clients a, b and c hold 60 rows each and d holds one.
+fn estimate(tag: &str, extra: &[&str]) -> Output {
     let mut csv = String::from("x1,x2,owner,y\n");
     for owner in ["a", "b", "c"] {
         for i in 0..60u32 {
@@ -33,22 +31,40 @@ fn estimate_keeps_a_one_row_client_in_training() {
         }
     }
     csv.push_str("1,2,d,no\n");
-    let path = std::env::temp_dir().join(format!("ctfl-cli-{}.csv", std::process::id()));
+    let path = std::env::temp_dir().join(format!("ctfl-cli-{tag}-{}.csv", std::process::id()));
     std::fs::write(&path, csv).unwrap();
 
     let out = Command::new(env!("CARGO_BIN_EXE_ctfl"))
         .arg("estimate")
         .arg("--train")
         .arg(&path)
-        .args(["--label", "y", "--client-column", "owner", "--seed", "3"])
-        .args(["--rounds", "3", "--local-epochs", "1"])
+        .args(["--label", "y", "--client-column", "owner"])
+        .args(extra)
         .output()
         .expect("run ctfl estimate");
     std::fs::remove_file(&path).unwrap();
+    out
+}
+
+#[test]
+fn estimate_keeps_a_one_row_client_in_training() {
+    // A split that shuffles every row together can send d's only row to
+    // the test set (seed 3 did), leaving client 3 with no training data.
+    let out = estimate("one-row", &["--seed", "3", "--rounds", "3", "--local-epochs", "1"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "exit {:?}\n{stdout}\n{stderr}", out.status);
     assert!(stdout.contains("client 3: 1 records"), "{stdout}");
+}
+
+#[test]
+fn estimate_rejects_a_test_fraction_outside_the_unit_interval() {
+    for fraction in ["1.5", "-1", "nan", "0"] {
+        let out = estimate("fraction", &["--test-fraction", fraction]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--test-fraction {fraction}: {stderr}");
+        assert!(stderr.contains("invalid value for --test-fraction"), "{stderr}");
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use std::sync::OnceLock;
 
 use ctfl::core::error::CoreError;
-use ctfl::core::robustness::{audit_uploads, slash_scores, SlashPolicy, UploadAuditConfig};
+use ctfl::core::robustness::{audit_uploads, slash_scores, UploadAuditConfig};
 use ctfl::core::tracing::TraceConfig;
 use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
@@ -232,7 +232,7 @@ fn slashing_conserves_the_pot() {
     let scoring = scorer.scoring();
     let uploads = honest_uploads(fx, 0.0, 61);
     let scores = scoring.score(&uploads).unwrap();
-    let slashed = slash_scores(&scores, &[0, 2], &SlashPolicy::default()).unwrap();
+    let slashed = slash_scores(&scores, &[0, 2]).unwrap();
     assert_eq!(slashed[0], 0.0);
     assert_eq!(slashed[2], 0.0);
     let before: f64 = scores.iter().sum();
@@ -240,7 +240,7 @@ fn slashing_conserves_the_pot() {
     assert!((before - after).abs() < 1e-12);
     // Out-of-range flags are typed errors.
     assert!(matches!(
-        slash_scores(&scores, &[N_CLIENTS], &SlashPolicy::default()),
+        slash_scores(&scores, &[N_CLIENTS]),
         Err(CoreError::InvalidParameter { .. })
     ));
 }
