@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use crate::activation::ActivationMatrix;
 use crate::data::{DatasetView, FeatureSchema};
 use crate::error::Result;
-use crate::parallel::{plan_threads, SPAWN_FLOOR_WORDS};
+use crate::parallel::{map_chunks, plan_threads, SPAWN_FLOOR_WORDS};
 use crate::rule::{Predicate, Rule, RuleExpr};
 
 /// A rule formula with its predicates rewritten to indices into the shared
@@ -80,7 +80,7 @@ impl CompiledRules {
     /// bit-packed activation matrix (row-major, one bit per rule).
     ///
     /// With `parallel = true` the predicate column scans are chunked over
-    /// `std::thread::scope` threads; the combine/scatter stage stays serial
+    /// [`map_chunks`] threads; the combine/scatter stage stays serial
     /// because different rule bits of the same matrix row share `u64` words.
     /// Both modes produce identical output.
     pub fn activation_matrix(&self, view: &DatasetView<'_>, parallel: bool) -> ActivationMatrix {
@@ -106,21 +106,12 @@ impl CompiledRules {
         } else {
             1
         };
-        if n_threads <= 1 {
-            return self.preds.iter().map(|p| predicate_mask(p, view)).collect();
-        }
-        let chunk = self.preds.len().div_ceil(n_threads).max(1);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .preds
-                .chunks(chunk)
-                .map(|ps| s.spawn(move || ps.iter().map(|p| predicate_mask(p, view)).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("predicate-mask worker panicked"))
-                .collect()
+        map_chunks(&self.preds, n_threads, |ps| {
+            ps.iter().map(|p| predicate_mask(p, view)).collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 

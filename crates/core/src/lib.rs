@@ -87,7 +87,6 @@ pub use data::{Column, Dataset, DatasetView, FeatureKind, FeatureSchema, Feature
 pub use error::{CoreError, Result};
 pub use estimator::{ContributionReport, CtflConfig, CtflEstimator};
 pub use model::RuleModel;
-pub use parallel::plan_threads;
 pub use rule::{Predicate, Rule, RuleExpr};
 pub use shard::{ActivationShard, ShardedActivations};
 pub use tracing::{TraceConfig, TraceOutcome};

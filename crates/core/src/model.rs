@@ -201,7 +201,7 @@ impl RuleModel {
     /// compiled columnar evaluator: each unique predicate scans its column
     /// once for all rows, rule formulas combine the resulting row masks
     /// word-at-a-time. With `parallel = true` the predicate scans are
-    /// chunked over `std::thread::scope` threads (the paper's GPU
+    /// chunked over [`crate::parallel::map_chunks`] threads (the paper's GPU
     /// parallelization, realised on CPU); output is identical either way.
     pub fn activation_matrix(&self, data: &Dataset, parallel: bool) -> Result<ActivationMatrix> {
         self.activation_matrix_view(&data.view(), parallel)

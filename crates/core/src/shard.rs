@@ -19,7 +19,7 @@ use crate::activation::ActivationMatrix;
 use crate::batch::CompiledRules;
 use crate::data::DatasetView;
 use crate::error::{CoreError, Result};
-use crate::parallel::{plan_threads, SPAWN_FLOOR_WORDS};
+use crate::parallel::{map_chunks, plan_threads, SPAWN_FLOOR_WORDS};
 
 /// One client's slice of the federation: its packed activation rows plus
 /// the matching labels.
@@ -97,9 +97,9 @@ impl ShardedActivations {
     /// resulting shards, in `views` order.
     ///
     /// With `parallel = true` the per-shard batch evaluations are chunked
-    /// over scoped threads (each shard's arena is written by exactly one
-    /// thread); results are committed in shard order, so output is
-    /// identical to the serial build.
+    /// over [`map_chunks`] threads (each shard's arena is written by
+    /// exactly one thread); results are committed in shard order, so output
+    /// is identical to the serial build.
     pub fn build(
         compiled: &CompiledRules,
         views: &[(u32, DatasetView<'_>)],
@@ -109,28 +109,19 @@ impl ShardedActivations {
         let total_words: usize = views.iter().map(|(_, v)| v.len() * words_per_row).sum();
         let n_threads =
             if parallel { plan_threads(total_words, views.len(), SPAWN_FLOOR_WORDS, 0) } else { 1 };
-        let shards: Vec<ActivationShard> = if n_threads <= 1 {
-            views.iter().map(|(c, v)| build_shard(compiled, *c, v, parallel)).collect()
-        } else {
-            let chunk = views.len().div_ceil(n_threads).max(1);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = views
-                    .chunks(chunk)
-                    .map(|vs| {
-                        s.spawn(move || {
-                            vs.iter()
-                                .map(|(c, v)| build_shard(compiled, *c, v, false))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard-build worker panicked"))
-                    .collect()
-            })
-        };
-        ShardedActivations::from_shards(shards)
+        // Chunked workers fill their shards serially, so fan-outs never nest;
+        // a lone chunk keeps the fill's own `parallel`.
+        let fill_parallel = parallel && n_threads <= 1;
+        let shards = map_chunks(views, n_threads, |vs| {
+            vs.iter()
+                .map(|(client, v)| ActivationShard {
+                    client: *client,
+                    acts: compiled.activation_matrix(v, fill_parallel),
+                    labels: v.labels_vec(),
+                })
+                .collect::<Vec<_>>()
+        });
+        ShardedActivations::from_shards(shards.into_iter().flatten().collect())
     }
 
     /// Total rows across all shards.
@@ -156,11 +147,6 @@ impl ShardedActivations {
     /// One shard (zero-copy view into its arena).
     pub fn shard(&self, s: usize) -> &ActivationShard {
         &self.shards[s]
-    }
-
-    /// Global row index of shard `s`'s first row.
-    pub fn shard_start(&self, s: usize) -> usize {
-        self.starts[s]
     }
 
     /// The packed words of a global row (two indexed loads, no search).
@@ -209,19 +195,6 @@ impl ShardedActivations {
             acts.extend_from_words(shard.acts.n_rows(), shard.acts.as_words())?;
         }
         Ok((acts, self.labels(), self.client_of()))
-    }
-}
-
-fn build_shard(
-    compiled: &CompiledRules,
-    client: u32,
-    view: &DatasetView<'_>,
-    parallel: bool,
-) -> ActivationShard {
-    ActivationShard {
-        client,
-        acts: compiled.activation_matrix(view, parallel),
-        labels: view.labels_vec(),
     }
 }
 
@@ -306,7 +279,7 @@ mod tests {
         let store = ShardedActivations::build(&compiled, &views, false).unwrap();
         assert_eq!(store.n_rows(), 10);
         assert_eq!(store.client(0), 1);
-        assert_eq!(store.shard_start(1), 0);
+        assert_eq!(store.starts[1], 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::activation::{masked_weight_sum_words, triple_weight_sum_words, ActivationMatrix};
 use crate::error::{CoreError, Result};
 use crate::model::RuleModel;
-use crate::parallel::plan_threads;
+use crate::parallel::{map_chunks, plan_threads};
 use crate::shard::ShardedActivations;
 use ctfl_rulemine::{assign_groups, max_miner, MaxMinerConfig, TransactionSet};
 use std::collections::HashMap;
@@ -674,23 +674,13 @@ fn trace_kernel<T: TrainAccess>(
     } else {
         1
     };
-    let process_chunk = |gs: &[WorkGroup]| -> TraceAcc {
+    let accs = map_chunks(&groups, n_threads, |gs| {
         let mut acc = TraceAcc::new(n_train, n_clients, n_rules);
         for g in gs {
             trace_group_into(train, test, config, g, &traced_class, &denoms, &train_by_class, n_clients, &mut acc);
         }
         acc
-    };
-    let accs: Vec<TraceAcc> = if n_threads > 1 && groups.len() > 1 {
-        let chunk = groups.len().div_ceil(n_threads).max(1);
-        let pc = &process_chunk;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = groups.chunks(chunk).map(|gs| s.spawn(move || pc(gs))).collect();
-            handles.into_iter().map(|h| h.join().expect("trace worker panicked")).collect()
-        })
-    } else {
-        vec![process_chunk(&groups)]
-    };
+    });
 
     // Merge worker accumulators in chunk order.
     let mut per_test: Vec<Option<TestTrace>> = vec![None; n_test];

@@ -560,6 +560,7 @@ impl<'a> FederationEngine<'a> {
     /// requires it, each from its round-start model, on scoped threads when
     /// `parallel` is set and more than one client computes. `None` marks a
     /// client that did no work.
+    #[allow(clippy::disallowed_methods)] // threads own `&mut` clients; `map_chunks` shares a slice
     fn compute(&mut self, fates: &[Fate], scheduled: &[bool]) -> Vec<Option<LocalOutcome>> {
         let n_computing =
             fates.iter().zip(scheduled).filter(|(f, s)| **s && needs_compute(**f)).count();

@@ -56,16 +56,6 @@ pub enum FaultKind {
     Panic,
 }
 
-impl FaultKind {
-    /// Whether the fault re-fires on round retries. Dropout and straggling
-    /// model transient conditions (network blips, slow links) that a retry
-    /// gives a second chance; crash, corruption and panics are properties of
-    /// the client itself and persist within the round.
-    pub fn persists_across_attempts(&self) -> bool {
-        !matches!(self, FaultKind::Dropout | FaultKind::Straggler)
-    }
-}
-
 /// One scheduled fault: `client` suffers `kind` in `round`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
@@ -332,10 +322,12 @@ impl FaultInjector {
         FaultInjector { plan, crashed }
     }
 
-    /// Resolves a client's fate for `(round, attempt)`. Transient faults
-    /// (dropout, straggler) only fire on the first attempt of a round —
-    /// a quorum retry gives them a second chance; crash, corruption and
-    /// panics persist (see [`FaultKind::persists_across_attempts`]).
+    /// Resolves a client's fate for `(round, attempt)`. The match below is
+    /// the retry rule: dropout and straggling model transient conditions
+    /// (network blips, slow links), so they only fire on the first attempt
+    /// of a round and a quorum retry gives them a second chance; crash,
+    /// corruption and panics are properties of the client itself and
+    /// persist within the round.
     pub fn fate(&mut self, round: usize, attempt: usize, client: usize) -> Fate {
         if self.crashed[client] {
             return Fate::Crashed;
@@ -351,11 +343,6 @@ impl FaultInjector {
             Some(FaultKind::Panic) => Fate::Panic,
             _ => Fate::Healthy,
         }
-    }
-
-    /// Number of clients that have permanently crashed so far.
-    pub fn n_crashed(&self) -> usize {
-        self.crashed.iter().filter(|&&c| c).count()
     }
 
     /// Applies a corruption mode to a freshly computed parameter vector.
@@ -418,7 +405,7 @@ mod tests {
         assert_eq!(inj.fate(1, 0, 0), Fate::Crashed);
         assert_eq!(inj.fate(3, 0, 0), Fate::Crashed, "crash persists");
         assert_eq!(inj.fate(3, 0, 1), Fate::Healthy);
-        assert_eq!(inj.n_crashed(), 1);
+        assert_eq!(inj.crashed.iter().filter(|&&c| c).count(), 1);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use engine::{EngineState, FederationEngine};
 pub use faults::{CorruptionKind, FaultKind, FaultPlan, FaultSpec};
 pub use fedavg::{train_federated, ByzantineSetup, FederationRun, FlConfig};
 pub use guard::{FederationLog, GuardConfig, PanicPolicy};
-pub use metrics::{accuracy_of, f1_binary, f1_macro};
+pub use metrics::{f1_binary, f1_macro};
 pub use schedule::{RoundPlan, Schedule};
 pub use topology::Topology;
 pub use privacy::{

@@ -1,13 +1,6 @@
 //! Model evaluation metrics.
 
-use ctfl_core::data::Dataset;
 use ctfl_core::error::{CoreError, Result};
-use ctfl_core::model::RuleModel;
-
-/// Test accuracy of a rule model on a dataset (Eq. 1).
-pub fn accuracy_of(model: &RuleModel, data: &Dataset) -> Result<f64> {
-    model.accuracy(data)
-}
 
 /// Binary F1 score of predictions against labels (positive class = 1).
 ///

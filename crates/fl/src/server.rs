@@ -20,10 +20,10 @@
 //!   ([`FederationService::execute_job`]) or multiplexed over a
 //!   scoped-thread worker pool ([`FederationService::run_jobs`]), with
 //!   bit-identical results either way: engines share no mutable state, and
-//!   each result lands in its job's own slot regardless of which worker ran
-//!   it or in what order they finished. Job size is bounded
-//!   ([`MAX_JOB_WORK`]), so no request can make the service allocate or
-//!   train without limit.
+//!   each worker runs one contiguous run of the batch whose results are
+//!   joined in batch order, whatever order the workers finish in. Job size
+//!   is bounded ([`MAX_JOB_WORK`]), so no request can make the service
+//!   allocate or train without limit.
 //! * Wire dispatch — [`FederationService::handle_message`] maps each
 //!   decoded [`Message`] to its reply, and [`FederationService::serve`]
 //!   pumps frames over any `Read`/`Write` transport until shutdown, clean
@@ -36,12 +36,12 @@
 
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_core::error::{CoreError, Result};
+use ctfl_core::parallel::map_chunks;
 use ctfl_nn::net::LogicalNetConfig;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::adversary::{AdversaryPlan, AttackKind};
 use crate::aggregate::{Aggregator, CoordinateMedian, MultiKrum, TrimmedMean, WeightedFedAvg};
@@ -776,35 +776,15 @@ impl FederationService {
     /// order — position `i` of the output is job `i` of the input — and are
     /// bit-identical to running [`FederationService::execute_job`] over the
     /// slice serially: each engine session is self-contained, each worker
-    /// claims the next unclaimed index, and each result is written to its
-    /// own pre-allocated slot.
+    /// takes one contiguous run of the batch ([`map_chunks`]), and the runs'
+    /// results are joined in batch order.
     pub fn run_jobs(&self, jobs: &[(u32, JobSpec)]) -> Vec<Result<JobResult>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let n_workers = self.workers.min(jobs.len());
-        if n_workers <= 1 {
-            return jobs.iter().map(|(id, spec)| Self::execute_job(*id, spec)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<JobResult>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..n_workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((id, spec)) = jobs.get(i) else { break };
-                    let result = Self::execute_job(*id, spec);
-                    *slots[i].lock().expect("job slot lock") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().expect("job slot lock").expect("every job slot is filled")
-            })
-            .collect()
+        map_chunks(jobs, self.workers, |js| {
+            js.iter().map(|(id, spec)| Self::execute_job(*id, spec)).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Maps one request to its reply — the transport-free core of the

@@ -115,15 +115,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Makes `self` an element-for-element copy of `src`, reusing the
-    /// allocation (shape follows `src`).
-    pub fn fill_from(&mut self, src: &Matrix) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// `self · other` (`rows×cols` by `cols×k`).
     ///
     /// # Panics
@@ -328,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn resize_and_fill_from_reuse_allocation() {
+    fn resize_reuses_allocation() {
         let mut m = Matrix::zeros(4, 4);
         let cap = |m: &Matrix| m.data.capacity();
         let c0 = cap(&m);
@@ -337,9 +328,6 @@ mod tests {
         m.resize(4, 4);
         assert_eq!(cap(&m), c0, "shrink+regrow must not reallocate");
         let src = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        m.fill_from(&src);
-        assert_eq!(m, src);
-        assert_eq!(cap(&m), c0);
         let mut snap = Matrix::zeros(2, 2);
         snap.clone_from(&src);
         assert_eq!(snap, src);

@@ -353,11 +353,6 @@ impl LogicalNet {
         &self.config
     }
 
-    /// Width of the rule-activation vector (head input).
-    pub fn n_rule_slots(&self) -> usize {
-        self.head.n_rules()
-    }
-
     fn forward(&self, x: &Matrix, discrete: bool) -> ForwardCache {
         let batch = x.rows();
         let mut layer_inputs = Vec::with_capacity(self.layers.len());
@@ -404,11 +399,6 @@ impl LogicalNet {
     /// Discrete-model logits for an encoded batch.
     pub fn logits_discrete(&self, x: &Matrix) -> Matrix {
         self.head.forward(&self.forward(x, true).rules)
-    }
-
-    /// Discrete rule activations (head input) for an encoded batch.
-    pub fn rule_activations(&self, x: &Matrix) -> Matrix {
-        self.forward(x, true).rules
     }
 
     /// Discrete-model predictions for an encoded batch.
@@ -1024,9 +1014,9 @@ mod tests {
         let mut net = LogicalNet::new(Arc::clone(ds.schema()), 2, small_config(4)).unwrap();
         net.fit(&ds).unwrap();
         let e = net.encode(&ds).unwrap();
-        let r = net.rule_activations(&e.x);
+        let r = net.forward(&e.x, true).rules;
         assert!(r.data().iter().all(|&v| v == 0.0 || v == 1.0));
-        assert_eq!(r.cols(), net.n_rule_slots());
+        assert_eq!(r.cols(), net.head.n_rules());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   `truncation_tolerance` of `v(N)` (remaining marginals ≈ 0 — the
 //!   GTG-Shapley acceleration the paper applies to this baseline).
 
-use ctfl_core::parallel::plan_threads;
+use ctfl_core::parallel::{map_chunks, plan_threads};
 use ctfl_rng::seq::SliceRandom;
 use ctfl_rng::Rng;
 
@@ -128,28 +128,14 @@ pub fn sampled_shapley<U: UtilityFn, R: Rng + ?Sized>(
     // single permutation per worker.
     let n_threads =
         if config.parallel { plan_threads(perms.len(), perms.len(), 1, 0) } else { 1 };
-    let per_perm: Vec<PermDeltas> = if n_threads > 1 && perms.len() > 1 {
-        let chunk = perms.len().div_ceil(n_threads).max(1);
-        let scan = &scan;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = perms
-                .chunks(chunk)
-                .map(|ps| s.spawn(move || ps.iter().map(|p| scan(p)).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shapley permutation worker panicked"))
-                .collect()
-        })
-    } else {
-        perms.iter().map(|p| scan(p)).collect()
-    };
+    let per_chunk =
+        map_chunks(&perms, n_threads, |ps| ps.iter().map(|p| scan(p)).collect::<Vec<_>>());
 
     // Fold marginals in permutation order: per player this is one addition
     // per (non-truncated) permutation, in the same sequence the serial
     // loop performs — byte-identical scores.
     let mut scores = vec![0.0f64; n];
-    for deltas in per_perm {
+    for deltas in per_chunk.into_iter().flatten() {
         for (player, delta) in deltas {
             scores[player] += delta;
         }

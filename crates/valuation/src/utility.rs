@@ -1,6 +1,7 @@
 //! Data-utility functions `v : 2^N → ℝ` (paper Definition II.1).
 
 use ctfl_core::data::{Dataset, DatasetView};
+use ctfl_core::parallel::{map_chunks, plan_threads};
 use ctfl_fl::{
     AdversaryPlan, ByzantineSetup, FaultPlan, FederationEngine, FlConfig, GuardConfig,
     WeightedFedAvg,
@@ -287,7 +288,7 @@ impl UtilityFn for ModelUtility {
     }
 }
 
-/// Evaluates `v` on many coalitions concurrently with scoped threads.
+/// Evaluates `v` on many coalitions concurrently with [`map_chunks`].
 ///
 /// Results are committed in the order of `coalitions` (chunk boundaries
 /// are input positions), so the output never depends on thread timing —
@@ -295,22 +296,12 @@ impl UtilityFn for ModelUtility {
 pub fn evaluate_many<U: UtilityFn>(u: &U, coalitions: &[Coalition], parallel: bool) -> Vec<f64> {
     // One coalition evaluation (a model training, usually) dwarfs spawn
     // cost: plan with a floor of one coalition per worker.
-    let n_threads = if parallel {
-        ctfl_core::parallel::plan_threads(coalitions.len(), coalitions.len(), 1, 0)
-    } else {
-        1
-    };
-    if n_threads <= 1 || coalitions.len() < 2 {
-        return coalitions.iter().map(|c| u.value(c)).collect();
-    }
-    let chunk = coalitions.len().div_ceil(n_threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = coalitions
-            .chunks(chunk.max(1))
-            .map(|cs| s.spawn(move || cs.iter().map(|c| u.value(c)).collect::<Vec<f64>>()))
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("utility worker panicked")).collect()
-    })
+    let n_threads =
+        if parallel { plan_threads(coalitions.len(), coalitions.len(), 1, 0) } else { 1 };
+    map_chunks(coalitions, n_threads, |cs| cs.iter().map(|c| u.value(c)).collect::<Vec<f64>>())
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]

@@ -219,9 +219,19 @@ fn estimate(args: &[String]) -> ExitCode {
     let mut owners: Vec<u32> = Vec::with_capacity(loaded.data.len());
     for i in 0..loaded.data.len() {
         let row = loaded.data.row(i);
+        // A numeric client column loads as continuous: only a non-negative
+        // integer below 2^32 is an id, so no two ids can merge in `as u32`.
         let owner = match row[client_feature] {
             ctfl::core::data::FeatureValue::Discrete(c) => c,
-            ctfl::core::data::FeatureValue::Continuous(v) => v as u32,
+            ctfl::core::data::FeatureValue::Continuous(v)
+                if (0.0..4_294_967_296.0).contains(&v) && v.fract() == 0.0 =>
+            {
+                v as u32
+            }
+            ctfl::core::data::FeatureValue::Continuous(v) => {
+                eprintln!("row {i}: client id {v} is not a non-negative integer");
+                return ExitCode::FAILURE;
+            }
         };
         owners.push(owner);
         let kept: Vec<_> = keep.iter().map(|&k| row[k]).collect();

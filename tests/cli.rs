@@ -20,17 +20,18 @@ impl Drop for Reaped {
 }
 
 /// Runs `ctfl estimate` with `extra` arguments on a temporary CSV named
-/// after `tag`: clients a, b and c hold 60 rows each and d holds one.
-fn estimate(tag: &str, extra: &[&str]) -> Output {
+/// after `tag`: the first three `owners` hold 60 rows each and the last
+/// holds one.
+fn estimate(tag: &str, owners: [&str; 4], extra: &[&str]) -> Output {
     let mut csv = String::from("x1,x2,owner,y\n");
-    for owner in ["a", "b", "c"] {
+    for owner in &owners[..3] {
         for i in 0..60u32 {
             let (x1, x2) = ((i * 7) % 10, (i * 3 + 1) % 10);
             let y = if x1 > x2 { "yes" } else { "no" };
             writeln!(csv, "{x1},{x2},{owner},{y}").unwrap();
         }
     }
-    csv.push_str("1,2,d,no\n");
+    writeln!(csv, "1,2,{},no", owners[3]).unwrap();
     let path = std::env::temp_dir().join(format!("ctfl-cli-{tag}-{}.csv", std::process::id()));
     std::fs::write(&path, csv).unwrap();
 
@@ -50,7 +51,11 @@ fn estimate(tag: &str, extra: &[&str]) -> Output {
 fn estimate_keeps_a_one_row_client_in_training() {
     // A split that shuffles every row together can send d's only row to
     // the test set (seed 3 did), leaving client 3 with no training data.
-    let out = estimate("one-row", &["--seed", "3", "--rounds", "3", "--local-epochs", "1"]);
+    let out = estimate(
+        "one-row",
+        ["a", "b", "c", "d"],
+        &["--seed", "3", "--rounds", "3", "--local-epochs", "1"],
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "exit {:?}\n{stdout}\n{stderr}", out.status);
@@ -60,10 +65,23 @@ fn estimate_keeps_a_one_row_client_in_training() {
 #[test]
 fn estimate_rejects_a_test_fraction_outside_the_unit_interval() {
     for fraction in ["1.5", "-1", "nan", "0"] {
-        let out = estimate("fraction", &["--test-fraction", fraction]);
+        let out = estimate("fraction", ["a", "b", "c", "d"], &["--test-fraction", fraction]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--test-fraction {fraction}: {stderr}");
         assert!(stderr.contains("invalid value for --test-fraction"), "{stderr}");
+    }
+}
+
+#[test]
+fn estimate_rejects_a_numeric_client_id_that_is_not_a_non_negative_integer() {
+    // `as u32` used to merge -1 into 0 and 0.25/0.75 into 0.
+    for (owners, bad) in [(["-1", "0", "1", "2"], "-1"), (["0.25", "0.75", "1", "2"], "0.25")] {
+        let out = estimate("client-id", owners, &["--rounds", "1", "--local-epochs", "1"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "owners {owners:?}: {stdout}\n{stderr}");
+        let message = format!("row 0: client id {bad} is not a non-negative integer");
+        assert!(stderr.contains(&message), "{stderr}");
     }
 }
 
