@@ -55,6 +55,28 @@ pub fn row_signature_words(words: &[u64]) -> u64 {
     h
 }
 
+/// Refuses a set bit past `n_bits` in the last word of any row of a
+/// row-major word arena (rows of `n_bits.div_ceil(64)` words).
+fn check_tail_bits(n_bits: usize, words: &[u64]) -> Result<()> {
+    let tail = n_bits % 64;
+    if tail == 0 {
+        return Ok(());
+    }
+    let words_per_row = n_bits.div_ceil(64);
+    let stray = !((1u64 << tail) - 1);
+    for (row, w) in words.chunks_exact(words_per_row).enumerate() {
+        let bits = w[words_per_row - 1] & stray;
+        if bits != 0 {
+            let bit = (words_per_row - 1) * 64 + bits.trailing_zeros() as usize;
+            return Err(CoreError::InvalidParameter {
+                name: "activation words",
+                message: format!("row {row} sets bit {bit}, past n_bits {n_bits}"),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A dense `rows × n_bits` binary matrix, one bit per (instance, rule) pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivationMatrix {
@@ -85,7 +107,9 @@ impl ActivationMatrix {
     }
 
     /// Builds a matrix directly from a packed word arena (row-major,
-    /// `n_rows × n_bits.div_ceil(64)` words).
+    /// `n_rows × n_bits.div_ceil(64)` words). A bit set past `n_bits` in a
+    /// row's last word is a typed error, as in
+    /// [`ActivationMatrix::extend_from_words`].
     pub fn from_words(n_rows: usize, n_bits: usize, words: Vec<u64>) -> Result<Self> {
         let words_per_row = n_bits.div_ceil(64);
         if words.len() != n_rows * words_per_row {
@@ -95,6 +119,7 @@ impl ActivationMatrix {
                 actual: words.len(),
             });
         }
+        check_tail_bits(n_bits, &words)?;
         Ok(ActivationMatrix { n_rows, n_bits, words_per_row, words })
     }
 
@@ -105,6 +130,12 @@ impl ActivationMatrix {
 
     /// Appends `n_rows` pre-packed rows (a word-level memcpy — the fast
     /// path for assembling uploads and flattening sharded stores).
+    ///
+    /// Every other constructor keeps the bits past `n_bits` zero, and the
+    /// trace kernel and the upload audit's row signatures rely on it: a
+    /// set tail bit would index past the rule weights, or tell two copies
+    /// of one row apart without changing any traced bit. So a row whose
+    /// last word sets such a bit is a typed error, and nothing is appended.
     pub fn extend_from_words(&mut self, n_rows: usize, words: &[u64]) -> Result<()> {
         if words.len() != n_rows * self.words_per_row {
             return Err(CoreError::LengthMismatch {
@@ -113,6 +144,7 @@ impl ActivationMatrix {
                 actual: words.len(),
             });
         }
+        check_tail_bits(self.n_bits, words)?;
         self.n_rows += n_rows;
         self.words.extend_from_slice(words);
         Ok(())
@@ -397,6 +429,25 @@ mod tests {
 
         assert!(ActivationMatrix::from_words(2, 70, vec![0; 3]).is_err());
         assert!(grown.extend_from_words(2, m.row_words(0)).is_err());
+
+        // A bit past n_bits in a row's last word is refused by both
+        // constructors, and a refused extend appends nothing. Bits up to
+        // n_bits - 1 and every bit of a full-width word are fine.
+        let tail_error = |row: usize, bit: usize| CoreError::InvalidParameter {
+            name: "activation words",
+            message: format!("row {row} sets bit {bit}, past n_bits 70"),
+        };
+        assert_eq!(ActivationMatrix::from_words(1, 70, vec![1, 1 << 36]), Err(tail_error(0, 100)));
+        assert_eq!(
+            ActivationMatrix::from_words(2, 70, vec![0, 1 << 5, 0, 1 << 6]),
+            Err(tail_error(1, 70))
+        );
+        assert_eq!(grown.extend_from_words(1, &[0, u64::MAX]), Err(tail_error(0, 70)));
+        assert_eq!(grown, m);
+        assert!(ActivationMatrix::from_words(1, 70, vec![u64::MAX, (1 << 6) - 1]).is_ok());
+        assert!(ActivationMatrix::from_words(1, 128, vec![u64::MAX; 2]).is_ok());
+        let mut wide = ActivationMatrix::zeros(0, 128);
+        assert!(wide.extend_from_words(1, &[u64::MAX; 2]).is_ok());
     }
 
     #[test]

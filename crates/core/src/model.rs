@@ -58,17 +58,22 @@ impl RuleModel {
         // range, kind agreement, category arity) — the typed errors the
         // columnar evaluator relies on to assume well-typed programs.
         let compiled = CompiledRules::compile(&rules, &schema)?;
-        for rule in &rules {
-            if rule.class >= n_classes {
-                return Err(CoreError::ClassOutOfRange { class: rule.class, n_classes });
-            }
-            if !rule.weight.is_finite() || rule.weight < 0.0 {
-                return Err(CoreError::InvalidParameter {
-                    name: "rule.weight",
-                    message: format!("weights must be finite and >= 0, got {}", rule.weight),
-                });
-            }
+        if let Some(rule) = rules.iter().find(|r| r.class >= n_classes) {
+            return Err(CoreError::ClassOutOfRange { class: rule.class, n_classes });
         }
+        let n_bits = rules.len();
+        // Masks sized exactly to the rule count: a rule-free (degenerate)
+        // model yields zero-word masks matching zero-word activation rows.
+        let class_masks: Vec<Vec<u64>> = (0..n_classes)
+            .map(|c| {
+                ActivationMatrix::build_mask(
+                    n_bits,
+                    rules.iter().enumerate().filter(|(_, r)| r.class == c).map(|(i, _)| i),
+                )
+            })
+            .collect();
+        let weights: Vec<f64> = rules.iter().map(|r| r.weight as f64).collect();
+        check_artifacts(&weights, &class_masks)?;
         let biases = match biases {
             Some(b) => {
                 if b.len() != n_classes {
@@ -82,18 +87,6 @@ impl RuleModel {
             }
             None => vec![0.0; n_classes],
         };
-        let n_bits = rules.len();
-        // Masks sized exactly to the rule count: a rule-free (degenerate)
-        // model yields zero-word masks matching zero-word activation rows.
-        let class_masks = (0..n_classes)
-            .map(|c| {
-                ActivationMatrix::build_mask(
-                    n_bits,
-                    rules.iter().enumerate().filter(|(_, r)| r.class == c).map(|(i, _)| i),
-                )
-            })
-            .collect();
-        let weights = rules.iter().map(|r| r.weight as f64).collect();
         Ok(RuleModel { schema, n_classes, rules, compiled, class_masks, weights, biases })
     }
 
@@ -249,6 +242,33 @@ impl RuleModel {
         }
         Ok(())
     }
+}
+
+/// The one check of a model's rule weights and class masks, run by
+/// [`RuleModel::new`] and on the artifacts the tracer and the upload audit
+/// take apart from a model: every class mask has
+/// `weights.len().div_ceil(64)` words, and every weight is finite and
+/// non-negative.
+///
+/// A NaN weight would make every Eq. 4 comparison false and trace nothing;
+/// a negative one would let the ratio exceed 1; and the trace kernel's
+/// missing-weight bound is only sound over finite, non-negative weights.
+pub(crate) fn check_artifacts(weights: &[f64], class_masks: &[Vec<u64>]) -> Result<()> {
+    let words = weights.len().div_ceil(64);
+    if let Some(mask) = class_masks.iter().find(|mask| mask.len() != words) {
+        return Err(CoreError::LengthMismatch {
+            what: "class mask words",
+            expected: words,
+            actual: mask.len(),
+        });
+    }
+    if let Some((i, w)) = weights.iter().enumerate().find(|(_, w)| !(w.is_finite() && **w >= 0.0)) {
+        return Err(CoreError::InvalidParameter {
+            name: "rule.weight",
+            message: format!("weights must be finite and >= 0, got {w} for rule {i}"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use crate::activation::ActivationMatrix;
 use crate::allocation::{macro_scores, micro_scores, CreditDirection};
 use crate::error::{CoreError, Result};
 use crate::interpret::useless_ratios;
+use crate::model::check_artifacts;
 use crate::tracing::TraceOutcome;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -622,7 +623,8 @@ fn upper_outliers(values: &[f64], z: f64, margin: f64) -> Vec<usize> {
 ///
 /// `weights` / `class_masks` are the public model artifacts every client
 /// already has; each class mask must hold `weights.len().div_ceil(64)`
-/// words. Flags carry *client ids* (not upload positions).
+/// words and every weight must be finite and non-negative (the tracer's
+/// check). Flags carry *client ids* (not upload positions).
 ///
 /// Peer containment goes through an inverted index from each
 /// `(row_signature, label)` key to the uploads holding it, so it costs the
@@ -640,14 +642,7 @@ pub fn audit_uploads(
     config: &UploadAuditConfig,
 ) -> Result<UploadAuditReport> {
     let n_classes = class_masks.len();
-    let words = weights.len().div_ceil(64);
-    if let Some(mask) = class_masks.iter().find(|mask| mask.len() != words) {
-        return Err(CoreError::LengthMismatch {
-            what: "class mask words",
-            expected: words,
-            actual: mask.len(),
-        });
-    }
+    check_artifacts(weights, class_masks)?;
     let mut seen = std::collections::HashSet::new();
     for up in uploads {
         if up.activations.n_bits() != weights.len() {
@@ -1574,6 +1569,25 @@ mod tests {
                     &UploadAuditConfig::default()
                 ),
                 Err(CoreError::LengthMismatch { what: "class mask words", expected, actual })
+            );
+        }
+        // A NaN, infinite or negative rule weight is refused, as
+        // `RuleModel::new` refuses it.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut bad_weights = weights.clone();
+            bad_weights[5] = bad;
+            assert!(
+                matches!(
+                    audit_uploads(
+                        &inputs(&ups, 0.0),
+                        &bad_weights,
+                        &masks,
+                        None,
+                        &UploadAuditConfig::default()
+                    ),
+                    Err(CoreError::InvalidParameter { name: "rule.weight", .. })
+                ),
+                "weight {bad} accepted"
             );
         }
     }

@@ -25,13 +25,39 @@
 //! The tracer never touches raw feature values: it consumes only activation
 //! matrices, labels and the client assignment — exactly the artifacts the
 //! paper's privacy pipeline lets participants upload (Section V).
+//!
+//! # Kernel contract
+//!
+//! The kernel's related sets are the exact Eq. 4 test's, bit for bit; the
+//! pinned per-bit oracle [`trace_reference`] checks this with `==`.
+//!
+//! * **Class arenas.** Once per trace, each class's training rows are
+//!   gathered into one contiguous word arena in global row order, through
+//!   [`TrainAccess`], so both row stores run the same scan over the same
+//!   layout. A work group scans its traced class's arena;
+//!   `FrequentRuleSets` candidate lists are positions in it. A class with
+//!   fewer rules than the bound's cutoff keeps only its row ids and reads
+//!   its (short) rows from the store, which is cheaper than copying them.
+//! * **Missing-weight bound.** A work group with at least
+//!   `BOUND_MIN_BITS` (12) traced bits `R = rep & mask`, whose weights
+//!   quantize to more than twice the budget, first computes an integer
+//!   lower bound on the traced weight each row misses: four bit-planes of
+//!   weights quantized down to eighths of a related row's missing-weight
+//!   budget, and a few popcounts per word. A row the bound rules out
+//!   provably fails the exact test, including its f64 rounding (the
+//!   argument is on `MissBound`); it needs finite, non-negative weights,
+//!   which the validator checks.
+//! * **Exact check of survivors.** Every row the bound does not rule out,
+//!   and every row of a narrower group, gets the exact
+//!   `triple_weight_sum_words(..) >= threshold` test, summed in ascending
+//!   bit order like the oracle.
 
 // Index-based loops below mirror the textbook formulations; iterator
 // rewrites obscure the row/column arithmetic.
 #![allow(clippy::needless_range_loop)]
 use crate::activation::{masked_weight_sum_words, triple_weight_sum_words, ActivationMatrix};
 use crate::error::{CoreError, Result};
-use crate::model::RuleModel;
+use crate::model::{check_artifacts, RuleModel};
 use crate::parallel::{map_chunks, plan_threads};
 use crate::shard::ShardedActivations;
 use ctfl_rulemine::{assign_groups, max_miner, MaxMinerConfig, TransactionSet};
@@ -374,9 +400,9 @@ struct TestSide<'a> {
 }
 
 /// The one input validator, shared by every trace entry point: widths,
-/// lengths, class-mask word counts, and every owner, label and prediction
-/// in range. Everything the kernel indexes by is checked here, so valid
-/// inputs cannot panic it.
+/// lengths, class-mask word counts, finite non-negative rule weights, and
+/// every owner, label and prediction in range. Everything the kernel
+/// indexes by is checked here, so valid inputs cannot panic it.
 fn validate(train: &impl TrainAccess, n_clients: usize, test: &TestSide<'_>) -> Result<()> {
     let m = train.n_bits();
     let n_test = test.acts.n_rows();
@@ -391,14 +417,7 @@ fn validate(train: &impl TrainAccess, n_clients: usize, test: &TestSide<'_>) -> 
             return Err(CoreError::LengthMismatch { what, expected, actual });
         }
     }
-    let words = m.div_ceil(64);
-    if let Some(mask) = test.class_masks.iter().find(|mask| mask.len() != words) {
-        return Err(CoreError::LengthMismatch {
-            what: "class mask words",
-            expected: words,
-            actual: mask.len(),
-        });
-    }
+    check_artifacts(test.weights, test.class_masks)?;
     let n_classes = test.class_masks.len();
     let label_error = |what: &str, l: u32| CoreError::InvalidParameter {
         name: "labels",
@@ -637,13 +656,9 @@ fn trace_kernel<T: TrainAccess>(
         denoms[t] = test.acts.masked_weight_sum(t, &test.class_masks[c], test.weights);
     }
 
-    // Pre-group training rows by label so each test row only scans rows of
-    // its traced class.
-    let n_classes = test.class_masks.len();
-    let mut train_by_class: Vec<Vec<u32>> = vec![Vec::new(); n_classes];
-    for i in 0..n_train {
-        train_by_class[train.label(i) as usize].push(i as u32);
-    }
+    // Gather training rows by label so each test row only scans rows of
+    // its traced class, contiguously, whichever store they came from.
+    let arenas = ClassArena::gather(train, test.class_masks, test.acts.words_per_row());
 
     // Organise test rows into work groups according to the strategy. Each
     // group: (representative handling, member test indices, optional
@@ -663,7 +678,7 @@ fn trace_kernel<T: TrainAccess>(
             &denoms,
             min_support,
             config.tau_w,
-            &train_by_class,
+            &arenas,
         ),
     };
 
@@ -677,7 +692,7 @@ fn trace_kernel<T: TrainAccess>(
     let accs = map_chunks(&groups, n_threads, |gs| {
         let mut acc = TraceAcc::new(n_train, n_clients, n_rules);
         for g in gs {
-            trace_group_into(train, test, config, g, &traced_class, &denoms, &train_by_class, n_clients, &mut acc);
+            trace_group_into(train, test, config, g, &traced_class, &denoms, &arenas, n_clients, &mut acc);
         }
         acc
     });
@@ -738,9 +753,231 @@ struct WorkGroup {
     /// activation signature (SignatureDedup) or a frequent rule subset
     /// (FrequentRuleSets). BruteForce uses singleton groups.
     members: Vec<u32>,
-    /// Optional prefiltered candidate training rows (admissible superset of
-    /// the related set of every member).
+    /// Optional prefiltered candidates: positions in the traced class's
+    /// [`ClassArena`] (an admissible superset of the related set of every
+    /// member).
     candidates: Option<Vec<u32>>,
+}
+
+/// One class's training rows gathered into a contiguous word arena, once
+/// per trace. Both stores gather through [`TrainAccess`], so the pair scan
+/// walks the same memory layout, in the same row order, for either.
+///
+/// A class whose mask holds fewer than [`BOUND_MIN_BITS`] rules can never
+/// have a group wide enough for a [`MissBound`]; its arena keeps the row
+/// ids only and its rows are read from the store. For such short rows the
+/// copy costs more than it saves: on `scale_sweep`'s planted five-rule
+/// model it added 6–8 ms per trace of a million one-word rows, while on
+/// `score_1k_clients` the words took the trace from 141–146 ms to
+/// 125–131 ms.
+struct ClassArena {
+    words_per_row: usize,
+    /// Global row index of each arena row, ascending.
+    rows: Vec<u32>,
+    /// Packed activation words, `rows.len() × words_per_row`, for a class
+    /// with at least [`BOUND_MIN_BITS`] rules.
+    words: Option<Vec<u64>>,
+}
+
+impl ClassArena {
+    /// One arena per class, in one pass over the rows. The arenas grow
+    /// as they fill: reserving each class's exact size up front took a
+    /// second pass over the labels and measured 12 ms slower on
+    /// `scale_sweep`'s first million-row cell.
+    fn gather<T: TrainAccess>(
+        train: &T,
+        class_masks: &[Vec<u64>],
+        words_per_row: usize,
+    ) -> Vec<Self> {
+        let mut arenas: Vec<ClassArena> = class_masks
+            .iter()
+            .map(|mask| {
+                let rules: u32 = mask.iter().map(|w| w.count_ones()).sum();
+                let words = (rules >= BOUND_MIN_BITS).then(Vec::new);
+                ClassArena { words_per_row, rows: Vec::new(), words }
+            })
+            .collect();
+        for (row, (_, label)) in train.owners_and_labels().enumerate() {
+            let arena = &mut arenas[label as usize];
+            arena.rows.push(row as u32);
+            if let Some(words) = &mut arena.words {
+                words.extend_from_slice(train.row_words(row));
+            }
+        }
+        arenas
+    }
+
+    /// Global row indices, ascending, of the arena rows (all of them, or
+    /// the `candidates` positions) that `related` accepts.
+    fn scan<T: TrainAccess>(
+        &self,
+        train: &T,
+        candidates: Option<&[u32]>,
+        related: impl Fn(&[u64]) -> bool,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        match (candidates, &self.words) {
+            (Some(candidates), _) => {
+                for &pos in candidates {
+                    if related(self.row(train, pos as usize)) {
+                        out.push(self.rows[pos as usize]);
+                    }
+                }
+            }
+            (None, Some(words)) => {
+                for (&tr, row) in self.rows.iter().zip(words.chunks_exact(self.words_per_row)) {
+                    if related(row) {
+                        out.push(tr);
+                    }
+                }
+            }
+            (None, None) => {
+                for &tr in &self.rows {
+                    if related(train.row_words(tr as usize)) {
+                        out.push(tr);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The packed words of arena row `pos`, from the arena or the store.
+    #[inline]
+    fn row<'a, T: TrainAccess>(&'a self, train: &'a T, pos: usize) -> &'a [u64] {
+        match &self.words {
+            Some(words) => &words[pos * self.words_per_row..(pos + 1) * self.words_per_row],
+            None => train.row_words(self.rows[pos] as usize),
+        }
+    }
+}
+
+/// Traced-bit count at which a work group builds a [`MissBound`]. Below
+/// it the exact sum is a few additions and the bound's popcounts cost
+/// about as much as they save: one thread, 50k random rows at 45%
+/// density, the bound lost at 8 traced bits in three of four 64- and
+/// 230-bit cases at τ_w 0.7–0.8, and won in all eight at 12 (by 6–61%)
+/// once the group also quantizes to more than [`MIN_TRACED_UNITS`]. A
+/// planted five-rule model never reaches it.
+const BOUND_MIN_BITS: u32 = 12;
+
+/// The missing-weight budget of a related row, in [`MissBound`] units.
+const BUDGET_UNITS: u32 = 8;
+
+/// Quantized traced weight a group needs before the bound is built. A row
+/// is ruled out only when it misses more than [`BUDGET_UNITS`] of the
+/// group's units, so at or below twice the budget it must miss more than
+/// half the traced weight: measured, 45–100% of the rows then survive
+/// and the bound costs up to 1.7× the exact test alone. This is what low
+/// τ_w does (the quantized total is about `8 / (1 − τ_w)` units, less
+/// rounding).
+const MIN_TRACED_UNITS: u32 = 2 * BUDGET_UNITS;
+
+/// Bit-planes per activation word; quantized weights saturate at
+/// `2^PLANES - 1 = 15` units. Since `15 > BUDGET_UNITS`, one missed weight
+/// at the cap already rules a row out, so the cap never changes a
+/// verdict; three planes (cap 7) let 1.9% more rows through on
+/// `score_1k_clients` and were no faster.
+const PLANES: usize = 4;
+
+/// An admissible integer lower bound on the traced weight a training row
+/// misses, which rules out most rows of a wide work group before the
+/// exact Eq. 4 test.
+///
+/// For a group with traced bits `R = rep & mask`, `denom = Σ_{b∈R} w_b`
+/// and `threshold`, a related row can miss at most
+/// `slack = (denom − threshold) + 4·|R|·ε·denom` of weight (`ε` is
+/// `f64::EPSILON`). Each traced weight is quantized down to
+/// `q_b = min(⌊w_b / unit⌋, 15)` units of `unit = slack / 8` and stored as
+/// four bit-planes per word; a row `x` misses at least
+/// `L(x) = Σ_p 2^p · Σ_words popcount(plane_p & !x)` units. A row with
+/// `L(x) > 8` is skipped; every other row gets the exact
+/// `triple_weight_sum_words(..) >= threshold` test, so the related set is
+/// the one the exact test alone finds.
+///
+/// **Why a skipped row is never related.** Weights are finite and
+/// non-negative (the validator's check) and `denom` is finite. Write `M`
+/// for the exact weight `x` misses, `u = ε/2` for the unit roundoff and
+/// `γ = (|R| − 1)·u / (1 − (|R| − 1)·u)`. Both `denom` and the row's
+/// numerator `num` add at most `|R|` non-negative terms in one fixed
+/// order, so each is within a factor `1 ± γ` of its exact value; hence
+/// `num < threshold` whenever `M > (denom − threshold) + 3γ·denom`. The
+/// allowance `4|R|ε·denom` exceeds `3γ·denom` with room to spare for the
+/// two roundings in computing `slack`. Dividing by 8 is exact while `unit`
+/// is a normal number (otherwise no bound is built), and each rounded
+/// quotient `w_b / unit` is at most `(1 + u)` times the real one, so
+/// `L(x) ≥ 9` means `M ≥ 9·unit/(1 + u) > slack`. The `> 8` test thus
+/// leaves a whole unit of margin beyond the rounding allowance.
+struct MissBound {
+    /// Per activation word, the traced bits whose quantized weight has
+    /// bit `p` set, for `p` in `0..PLANES`.
+    planes: Vec<[u64; PLANES]>,
+}
+
+impl MissBound {
+    /// The bound for the traced bits `rep & mask`, or `None` below
+    /// [`BOUND_MIN_BITS`] traced bits or [`MIN_TRACED_UNITS`] quantized
+    /// units, or when the unit is not a normal `f64` (an infinite `denom`,
+    /// or a subnormal slack).
+    fn new(rep: &[u64], mask: &[u64], weights: &[f64], denom: f64, threshold: f64) -> Option<Self> {
+        let traced = rep.iter().zip(mask).map(|(r, m)| r & m);
+        let n_traced: u32 = traced.clone().map(|w| w.count_ones()).sum();
+        if n_traced < BOUND_MIN_BITS {
+            return None;
+        }
+        let unit = Self::unit(n_traced, denom, threshold);
+        if !unit.is_normal() {
+            return None;
+        }
+        let cap = (1u64 << PLANES) - 1;
+        let mut total = 0;
+        let planes = traced
+            .enumerate()
+            .map(|(wi, word)| {
+                let mut planes = [0u64; PLANES];
+                let mut bits = word;
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    // A float-to-int cast saturates, so an infinite quotient
+                    // (a huge weight over a tiny unit) lands on the cap.
+                    let q = ((weights[wi * 64 + b] / unit).floor() as u64).min(cap);
+                    total += q;
+                    for (p, plane) in planes.iter_mut().enumerate() {
+                        *plane |= (q >> p & 1) << b;
+                    }
+                    bits &= bits - 1;
+                }
+                planes
+            })
+            .collect();
+        (total > u64::from(MIN_TRACED_UNITS)).then_some(MissBound { planes })
+    }
+
+    /// `slack / 8`: the weight of one unit.
+    fn unit(n_traced: u32, denom: f64, threshold: f64) -> f64 {
+        let slack = (denom - threshold) + 4.0 * f64::from(n_traced) * f64::EPSILON * denom;
+        slack / f64::from(BUDGET_UNITS)
+    }
+
+    /// `L(x)`: a lower bound, in units, on the traced weight `row` misses.
+    #[inline]
+    fn units_missed(&self, row: &[u64]) -> u32 {
+        row.iter()
+            .zip(&self.planes)
+            .map(|(x, [p0, p1, p2, p3])| {
+                (p0 & !x).count_ones()
+                    + 2 * (p1 & !x).count_ones()
+                    + 4 * (p2 & !x).count_ones()
+                    + 8 * (p3 & !x).count_ones()
+            })
+            .sum()
+    }
+
+    /// Whether `row` misses more than the budget, so cannot be related.
+    #[inline]
+    fn rules_out(&self, row: &[u64]) -> bool {
+        self.units_missed(row) > BUDGET_UNITS
+    }
 }
 
 /// Traces one work group into the worker's accumulator.
@@ -759,7 +996,7 @@ fn trace_group_into<T: TrainAccess>(
     group: &WorkGroup,
     traced_class: &[usize],
     denoms: &[f64],
-    train_by_class: &[Vec<u32>],
+    arenas: &[ClassArena],
     n_clients: usize,
     acc: &mut TraceAcc,
 ) {
@@ -769,25 +1006,22 @@ fn trace_group_into<T: TrainAccess>(
     let mask = &test.class_masks[c];
     let rep_words = test.acts.row_words(rep);
     let n_rules = test.acts.n_bits();
-    let mut related_train = Vec::new();
-    let mut related_per_client = vec![0u32; n_clients];
-
-    if denom > 0.0 {
+    let arena = &arenas[c];
+    // Global indices of the related rows, ascending.
+    let related = if denom > 0.0 {
         let threshold = config.tau_w * denom - 1e-12; // tolerate FP rounding at equality
-        let scan: &[u32] = match &group.candidates {
-            Some(c) => c,
-            None => &train_by_class[c],
-        };
-        for &tr in scan {
-            let tr = tr as usize;
-            debug_assert_eq!(train.label(tr) as usize, c);
-            let num = triple_weight_sum_words(rep_words, train.row_words(tr), mask, test.weights);
-            if num >= threshold {
-                related_train.push(tr as u32);
-                related_per_client[train.client(tr) as usize] += 1;
-            }
+        let exact =
+            |row: &[u64]| triple_weight_sum_words(rep_words, row, mask, test.weights) >= threshold;
+        let candidates = group.candidates.as_deref();
+        // One scan, instantiated with and without the bound, so a narrow
+        // group's loop carries no bound check.
+        match MissBound::new(rep_words, mask, test.weights, denom, threshold) {
+            Some(b) => arena.scan(train, candidates, |row| !b.rules_out(row) && exact(row)),
+            None => arena.scan(train, candidates, exact),
         }
-    }
+    } else {
+        Vec::new()
+    };
 
     let mut n_correct = 0u32;
     let mut n_wrong = 0u32;
@@ -799,14 +1033,17 @@ fn trace_group_into<T: TrainAccess>(
         }
     }
 
-    for &tr in &related_train {
+    let mut related_per_client = vec![0u32; n_clients];
+    for &tr in &related {
         let tr = tr as usize;
         acc.benefit_counts[tr] += n_correct;
         acc.harm_counts[tr] += n_wrong;
+        let client = train.client(tr) as usize;
+        related_per_client[client] += 1;
         // Rules activated by BOTH the training row and the (shared) test
         // signature within the traced mask, counted once per member via
         // the integer multipliers.
-        let base = train.client(tr) as usize * n_rules;
+        let base = client * n_rules;
         for (wi, ((aw, bw), mw)) in train.row_words(tr).iter().zip(rep_words).zip(mask).enumerate() {
             let mut bits = aw & bw & mw;
             while bits != 0 {
@@ -849,7 +1086,7 @@ fn build_frequent_groups<T: TrainAccess>(
     denoms: &[f64],
     min_support: f64,
     tau_w: f64,
-    train_by_class: &[Vec<u32>],
+    arenas: &[ClassArena],
 ) -> Vec<WorkGroup> {
     let n_rules = test.acts.n_bits();
     let n_classes = test.class_masks.len();
@@ -891,14 +1128,11 @@ fn build_frequent_groups<T: TrainAccess>(
                 // Admissible bound (see module docs): overlap(tr, F) >=
                 // weight(F) - (1 - τ_w) * denom(rep).
                 let bound = f_weight - (1.0 - tau_w) * denoms[rep] - 1e-9;
-                let f_mask: Vec<u64> = f.words().to_vec();
-                train_by_class[c]
-                    .iter()
-                    .copied()
-                    .filter(|&tr| {
-                        let overlap =
-                            masked_weight_sum_words(train.row_words(tr as usize), &f_mask, test.weights);
-                        overlap >= bound
+                let arena = &arenas[c];
+                (0..arena.rows.len() as u32)
+                    .filter(|&pos| {
+                        let row = arena.row(train, pos as usize);
+                        masked_weight_sum_words(row, f.words(), test.weights) >= bound
                     })
                     .collect::<Vec<u32>>()
             });
@@ -1147,6 +1381,173 @@ mod tests {
                 }
             }
         }
+
+        // A NaN, infinite or negative rule weight is a typed error for
+        // every entry point: NaN used to trace nothing, and a negative
+        // weight let Eq. 4's ratio exceed 1.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut bad_weights = weights.clone();
+            bad_weights[65] = bad;
+            let mono = TraceInputs {
+                train_acts: &acts,
+                train_labels: &[0],
+                client_of: &[0],
+                n_clients: 1,
+                test_acts: &acts,
+                test_labels: &[0],
+                predictions: &[0],
+                weights: &bad_weights,
+                class_masks: &full,
+            };
+            let sharded = ShardedTraceInputs {
+                train: &store,
+                n_clients: 1,
+                test_acts: &acts,
+                test_labels: &[0],
+                predictions: &[0],
+                weights: &bad_weights,
+                class_masks: &full,
+            };
+            for out in
+                [trace(&mono, &cfg), trace_sharded(&sharded, &cfg), trace_reference(&mono, &cfg)]
+            {
+                assert!(
+                    matches!(out, Err(CoreError::InvalidParameter { name: "rule.weight", .. })),
+                    "weight {bad} accepted"
+                );
+            }
+        }
+
+        // A row setting bit 100 of a 70-rule matrix, under a class mask
+        // that also holds bit 100, used to panic the kernel indexing the
+        // weights; the matrix itself is now refused.
+        assert_eq!(
+            ActivationMatrix::from_words(1, 70, vec![1, 1 << 36]),
+            Err(CoreError::InvalidParameter {
+                name: "activation words",
+                message: "row 0 sets bit 100, past n_bits 70".into(),
+            })
+        );
+    }
+
+    /// One of six weight families: uniform, all equal (exact ties at
+    /// `τ·denom`), powers of two, zeros mixed in, 1e6/1e-6 mixes, and a
+    /// Pareto heavy tail.
+    fn family_weight(g: &mut ctfl_testkit::prop::Gen, family: usize) -> f64 {
+        match family {
+            0 => g.f64_in(0.05, 2.0),
+            1 => 1.0,
+            2 => 2f64.powi(g.usize_in(0, 16) as i32 - 8),
+            3 => [0.0, g.f64_in(0.05, 2.0)][g.usize_in(0, 1)],
+            4 => [1e6, 1e-6][g.usize_in(0, 1)],
+            _ => (1.0 - g.f64_in(0.0, 0.999)).powf(-1.0 / 1.2),
+        }
+    }
+
+    #[test]
+    fn miss_bound_is_admissible_and_only_built_for_wide_groups() {
+        use ctfl_testkit::{check, prop_assert};
+        check(
+            "miss_bound_is_admissible",
+            256,
+            |g| {
+                let n_bits = g.usize_in(65, 300);
+                let words = n_bits.div_ceil(64);
+                let family = g.usize_in(0, 5);
+                let weights = g.vec(n_bits, |g| family_weight(g, family));
+                let tau_w = [0.5, 0.8, 0.9, 0.95, 1.0][g.usize_in(0, 4)];
+                let density = g.f64_in(0.3, 0.95);
+                let bits = |g: &mut ctfl_testkit::prop::Gen, p: f64| {
+                    let set: Vec<usize> = (0..n_bits).filter(|_| g.f64_in(0.0, 1.0) < p).collect();
+                    ActivationMatrix::build_mask(n_bits, set)
+                };
+                let rep = bits(g, density);
+                let mask = bits(g, 0.5);
+                // Near-copies of the representative missing a few bits,
+                // plus unrelated dense rows.
+                let rows = g.vec(48, |g| {
+                    let mut row = if g.bool() { rep.clone() } else { bits(g, density) };
+                    for _ in 0..g.usize_in(0, 4) {
+                        let b = g.usize_in(0, n_bits - 1);
+                        row[b / 64] &= !(1 << (b % 64));
+                    }
+                    row
+                });
+                assert_eq!(rep.len(), words);
+                (weights, tau_w, rep, mask, rows)
+            },
+            |(weights, tau_w, rep, mask, rows)| {
+                let traced: Vec<u64> = rep.iter().zip(mask).map(|(r, m)| r & m).collect();
+                let n_traced: u32 = traced.iter().map(|w| w.count_ones()).sum();
+                let denom = masked_weight_sum_words(rep, mask, weights);
+                let threshold = tau_w * denom - 1e-12;
+                let bound = MissBound::new(rep, mask, weights, denom, threshold);
+                let unit = MissBound::unit(n_traced, denom, threshold);
+                let mut units = 0;
+                for (wi, &t) in traced.iter().enumerate() {
+                    let mut bits = t;
+                    while bits != 0 {
+                        let w = weights[wi * 64 + bits.trailing_zeros() as usize];
+                        units += ((w / unit).floor() as u32).min(15);
+                        bits &= bits - 1;
+                    }
+                }
+                let wide = n_traced >= BOUND_MIN_BITS && units > MIN_TRACED_UNITS;
+                prop_assert!(bound.is_some() == (wide && unit.is_normal()));
+                let Some(bound) = bound else { return Ok(()) };
+                for row in rows {
+                    let units = bound.units_missed(row);
+                    let mut missing = 0.0;
+                    for (wi, (t, x)) in traced.iter().zip(row).enumerate() {
+                        let mut bits = t & !x;
+                        while bits != 0 {
+                            missing += weights[wi * 64 + bits.trailing_zeros() as usize] / unit;
+                            bits &= bits - 1;
+                        }
+                    }
+                    prop_assert!(
+                        f64::from(units) <= missing,
+                        "bound {units} units over the exact {missing}"
+                    );
+                    if bound.rules_out(row) {
+                        let num = triple_weight_sum_words(rep, row, mask, weights);
+                        prop_assert!(num < threshold, "ruled out a related row: {num}");
+                    }
+                }
+                Ok(())
+            },
+        );
+
+        // A wide group builds the planes and rules rows out; a group one
+        // traced bit short of the cutoff keeps the exact loop. Forty unit
+        // weights at τ_w = 0.9 leave a budget of four weights, so a unit is
+        // a hair over half a weight (the rounding allowance) and each
+        // weight quantizes down to one unit.
+        let weights = vec![1.0; 200];
+        let dense = ActivationMatrix::build_mask(200, (0..200).filter(|b| b % 5 == 0));
+        let mask = ActivationMatrix::build_mask(200, 0..200);
+        let denom = masked_weight_sum_words(&dense, &mask, &weights);
+        let bound = MissBound::new(&dense, &mask, &weights, denom, 0.9 * denom - 1e-12).unwrap();
+        assert!(bound.rules_out(&[0; 4]));
+        assert!(!bound.rules_out(&dense));
+        let missing = |n: usize| {
+            let mut row = dense.clone();
+            (0..n).for_each(|k| row[k * 5 / 64] &= !(1 << (k * 5 % 64)));
+            row
+        };
+        assert_eq!(bound.units_missed(&missing(5)), 5);
+        assert!(!bound.rules_out(&missing(8)));
+        assert!(bound.rules_out(&missing(9)));
+        let narrow = ActivationMatrix::build_mask(200, 0..BOUND_MIN_BITS as usize - 1);
+        let denom = masked_weight_sum_words(&narrow, &mask, &weights);
+        assert!(MissBound::new(&narrow, &mask, &weights, denom, 0.9 * denom - 1e-12).is_none());
+        let edge = ActivationMatrix::build_mask(200, 0..BOUND_MIN_BITS as usize);
+        let denom = masked_weight_sum_words(&edge, &mask, &weights);
+        assert!(MissBound::new(&edge, &mask, &weights, denom, 0.9 * denom - 1e-12).is_some());
+        // At τ_w = 0.5 the forty-weight group's budget is twenty weights:
+        // every weight quantizes to zero units, and no bound is built.
+        let denom = masked_weight_sum_words(&dense, &mask, &weights);
+        assert!(MissBound::new(&dense, &mask, &weights, denom, 0.5 * denom - 1e-12).is_none());
     }
 
     #[test]
