@@ -190,7 +190,9 @@ struct CellResult {
 
 fn main() {
     let args = CommonArgs::parse();
-    let samples = args.repeats.max(3);
+    // Medians of at least nine runs: three-run medians of the 1M-row cells
+    // spread too widely between runs to resolve a 20% change.
+    let samples = args.repeats.max(9);
 
     // Federation-side test artifacts, shared across every cell: the planted
     // rules ARE the model (known-perfect, no training pass — this gate
@@ -415,6 +417,7 @@ fn main() {
         "seed": args.seed as i64,
         "test_rows": N_TEST,
         "n_rules": model.rules().len(),
+        "samples": samples,
         "cells": cell_reports,
         "wide_cell": ctfl_testkit::json!({
             "rows": WIDE_ROWS,

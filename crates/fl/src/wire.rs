@@ -10,12 +10,21 @@
 //! function of the message, which is what lets the golden byte-layout test
 //! pin the format.
 //!
-//! The checksum is FNV-1a (32-bit) over the length prefix followed by the
-//! payload, verified before the payload is decoded. FNV-1a's per-byte step
-//! is invertible, so any single corrupted byte in the length prefix or
-//! payload is guaranteed to change the digest: a bit flip in transit decodes
-//! to a typed [`WireError::ChecksumMismatch`], never to a valid message
-//! (see `tests/wire_props.rs` for the exhaustive single-bit-flip property).
+//! The checksum is CRC-32C (Castagnoli) over the length prefix followed by
+//! the payload, verified before the payload is decoded. It is guaranteed to
+//! detect every single-bit error and every error burst of up to 32 bits in
+//! the length prefix or payload: such corruption in transit decodes to a
+//! typed [`WireError::ChecksumMismatch`], never to a valid message (see
+//! `tests/wire_props.rs` for the exhaustive single-bit-flip and burst
+//! properties). It is computed slicing-by-16 over tables built at compile
+//! time, in safe Rust.
+//!
+//! CRC-32C is the protocol's third revision; the second checksummed frames
+//! with FNV-1a-32 over the same bytes, and every other byte of a frame is
+//! unchanged between the two. Peers on different revisions therefore fail
+//! closed: each request's checksum mismatches, the server answers
+//! [`RejectCode::BadFrame`], and no message is ever decoded from a frame
+//! the other side checksummed differently.
 //!
 //! Decoding is total and typed: every malformed input maps to a
 //! [`WireError`] — truncated or oversized frames, checksum mismatches,
@@ -55,23 +64,69 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// `u32` checksum.
 pub const FRAME_HEADER: usize = 8;
 
-/// FNV-1a (32-bit) over the length prefix (as `u32` LE bytes) followed by
-/// the payload — the frame checksum. Each step of FNV-1a is invertible, so
-/// any single-byte corruption of the hashed bytes is guaranteed to change
-/// the digest.
+/// The CRC-32C (Castagnoli) generator polynomial, bit-reflected.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// Slicing-by-16 tables: `CRC32C_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` in, and `CRC32C_TABLES[k][b]` the register after `k`
+/// further zero bytes, so one 16-byte block folds in with 16 lookups.
+static CRC32C_TABLES: [[u32; 256]; 16] = crc32c_tables();
+
+const fn crc32c_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32C_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Shifts `bytes` through the CRC-32C register `crc` (no init or final
+/// XOR): 16 bytes per step, then the tail byte by byte.
+fn crc32c_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let at = |k: usize, byte: u8| CRC32C_TABLES[k][usize::from(byte)];
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
+        let [x0, x1, x2, x3] = (crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+        // Only the first four lookups wait on `crc`. The other twelve are
+        // combined on their own, so the chain from one block's `crc` to the
+        // next is one load and three XORs deep, not sixteen XORs.
+        let rest = (at(11, b[4]) ^ at(10, b[5]) ^ at(9, b[6]) ^ at(8, b[7]))
+            ^ (at(7, b[8]) ^ at(6, b[9]) ^ at(5, b[10]) ^ at(4, b[11]))
+            ^ (at(3, b[12]) ^ at(2, b[13]) ^ at(1, b[14]) ^ at(0, b[15]));
+        crc = (at(15, x0) ^ at(14, x1)) ^ (at(13, x2) ^ at(12, x3)) ^ rest;
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ at(0, crc as u8 ^ b);
+    }
+    crc
+}
+
+/// CRC-32C over the length prefix (as `u32` LE bytes) followed by the
+/// payload — the frame checksum (reflected Castagnoli polynomial
+/// `0x82F6_3B78`, init and final XOR `0xFFFF_FFFF`). A CRC of degree 32 is
+/// guaranteed to detect every single-bit error and every error burst of up
+/// to 32 bits in the hashed bytes.
 pub fn frame_checksum(payload: &[u8]) -> u32 {
-    let mut h = 0x811C_9DC5u32;
-    let mut step = |b: u8| {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    };
-    for b in (payload.len() as u32).to_le_bytes() {
-        step(b);
-    }
-    for &b in payload {
-        step(b);
-    }
-    h
+    let crc = crc32c_update(!0, &(payload.len() as u32).to_le_bytes());
+    !crc32c_update(crc, payload)
 }
 
 /// Errors produced while encoding, decoding, or transporting frames.
@@ -464,18 +519,23 @@ fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
-fn put_params(out: &mut Vec<u8>, params: &[f32]) {
-    put_u32(out, params.len() as u32);
-    for p in params {
-        out.extend_from_slice(&p.to_bits().to_le_bytes());
+/// A `u32`-counted run of 4-byte little-endian words: the buffer grows
+/// once, then each word is written into its own chunk.
+fn put_words<T: Copy>(out: &mut Vec<u8>, items: &[T], word: impl Fn(T) -> [u8; 4]) {
+    put_u32(out, items.len() as u32);
+    let start = out.len();
+    out.resize(start + 4 * items.len(), 0);
+    for (chunk, &item) in out[start..].as_chunks_mut::<4>().0.iter_mut().zip(items) {
+        *chunk = word(item);
     }
 }
 
+fn put_params(out: &mut Vec<u8>, params: &[f32]) {
+    put_words(out, params, |p| p.to_bits().to_le_bytes());
+}
+
 fn put_ids(out: &mut Vec<u8>, ids: &[u32]) {
-    put_u32(out, ids.len() as u32);
-    for &id in ids {
-        put_u32(out, id);
-    }
+    put_words(out, ids, u32::to_le_bytes);
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -506,7 +566,11 @@ fn put_spec(out: &mut Vec<u8>, spec: &JobSpec) {
 
 /// Encodes a message into its payload bytes (no frame header).
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::new();
+    encode_after(Vec::new(), msg)
+}
+
+/// Appends a message's payload bytes to `out` and returns it.
+fn encode_after(mut out: Vec<u8>, msg: &Message) -> Vec<u8> {
     match msg {
         Message::SubmitJob { job, spec } => {
             out.push(TAG_SUBMIT_JOB);
@@ -771,20 +835,30 @@ pub fn decode(payload: &[u8]) -> WireResult<Message> {
 /// Exposed so tests and fault injectors can build frames around arbitrary
 /// (even deliberately malformed) payloads with a *valid* header.
 pub fn frame_payload(payload: &[u8]) -> WireResult<Vec<u8>> {
-    if payload.len() > MAX_FRAME {
-        return Err(WireError::Oversized { len: payload.len(), max: MAX_FRAME });
-    }
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, frame_checksum(payload));
+    out.extend_from_slice(&[0; FRAME_HEADER]);
     out.extend_from_slice(payload);
-    Ok(out)
+    seal(out)
 }
 
 /// Encodes a message as a complete frame:
-/// `[u32 LE payload len][u32 LE checksum][payload]`.
+/// `[u32 LE payload len][u32 LE checksum][payload]`. The payload is encoded
+/// in place after the header, so the frame is built in one buffer.
 pub fn frame(msg: &Message) -> WireResult<Vec<u8>> {
-    frame_payload(&encode(msg))
+    seal(encode_after(vec![0; FRAME_HEADER], msg))
+}
+
+/// Fills in the header of a frame buffer: `FRAME_HEADER` placeholder bytes,
+/// then the payload.
+fn seal(mut buf: Vec<u8>) -> WireResult<Vec<u8>> {
+    let len = buf.len() - FRAME_HEADER;
+    if len > MAX_FRAME {
+        return Err(WireError::Oversized { len, max: MAX_FRAME });
+    }
+    let checksum = frame_checksum(&buf[FRAME_HEADER..]);
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[4..FRAME_HEADER].copy_from_slice(&checksum.to_le_bytes());
+    Ok(buf)
 }
 
 /// Decodes one frame from the front of `bytes`, returning the message and
@@ -935,6 +1009,16 @@ mod tests {
             read_frame(&mut r).unwrap_err(),
             WireError::Oversized { len: MAX_FRAME + 1, max: MAX_FRAME }
         );
+    }
+
+    #[test]
+    fn payloads_past_max_frame_are_not_framed() {
+        let oversized = WireError::Oversized { len: MAX_FRAME + 1, max: MAX_FRAME };
+        assert_eq!(frame_payload(&vec![0; MAX_FRAME + 1]).unwrap_err(), oversized);
+        // Tag, session and count take 9 bytes, so (MAX_FRAME - 8) / 4
+        // floats make a payload of exactly MAX_FRAME + 1 bytes.
+        let params = vec![0.5; (MAX_FRAME - 8) / 4];
+        assert_eq!(frame(&Message::RoundComplete { session: 1, params }).unwrap_err(), oversized);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * the full stdout of `ctfl_server --demo` — the scripted quickstart
 //!   conversation (heartbeat, idempotent job re-submission, duplicate and
 //!   unknown ids, a session resumed mid-round);
-//! * an FNV-1a hash over every reply frame of a seeded sequence of 2,000
+//! * an FNV-1a hash over every reply payload of a seeded sequence of 2,000
 //!   requests through one [`FederationService::handle_message`], plus a
 //!   histogram of reply kinds so a drift names what moved. The sequence
 //!   fills the 64-entry session table and forces evictions; sends
@@ -18,6 +18,12 @@
 //!   dozen tiny jobs with re-submissions, conflicting specs, unknown rule
 //!   codes and polls; and mixes in pings and server-to-client messages sent
 //!   as requests.
+//!
+//! The reply hash covers payloads (`wire::encode`), not frames, so it pins
+//! the dispatcher and not the frame checksum. It was captured over payloads
+//! before the frame checksum moved from FNV-1a to CRC-32C, so it still pins
+//! today's dispatcher to yesterday's replies;
+//! `tests/wire_props.rs::golden_byte_layout` pins the frame bytes.
 
 use ctfl::fl::server::FederationService;
 use ctfl::fl::wire::{self, JobSpec, Message, RejectCode};
@@ -206,7 +212,7 @@ fn seeded_request_sequence_replies_match_their_golden() {
     let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
     for request in requests(0x5E55_1014) {
         let reply = service.handle_message(request);
-        hash = fnv1a(hash, &wire::frame(&reply).expect("replies frame"));
+        hash = fnv1a(hash, &wire::encode(&reply));
         *kinds.entry(kind(&reply)).or_default() += 1;
     }
     let histogram: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}={n}")).collect();
@@ -235,5 +241,5 @@ fn seeded_request_sequence_replies_match_their_golden() {
          reject:unknown-job=42 reject:unknown-session=176 roundcomplete=122 sessionstatus=56 \
          shutdown=17"
     );
-    assert_eq!(hash, 3692858437978719502, "reply bytes drifted: {histogram}");
+    assert_eq!(hash, 14248652383473714454, "reply bytes drifted: {histogram}");
 }

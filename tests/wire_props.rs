@@ -3,10 +3,12 @@
 //! strict prefix of a valid frame is rejected with a typed truncation
 //! error, hostile length prefixes are rejected before allocation, **every
 //! single-bit corruption of a valid frame is caught** (a typed checksum /
-//! length error — never a valid message, never a panic), arbitrary bytes
-//! decode and serve to a value or a typed error, and a golden byte-layout
-//! test with an independent checksum reference pins the format so it can't
-//! drift silently.
+//! length error — never a valid message, never a panic), **every error
+//! burst of up to 32 bits inside a payload is a checksum mismatch**,
+//! frames of the previous, FNV-1a-checksummed revision fail closed,
+//! arbitrary bytes decode and serve to a value or a typed error, and a
+//! golden byte-layout test with an independent bit-at-a-time CRC-32C
+//! reference pins the format so it can't drift silently.
 
 use ctfl::fl::server::FederationService;
 use ctfl::fl::wire::{
@@ -333,17 +335,143 @@ fn arbitrary_bytes_decode_and_serve_without_panicking() {
     );
 }
 
-/// Independent FNV-1a-32 reference: digest of `len(payload) as u32 LE`
-/// followed by the payload bytes. Deliberately *not* the production
-/// function — if `frame_checksum` drifts, this catches it.
+/// Independent bit-at-a-time CRC-32C: reflected Castagnoli polynomial
+/// `0x82F6_3B78`, init and final XOR `0xFFFF_FFFF`. Deliberately *not* the
+/// production table-driven code — if `frame_checksum` drifts, this catches
+/// it.
+fn crc32c_reference(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 { (crc >> 1) ^ 0x82F6_3B78 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+/// The frame checksum by definition: CRC-32C of `len(payload) as u32 LE`
+/// followed by the payload bytes.
 fn reference_checksum(payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
     let bytes: Vec<u8> =
         (payload.len() as u32).to_le_bytes().iter().chain(payload).copied().collect();
-    for b in bytes {
-        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+    crc32c_reference(&bytes)
+}
+
+/// The reference is CRC-32C: it reproduces the catalogue check value, the
+/// CRC of the nine ASCII digits `123456789`.
+#[test]
+fn crc32c_reference_matches_the_catalogue_check_value() {
+    assert_eq!(crc32c_reference(b"123456789"), 0xE306_9283);
+}
+
+/// `frame_checksum` equals the bit-at-a-time reference on random inputs of
+/// 0–4 KB. Every prefix of up to 48 bytes is checked too, so each tail
+/// length the 16-byte blocks leave over is covered on every case.
+#[test]
+fn frame_checksum_matches_the_bitwise_reference() {
+    check(
+        "wire-crc32c-reference",
+        128,
+        |g| {
+            let len = g.len_in(0, 4096);
+            g.vec(len, |g| g.u32_in(0, 255) as u8)
+        },
+        |bytes| {
+            prop_assert_eq!(frame_checksum(bytes), reference_checksum(bytes));
+            for cut in 0..=bytes.len().min(48) {
+                let prefix = &bytes[..cut];
+                prop_assert_eq!(frame_checksum(prefix), reference_checksum(prefix));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A revision-2 peer's frame: the same bytes, checksummed with FNV-1a-32
+/// over the length prefix and payload. Every one fails closed against this
+/// revision — a checksum mismatch, answered `BadFrame` by the server — and
+/// never decodes to a message.
+#[test]
+fn revision_two_frames_fail_closed() {
+    fn fnv1a_checksum(payload: &[u8]) -> u32 {
+        let len = (payload.len() as u32).to_le_bytes();
+        len.iter().chain(payload).fold(0x811C_9DC5, |h: u32, &b| {
+            (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        })
     }
-    h
+    check(
+        "wire-revision-two",
+        64,
+        arbitrary_message,
+        |msg| {
+            let mut bytes = frame(msg).map_err(|e| e.to_string())?;
+            let old = fnv1a_checksum(&bytes[FRAME_HEADER..]);
+            bytes[4..FRAME_HEADER].copy_from_slice(&old.to_le_bytes());
+            match decode_frame(&bytes) {
+                Err(WireError::ChecksumMismatch { expected, .. }) => prop_assert_eq!(expected, old),
+                other => return Err(format!("a revision-2 frame gave {other:?}")),
+            }
+            let mut replies = Vec::new();
+            FederationService::new(1)
+                .serve(&mut bytes.as_slice(), &mut replies)
+                .map_err(|e| e.to_string())?;
+            match read_frame(&mut replies.as_slice()) {
+                Ok(Message::Reject { code: RejectCode::BadFrame, .. }) => Ok(()),
+                other => Err(format!("a revision-2 frame was answered {other:?}")),
+            }
+        },
+    );
+}
+
+/// XORs the low `len` bits of `burst` into `bytes`, starting at bit
+/// `first`. Bits count LSB first within each byte, the order in which the
+/// reflected CRC consumes them, so consecutive positions are consecutive
+/// coefficients of the error polynomial.
+fn flip_burst(bytes: &mut [u8], first: usize, burst: u32, len: usize) {
+    for i in (0..len).filter(|i| burst >> i & 1 == 1) {
+        let bit = first + i;
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// **Every** error burst of 1–32 bits inside a valid frame's payload is a
+/// checksum mismatch: a degree-32 CRC detects every burst no longer than
+/// its degree. Each case fixes a random interior pattern; a burst of
+/// length `L` flips its first and last bit and the pattern's bits between,
+/// at every start position and every `L` that fits in the payload.
+#[test]
+fn every_short_burst_in_the_payload_is_caught() {
+    check(
+        "wire-burst-detection",
+        16,
+        |g| {
+            let bytes = frame(&arbitrary_message(g)).expect("messages under MAX_FRAME");
+            (bytes, g.rng().gen::<u32>())
+        },
+        |(bytes, pattern)| {
+            let mut corrupt = bytes.clone();
+            let payload_bits = (bytes.len() - FRAME_HEADER) * 8;
+            for start in 0..payload_bits {
+                for len in 1..=(payload_bits - start).min(32) {
+                    let burst = (pattern | 1 | 1 << (len - 1)) & (u32::MAX >> (32 - len));
+                    flip_burst(&mut corrupt, FRAME_HEADER * 8 + start, burst, len);
+                    match decode_frame(&corrupt) {
+                        Err(WireError::ChecksumMismatch { .. }) => {}
+                        other => {
+                            return Err(format!(
+                                "burst {burst:#x} of {len} bits at payload bit {start} gave \
+                                 {other:?}, not a checksum mismatch"
+                            ))
+                        }
+                    }
+                    flip_burst(&mut corrupt, FRAME_HEADER * 8 + start, burst, len);
+                }
+            }
+            prop_assert_eq!(&corrupt, bytes); // bursts were all undone
+            Ok(())
+        },
+    );
 }
 
 /// Golden byte layout: the exact frame bytes of representative messages,
