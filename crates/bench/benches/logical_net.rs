@@ -1,11 +1,13 @@
 //! Logical-network micro-benchmarks: soft vs. discrete forward, the
 //! grafted training step, and rule extraction — the building blocks whose
-//! cost dominates CTFL's single training pass.
+//! cost dominates CTFL's single training pass. One group times the first
+//! layer's general kernels against its literal kernels at the
+//! `federate_adult` shape.
 
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_nn::extract::{extract_rules, ExtractOptions};
-use ctfl_nn::logical::LogicalLayer;
-use ctfl_nn::matrix::Matrix;
+use ctfl_nn::logical::{DiscretePlan, LiteralBatch, LiteralPlan, LogicalLayer};
+use ctfl_nn::matrix::{Matrix, PackedRhs};
 use ctfl_nn::net::{LogicalNet, LogicalNetConfig};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::Rng;
@@ -28,6 +30,61 @@ fn bench_layer_forward() {
     group.bench("backward", || {
         let mut dw = Matrix::zeros(64, 256);
         layer.backward(&x, &y, &dy, &mut dw)
+    });
+}
+
+/// The first layer at the `federate_adult` shape: 168 literals × 64 nodes,
+/// batch 64, 42% of literals set (the adult-like encoding's density). Each
+/// general kernel (packed soft forward, planned discrete forward,
+/// `backward_into` with its input gradient) runs against the literal kernel
+/// that replaces it on 0/1 batches, and each side's per-step set-up
+/// against the other's.
+fn bench_first_layer_literals() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let layer = LogicalLayer::new(168, 64, &mut rng);
+    let mut x = Matrix::zeros(64, 168);
+    for v in x.data_mut() {
+        *v = if rng.gen_bool(0.42) { 1.0 } else { 0.0 };
+    }
+    let mut dy = Matrix::zeros(64, 64);
+    for v in dy.data_mut() {
+        *v = (rng.gen::<f32>() - 0.5) * 0.1;
+    }
+    let mut packed = PackedRhs::default();
+    packed.pack_from(layer.weights());
+    let mut plan = DiscretePlan::default();
+    layer.plan_discrete_into(&mut plan);
+    let mut lits = LiteralBatch::default();
+    assert!(lits.rebuild(&x));
+    let mut lit_plan = LiteralPlan::default();
+    assert!(layer.plan_literals_into(&mut lit_plan));
+    let y = layer.forward_soft(&x);
+    let (mut out, mut dw, mut dx) = (Matrix::default(), Matrix::zeros(64, 168), Matrix::default());
+
+    let mut group = Bencher::new("layer0_168x64_batch64_ones42");
+    group.bench("setup_general", || {
+        layer.plan_discrete_into(&mut plan);
+        packed.pack_from(layer.weights());
+    });
+    group.bench("setup_literals", || lits.rebuild(&x) && layer.plan_literals_into(&mut lit_plan));
+    group.bench("forward_soft_packed_into", || {
+        layer.forward_soft_packed_into(&x, &packed, &mut out);
+    });
+    group.bench("forward_soft_literals_into", || {
+        layer.forward_soft_literals_into(&lits, &lit_plan, &mut out);
+    });
+    group.bench("forward_discrete_planned_into", || {
+        layer.forward_discrete_planned_into(&x, &plan, &mut out);
+    });
+    group.bench("forward_discrete_literals_into", || {
+        layer.forward_discrete_literals_into(&lits, &lit_plan, &mut out);
+    });
+    group.bench("backward_into", || {
+        dw.fill_zero();
+        layer.backward_into(&x, &y, &dy, &mut dw, &mut dx);
+    });
+    group.bench("backward_literals_into", || {
+        layer.backward_literals_into(&lits, &lit_plan, &y, &dy, &mut dx, &mut dw);
     });
 }
 
@@ -76,5 +133,6 @@ fn bench_training_and_extraction() {
 
 fn main() {
     bench_layer_forward();
+    bench_first_layer_literals();
     bench_training_and_extraction();
 }

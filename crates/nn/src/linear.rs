@@ -108,8 +108,15 @@ impl LinearHead {
         }
     }
 
-    /// Backward into a caller-owned `dr` buffer (resized and fully
-    /// overwritten; `dv`/`dbias` accumulated as in [`Self::backward`]).
+    /// Backward into a caller-owned `dr` buffer, filling only its first
+    /// `dr_cols` columns (`dr` is resized to `r.rows() × dr_cols` and fully
+    /// overwritten): a caller that reads the gradient of the leading rules
+    /// only skips the rest. `dv`/`dbias` are accumulated over all rules as
+    /// in [`Self::backward`], whose leading `dr` columns this matches bit
+    /// for bit.
+    ///
+    /// # Panics
+    /// Panics if the shapes disagree or `dr_cols > n_rules`.
     pub fn backward_into(
         &self,
         r: &Matrix,
@@ -117,11 +124,13 @@ impl LinearHead {
         dv: &mut Matrix,
         dbias: &mut [f32],
         dr: &mut Matrix,
+        dr_cols: usize,
     ) {
         assert_eq!(dlogits.cols(), self.n_classes());
         assert_eq!(dv.rows(), self.v.rows());
         assert_eq!(dbias.len(), self.bias.len());
-        dr.resize(r.rows(), self.v.rows());
+        assert!(dr_cols <= self.v.rows(), "dr_cols exceeds the rule count");
+        dr.resize(r.rows(), dr_cols);
         let n_classes = self.n_classes();
         for b in 0..r.rows() {
             let rb = r.row(b);
@@ -129,14 +138,18 @@ impl LinearHead {
             for (c, &g) in gb.iter().enumerate() {
                 dbias[c] += g;
             }
-            let drb = dr.row_mut(b);
             for j in 0..self.v.rows() {
-                let vj = &self.v.row(j)[..n_classes];
                 let dvj = &mut dv.row_mut(j)[..n_classes];
                 let rbj = rb[j];
-                let mut d = 0.0;
                 for c in 0..n_classes {
                     dvj[c] += rbj * gb[c];
+                }
+            }
+            let drb = dr.row_mut(b);
+            for j in 0..dr_cols {
+                let vj = &self.v.row(j)[..n_classes];
+                let mut d = 0.0;
+                for c in 0..n_classes {
                     d += vj[c] * gb[c];
                 }
                 drb[j] = d;
@@ -192,6 +205,32 @@ mod tests {
         let logits = head.forward(&r);
         assert!((logits.get(0, 0) - 1.6).abs() < 1e-6);
         assert!((logits.get(0, 1) - 0.9).abs() < 1e-6);
+    }
+
+    #[test]
+    fn backward_into_fills_the_leading_dr_columns_bitwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let head = LinearHead::new(5, 3, &mut rng);
+        let mut r = Matrix::zeros(4, 5);
+        let mut dlogits = Matrix::zeros(4, 3);
+        for v in r.data_mut().iter_mut().chain(dlogits.data_mut()) {
+            *v = rng.gen::<f32>() - 0.3;
+        }
+        let mut dv = Matrix::zeros(5, 3);
+        let mut dbias = vec![0.0; 3];
+        let dr = head.backward(&r, &dlogits, &mut dv, &mut dbias);
+        for dr_cols in 0..=5 {
+            let mut dv2 = Matrix::zeros(5, 3);
+            let mut dbias2 = vec![0.0; 3];
+            let mut dr2 = Matrix::from_vec(1, 1, vec![f32::NAN]);
+            head.backward_into(&r, &dlogits, &mut dv2, &mut dbias2, &mut dr2, dr_cols);
+            assert_eq!(dv2, dv);
+            assert_eq!(dbias2, dbias);
+            assert_eq!((dr2.rows(), dr2.cols()), (4, dr_cols));
+            for b in 0..4 {
+                assert_eq!(dr2.row(b), &dr.row(b)[..dr_cols]);
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,29 @@
 //! With binary `x` and binarized `w = 1(θ > 0.5)` these reduce exactly to
 //! `∧_{w_i=1} x_i` and `∨_{w_i=1} x_i` — the *discrete* forward used by
 //! gradient grafting and rule extraction.
+//!
+//! Every fast kernel here is bit-identical to its naive oracle
+//! ([`LogicalLayer::forward_soft`], [`LogicalLayer::forward_discrete`],
+//! [`LogicalLayer::backward`]). Three kinds of rearrangement keep that
+//! exact:
+//! 1. instruction-level parallelism across *independent* chains, each
+//!    chain keeping the naive k-ascending order;
+//! 2. removing data-dependent branches that are IEEE-754 no-ops;
+//! 3. skipping terms that a *checked* input property makes exactly `×1.0`
+//!    or `±0`. The literal kernels of the first layer
+//!    ([`LiteralBatch`], [`LiteralPlan`]) rely on three checks, made once
+//!    per training step: every input is bit-exactly `+0.0` or `1.0`, every
+//!    weight lies in `[0, 1]`, and (for the backward) every upstream
+//!    gradient is finite. Under them a Conj factor is exactly `1.0` at
+//!    `x = 1` and a Disj factor at `x = 0`, and each skipped gradient term
+//!    is `±0`, which cannot change a `+0.0`-seeded sum. When a check
+//!    fails, the step runs the general kernels instead.
 
 // The hot kernels below index multiple parallel slices by position; the
 // iterator forms clippy suggests obscure the lockstep row/column arithmetic.
 #![allow(clippy::needless_range_loop)]
+
+use std::ops::Range;
 
 use ctfl_rng::Rng;
 
@@ -56,6 +75,116 @@ impl DiscretePlan {
     #[inline]
     fn selected(&self, node: usize) -> &[u32] {
         &self.indices[self.offsets[node] as usize..self.offsets[node + 1] as usize]
+    }
+}
+
+/// The bit pattern of `1.0f32`.
+const ONE_BITS: u32 = 0x3F80_0000;
+
+/// Node lanes one register-resident block of product chains covers in the
+/// literal soft forward: enough independent chains to keep the multiplier
+/// busy, few enough to stay in registers.
+const CHAIN_LANES: usize = 32;
+
+/// Packs `pred` over up to 64 values into one word, bit `t` for value `t`.
+#[inline]
+fn pack_bits(values: &[f32], pred: impl Fn(f32) -> bool) -> u64 {
+    match <&[f32; 64]>::try_from(values) {
+        // A full word unrolls into four independent 16-bit OR chains.
+        Ok(full) => {
+            let mut acc = [0u64; 4];
+            for t in 0..16 {
+                for (a, acc) in acc.iter_mut().enumerate() {
+                    *acc |= u64::from(pred(full[16 * a + t])) << t;
+                }
+            }
+            acc[0] | acc[1] << 16 | acc[2] << 32 | acc[3] << 48
+        }
+        Err(_) => values.iter().enumerate().fold(0, |word, (t, &v)| word | u64::from(pred(v)) << t),
+    }
+}
+
+/// A batch of 0/1 inputs as one bit set per row: bit `i` of row `b` is set
+/// when `x[b][i] == 1.0`. The input the first layer's literal kernels
+/// read, rebuilt once per training step.
+#[derive(Debug, Clone, Default)]
+pub struct LiteralBatch {
+    rows: usize,
+    /// Inputs per row.
+    width: usize,
+    /// `u64` words per row.
+    words: usize,
+    /// `rows × words` one-bits.
+    ones: Vec<u64>,
+}
+
+impl LiteralBatch {
+    /// Rebuilds the bit sets from `x`, reusing the allocation. Returns
+    /// whether every value of `x` is bit-exactly `+0.0` or `1.0`; when it
+    /// is not, the bit sets are meaningless and the literal kernels must
+    /// not run.
+    pub fn rebuild(&mut self, x: &Matrix) -> bool {
+        self.rows = x.rows();
+        self.width = x.cols();
+        self.words = x.cols().div_ceil(64);
+        self.ones.clear();
+        let exact = x.data().iter().fold(true, |ok, v| {
+            let bits = v.to_bits();
+            ok & ((bits == 0) | (bits == ONE_BITS))
+        });
+        if exact {
+            for b in 0..x.rows() {
+                self.ones.extend(x.row(b).chunks(64).map(|chunk| pack_bits(chunk, |v| v == 1.0)));
+            }
+        }
+        exact
+    }
+
+    /// The one-bits of row `b`.
+    #[inline]
+    fn ones(&self, b: usize) -> &[u64] {
+        &self.ones[b * self.words..(b + 1) * self.words]
+    }
+
+    /// Calls `f(i)` for every input `i` of row `b` that is `1.0` (`one`)
+    /// or `0.0` (`!one`), in ascending order.
+    #[inline]
+    fn for_each(&self, b: usize, one: bool, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.ones(b).iter().enumerate() {
+            let mut word = if one { word } else { !word };
+            let tail = self.width - w * 64;
+            if tail < 64 {
+                word &= (1u64 << tail) - 1;
+            }
+            while word != 0 {
+                f(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+    }
+}
+
+/// The first layer's per-step weight state for [`LiteralBatch`] inputs:
+/// each node's selected-literal mask (`w > 0.5`) and the complements
+/// `(1 − w)ᵀ`, stored node-contiguous (`comp[i · n_nodes + j] = 1 − w[j][i]`)
+/// so the product chains of one node kind advance together on one
+/// contiguous load per literal.
+#[derive(Debug, Clone, Default)]
+pub struct LiteralPlan {
+    n_nodes: usize,
+    /// `u64` words per mask.
+    words: usize,
+    /// `n_nodes × words` selected-literal masks.
+    masks: Vec<u64>,
+    /// `in_dim × n_nodes` complements `1 − w`, transposed.
+    comp: Vec<f32>,
+}
+
+impl LiteralPlan {
+    /// The complements `1 − w[j][i]` of input `i` for the nodes in `nodes`.
+    #[inline]
+    fn comp(&self, i: usize, nodes: Range<usize>) -> &[f32] {
+        &self.comp[i * self.n_nodes + nodes.start..i * self.n_nodes + nodes.end]
     }
 }
 
@@ -288,18 +417,12 @@ impl LogicalLayer {
         assert_eq!(wt.rows(), self.n_nodes(), "packed weight rows mismatch");
         assert_eq!(wt.cols(), self.in_dim, "packed weight cols mismatch");
         y.resize(x.rows(), self.n_nodes());
-        let n = self.n_nodes();
         let in_dim = self.in_dim;
         for b in 0..x.rows() {
             let xr = &x.row(b)[..in_dim];
             let yr = y.row_mut(b);
-            let mut s = 0;
-            while s < n {
-                let kind = self.kinds[s];
-                let mut e = s + 1;
-                while e < n && self.kinds[e] == kind {
-                    e += 1;
-                }
+            for (kind, nodes) in self.runs() {
+                let (s, e) = (nodes.start, nodes.end);
                 let mut j = s;
                 while j + 8 <= e {
                     let mut p = [1.0f32; 8];
@@ -354,7 +477,6 @@ impl LogicalLayer {
                         }
                     };
                 }
-                s = e;
             }
         }
     }
@@ -419,6 +541,206 @@ impl LogicalLayer {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Maximal runs of consecutive nodes of one kind, in node order.
+    fn runs(&self) -> impl Iterator<Item = (NodeKind, Range<usize>)> + '_ {
+        let mut s = 0;
+        std::iter::from_fn(move || {
+            let kind = *self.kinds.get(s)?;
+            let e = s + self.kinds[s..].iter().take_while(|&&k| k == kind).count();
+            let run = s..e;
+            s = e;
+            Some((kind, run))
+        })
+    }
+
+    /// Rebuilds `plan` from the current weights, reusing its allocations.
+    /// Returns whether every weight lies in `[0, 1]` (where
+    /// [`crate::optim::ProjectedSgd`] projects them); when one does not,
+    /// the literal soft kernels must not run.
+    pub fn plan_literals_into(&self, plan: &mut LiteralPlan) -> bool {
+        let (n, in_dim) = (self.n_nodes(), self.in_dim);
+        plan.n_nodes = n;
+        plan.words = in_dim.div_ceil(64);
+        plan.masks.clear();
+        for j in 0..n {
+            plan.masks.extend(self.w.row(j).chunks(64).map(|chunk| pack_bits(chunk, |w| w > 0.5)));
+        }
+        let w = self.w.data();
+        plan.comp.resize(in_dim * n, 0.0);
+        for (i, comp) in plan.comp.chunks_exact_mut(n).enumerate() {
+            for (j, c) in comp.iter_mut().enumerate() {
+                *c = 1.0 - w[j * in_dim + i];
+            }
+        }
+        w.iter().fold(true, |ok, w| ok & (0.0..=1.0).contains(w))
+    }
+
+    /// Asserts that `lits` and `plan` were built for this layer.
+    fn check_literal_shapes(&self, lits: &LiteralBatch, plan: &LiteralPlan) {
+        assert_eq!(lits.width, self.in_dim, "input width mismatch");
+        assert_eq!(plan.n_nodes, self.n_nodes(), "plan node count mismatch");
+        assert_eq!(plan.comp.len(), self.in_dim * self.n_nodes(), "plan input width mismatch");
+    }
+
+    /// Discrete forward on 0/1 inputs, writing into a caller-owned buffer:
+    /// a Conj node fires when its selected-literal mask is a subset of the
+    /// row's one-bits, a Disj node when the two intersect. Bit-identical to
+    /// [`Self::forward_discrete`] whenever [`LiteralBatch::rebuild`]
+    /// accepted the batch (then `x > 0.5` is exactly the row's bit), for
+    /// any weights.
+    ///
+    /// # Panics
+    /// Panics if `lits` or `plan` disagree with the layer's shape.
+    pub fn forward_discrete_literals_into(
+        &self,
+        lits: &LiteralBatch,
+        plan: &LiteralPlan,
+        y: &mut Matrix,
+    ) {
+        self.check_literal_shapes(lits, plan);
+        y.resize(lits.rows, self.n_nodes());
+        for b in 0..lits.rows {
+            let ones = lits.ones(b);
+            let yr = y.row_mut(b);
+            let masks = plan.masks.chunks_exact(plan.words);
+            for ((kind, mask), yj) in self.kinds.iter().zip(masks).zip(yr) {
+                // Selected literals that are 0 (Conj) or 1 (Disj).
+                let hits =
+                    |flip: u64| mask.iter().zip(ones).fold(0, |a, (&m, &o)| a | m & (o ^ flip));
+                let fires = match kind {
+                    NodeKind::Conj => hits(!0) == 0,
+                    NodeKind::Disj => hits(0) != 0,
+                };
+                *yj = if fires { 1.0 } else { 0.0 };
+            }
+        }
+    }
+
+    /// Soft forward on 0/1 inputs, writing into a caller-owned buffer.
+    ///
+    /// Bit-identical to [`Self::forward_soft`] when `lits` and `plan` passed
+    /// their checks. At `x ∈ {0, 1}` a Conj factor `1 − w(1 − x)` is exactly
+    /// `1.0` at `x = 1` and exactly `1 − w` at `x = 0`; a Disj factor
+    /// `1 − wx` is `1.0` at `x = 0` and `1 − w` at `x = 1` (`w` finite).
+    /// Since `p × 1.0 == p`, each node's product is the product of `1 − w`
+    /// over the row's zero literals (Conj) or one literals (Disj), taken in
+    /// the same ascending order. The chains of one node run advance
+    /// together, one contiguous complement load per literal.
+    ///
+    /// # Panics
+    /// Panics if `lits` or `plan` disagree with the layer's shape.
+    pub fn forward_soft_literals_into(
+        &self,
+        lits: &LiteralBatch,
+        plan: &LiteralPlan,
+        y: &mut Matrix,
+    ) {
+        self.check_literal_shapes(lits, plan);
+        y.resize(lits.rows, self.n_nodes());
+        for b in 0..lits.rows {
+            let yr = y.row_mut(b);
+            for (kind, nodes) in self.runs() {
+                let one = kind == NodeKind::Disj;
+                // Full blocks keep their chains in registers; the tail
+                // multiplies in place.
+                let mut j = nodes.start;
+                while j + CHAIN_LANES <= nodes.end {
+                    let mut p = [1.0f32; CHAIN_LANES];
+                    lits.for_each(b, one, |i| {
+                        let c: &[f32; CHAIN_LANES] =
+                            plan.comp(i, j..j + CHAIN_LANES).try_into().expect("full block");
+                        for l in 0..CHAIN_LANES {
+                            p[l] *= c[l];
+                        }
+                    });
+                    yr[j..j + CHAIN_LANES].copy_from_slice(&p);
+                    j += CHAIN_LANES;
+                }
+                let tail = &mut yr[j..nodes.end];
+                tail.fill(1.0);
+                lits.for_each(b, one, |i| {
+                    for (pj, &c) in tail.iter_mut().zip(plan.comp(i, j..nodes.end)) {
+                        *pj *= c;
+                    }
+                });
+                if one {
+                    for pj in &mut yr[nodes] {
+                        *pj = 1.0 - *pj;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Weight gradient of the soft forward on 0/1 inputs. `dw` is
+    /// **overwritten** with the batch's gradient; `dwt` is scratch that
+    /// holds it transposed (`in_dim × n_nodes`) while the rows accumulate.
+    /// No input gradient is computed: this kernel serves the first layer,
+    /// whose inputs are not parameters.
+    ///
+    /// Bit-identical to [`Self::backward`]'s `dw` on a zero-filled `dw`,
+    /// provided every value of `dy` is finite and `lits` and `plan` passed
+    /// their checks. Each term the naive loop adds at a literal this kernel
+    /// skips (Conj at `x = 1`, Disj at `x = 0`) is `g·(−0.0)·y` or `g·0.0·p`
+    /// — `±0` for finite `g`, `y` and `p` — and adding `±0` never changes a
+    /// sum seeded at `+0.0`, which can only be `+0.0` or nonzero. The same
+    /// holds for the naive `g == 0` skip, which this kernel does not take.
+    /// The kept terms are `(g·−1)·(y / max(1 − w, ε))` at `x = 0` and
+    /// `(g·1)·(p / max(1 − w, ε))` at `x = 1`, with `p = 1 − y`: the naive
+    /// operations exactly, added per element in the same row order.
+    ///
+    /// # Panics
+    /// Panics if `lits`, `plan`, `y` or `dy` disagree with the layer's
+    /// shape.
+    pub fn backward_literals_into(
+        &self,
+        lits: &LiteralBatch,
+        plan: &LiteralPlan,
+        y: &Matrix,
+        dy: &Matrix,
+        dwt: &mut Matrix,
+        dw: &mut Matrix,
+    ) {
+        self.check_literal_shapes(lits, plan);
+        let n = self.n_nodes();
+        assert_eq!((y.rows(), y.cols()), (lits.rows, n), "output shape mismatch");
+        assert_eq!((dy.rows(), dy.cols()), (lits.rows, n), "gradient shape mismatch");
+        dwt.resize(self.in_dim, n);
+        dwt.fill_zero();
+        for b in 0..lits.rows {
+            let yr = y.row(b);
+            let gr = dy.row(b);
+            for (kind, nodes) in self.runs() {
+                let (yk, gk) = (&yr[nodes.clone()], &gr[nodes.clone()]);
+                lits.for_each(b, kind == NodeKind::Disj, |i| {
+                    let lanes = dwt.row_mut(i)[nodes.clone()]
+                        .iter_mut()
+                        .zip(plan.comp(i, nodes.clone()))
+                        .zip(gk.iter().zip(yk));
+                    // `-g` and `g` are `g·(−1.0)` and `g·1.0` bit for bit.
+                    match kind {
+                        NodeKind::Conj => {
+                            for ((d, &c), (&g, &yj)) in lanes {
+                                *d += -g * (yj / c.max(FACTOR_EPS));
+                            }
+                        }
+                        NodeKind::Disj => {
+                            for ((d, &c), (&g, &yj)) in lanes {
+                                *d += g * ((1.0 - yj) / c.max(FACTOR_EPS));
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        dw.resize(n, self.in_dim);
+        for j in 0..n {
+            for (i, d) in dw.row_mut(j).iter_mut().enumerate() {
+                *d = dwt.get(i, j);
             }
         }
     }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::encoding::{EncodedData, Encoder};
 use crate::linear::LinearHead;
-use crate::logical::{DiscretePlan, LogicalLayer};
+use crate::logical::{DiscretePlan, LiteralBatch, LiteralPlan, LogicalLayer};
 use crate::loss::{accuracy, argmax_tie_high, cross_entropy, cross_entropy_grad, cross_entropy_grad_into};
 use crate::matrix::{Matrix, PackedRhs};
 use crate::optim::{Adam, ProjectedSgd};
@@ -169,11 +169,17 @@ struct TrainWorkspace {
     labels: Vec<u32>,
     /// Shuffled row order for the epoch loop.
     order: Vec<usize>,
-    /// Per-layer CSR plans over the binarized weights (rebuilt per step).
+    /// Per-layer CSR plans over the binarized weights (rebuilt per step;
+    /// layer 0's only when the step cannot take the literal path).
     plans: Vec<DiscretePlan>,
     /// Per-layer weights packed transposed for the continuous forward
-    /// (repacked per step).
+    /// (repacked per step; layer 0's only when the step cannot take the
+    /// literal path).
     packed_layers: Vec<PackedRhs>,
+    /// The batch as per-row literal bit sets (rebuilt per step).
+    literals: LiteralBatch,
+    /// Layer 0's selected-literal masks and `(1 − w)ᵀ` (rebuilt per step).
+    literal_plan: LiteralPlan,
     /// Head weights packed transposed (repacked per step).
     packed_head: PackedRhs,
     /// Discrete-pass intermediates.
@@ -192,7 +198,8 @@ struct TrainWorkspace {
     /// Output gradient of the layer currently being back-propagated.
     dy: Matrix,
     /// Input gradient of the layer back-propagated *last* iteration (its
-    /// leading columns are the carry into the layer below).
+    /// leading columns are the carry into the layer below). Layer 0's
+    /// literal backward uses it for its transposed weight gradient.
     dx: Matrix,
     /// Best-epoch parameter snapshot, written with `clone_from` so the
     /// improving-epoch path stops allocating.
@@ -208,15 +215,17 @@ enum Pass<'a> {
     Soft(&'a [PackedRhs]),
 }
 
-/// Forward pass through `layers` into `buf`, reading the batch from `x`.
-/// Bit-identical to [`LogicalNet::forward`]: the per-layer kernels replay
-/// the naive summation order exactly and the skip/rule concatenation copies
-/// the same slices in the same order.
+/// Forward pass through `layers` into `buf`, reading the batch from `x`,
+/// or layer 0's input from `literals` when the step passed the literal
+/// checks. Bit-identical to [`LogicalNet::forward`]: the per-layer kernels
+/// replay the naive summation order exactly and the skip/rule concatenation
+/// copies the same slices in the same order.
 fn forward_ws(
     layers: &[LogicalLayer],
     literal_skip: bool,
     x: &Matrix,
     pass: Pass<'_>,
+    literals: Option<(&LiteralBatch, &LiteralPlan)>,
     buf: &mut PassBuffers,
 ) {
     let batch = x.rows();
@@ -238,9 +247,17 @@ fn forward_ws(
             }
             &*input
         };
-        match pass {
-            Pass::Discrete(plans) => layers[k].forward_discrete_planned_into(input, &plans[k], out),
-            Pass::Soft(packs) => layers[k].forward_soft_packed_into(input, &packs[k], out),
+        match (pass, literals.filter(|_| k == 0)) {
+            (Pass::Discrete(_), Some((lits, plan))) => {
+                layers[0].forward_discrete_literals_into(lits, plan, out);
+            }
+            (Pass::Soft(_), Some((lits, plan))) => {
+                layers[0].forward_soft_literals_into(lits, plan, out);
+            }
+            (Pass::Discrete(plans), None) => {
+                layers[k].forward_discrete_planned_into(input, &plans[k], out);
+            }
+            (Pass::Soft(packs), None) => layers[k].forward_soft_packed_into(input, &packs[k], out),
         }
     }
     // Rule vector: all layer outputs (++ literals if skip).
@@ -285,6 +302,28 @@ impl LogicalNet {
             return Err(CoreError::InvalidParameter {
                 name: "batch_size",
                 message: "must be >= 1".into(),
+            });
+        }
+        // The optimizers assert these; reject them here as typed errors
+        // instead of panicking at the first training step.
+        for (name, lr) in [("lr_logical", config.lr_logical), ("lr_linear", config.lr_linear)] {
+            if lr.is_nan() || lr <= 0.0 {
+                return Err(CoreError::InvalidParameter {
+                    name,
+                    message: format!("must be positive, got {lr}"),
+                });
+            }
+        }
+        if !(0.0..1.0).contains(&config.momentum) {
+            return Err(CoreError::InvalidParameter {
+                name: "momentum",
+                message: format!("must lie in [0, 1), got {}", config.momentum),
+            });
+        }
+        if config.l1.is_nan() || config.l1 < 0.0 {
+            return Err(CoreError::InvalidParameter {
+                name: "l1",
+                message: format!("must be non-negative, got {}", config.l1),
             });
         }
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -427,7 +466,8 @@ impl LogicalNet {
     /// cross-entropy before the step.
     ///
     /// Bit-identical to [`Self::grafted_step_reference`]: the packed/planned
-    /// kernels replay the naive floating-point summation order exactly, and
+    /// kernels replay the naive floating-point summation order exactly, the
+    /// literal kernels skip only terms their checks make exact no-ops, and
     /// the optimizer calls are unchanged.
     fn grafted_step_ws(
         &mut self,
@@ -439,38 +479,51 @@ impl LogicalNet {
         let n_layers = self.layers.len();
         let batch = ws.x.rows();
 
+        // Layer 0 reads the encoder's literals. When the batch is exactly
+        // 0/1 and its weights lie in [0, 1], its forwards work from per-row
+        // literal sets; otherwise it runs the general kernels.
+        let literal = ws.literals.rebuild(&ws.x)
+            && self.layers[0].plan_literals_into(&mut ws.literal_plan);
+
         // Rebuild the discrete plans and head packing — both change at every
-        // optimizer step, but once per *step* instead of once per row.
+        // optimizer step, but once per *step* instead of once per row. On
+        // the literal path layer 0 needs neither.
         ws.plans.resize_with(n_layers, DiscretePlan::default);
         ws.packed_layers.resize_with(n_layers, PackedRhs::default);
-        for ((layer, plan), pw) in
-            self.layers.iter().zip(ws.plans.iter_mut()).zip(ws.packed_layers.iter_mut())
-        {
+        let first = usize::from(literal);
+        let plans = ws.plans[first..].iter_mut().zip(&mut ws.packed_layers[first..]);
+        for (layer, (plan, pw)) in self.layers[first..].iter().zip(plans) {
             layer.plan_discrete_into(plan);
             pw.pack_from(layer.weights());
         }
         self.head.pack_weights_into(&mut ws.packed_head);
+        let literals = literal.then_some((&ws.literals, &ws.literal_plan));
 
         // Discrete forward → loss gradient at the binarized output.
         let disc = Pass::Discrete(&ws.plans);
-        forward_ws(&self.layers, self.config.literal_skip, &ws.x, disc, &mut ws.disc);
+        forward_ws(&self.layers, self.config.literal_skip, &ws.x, disc, literals, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         let loss = cross_entropy(&ws.logits, &ws.labels);
         cross_entropy_grad_into(&ws.logits, &ws.labels, &mut ws.dlogits, &mut ws.exp_scratch);
 
         // Continuous forward (cached) → backward with the grafted gradient.
-        forward_ws(
-            &self.layers,
-            self.config.literal_skip,
-            &ws.x,
-            Pass::Soft(&ws.packed_layers),
-            &mut ws.cont,
-        );
+        let soft = Pass::Soft(&ws.packed_layers);
+        forward_ws(&self.layers, self.config.literal_skip, &ws.x, soft, literals, &mut ws.cont);
         ws.dv.resize(self.head.n_rules(), self.n_classes);
         ws.dv.fill_zero();
         ws.dbias.clear();
         ws.dbias.resize(self.n_classes, 0.0);
-        self.head.backward_into(&ws.cont.rules, &ws.dlogits, &mut ws.dv, &mut ws.dbias, &mut ws.dr);
+        // Only the layer-output columns of `dr` are read: literals are
+        // inputs, not parameters.
+        let layer_cols: usize = ws.cont.outputs.iter().map(Matrix::cols).sum();
+        self.head.backward_into(
+            &ws.cont.rules,
+            &ws.dlogits,
+            &mut ws.dv,
+            &mut ws.dbias,
+            &mut ws.dr,
+            layer_cols,
+        );
 
         ws.dws.resize_with(n_layers, Matrix::default);
         for (layer, dw) in self.layers.iter().zip(ws.dws.iter_mut()) {
@@ -497,6 +550,19 @@ impl LogicalNet {
                         *d += cv;
                     }
                 }
+            }
+            // The third literal check: skipped terms are `±0` only for a
+            // finite upstream gradient. Layer 0 needs no input gradient.
+            if k == 0 && literal && ws.dy.data().iter().all(|g| g.is_finite()) {
+                self.layers[0].backward_literals_into(
+                    &ws.literals,
+                    &ws.literal_plan,
+                    &ws.cont.outputs[0],
+                    &ws.dy,
+                    &mut ws.dx,
+                    &mut ws.dws[0],
+                );
+                continue;
             }
             let input: &Matrix = if k == 0 { &ws.x } else { &ws.cont.inputs[k - 1] };
             self.layers[k].backward_into(
@@ -527,7 +593,7 @@ impl LogicalNet {
         }
         self.head.pack_weights_into(&mut ws.packed_head);
         let disc = Pass::Discrete(&ws.plans);
-        forward_ws(&self.layers, self.config.literal_skip, &data.x, disc, &mut ws.disc);
+        forward_ws(&self.layers, self.config.literal_skip, &data.x, disc, None, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         accuracy(&ws.logits, &data.labels)
     }
@@ -998,6 +1064,27 @@ mod tests {
         assert!(LogicalNet::new(Arc::clone(&schema), 2, bad).is_err());
         let bad = LogicalNetConfig { layer_sizes: vec![1], ..small_config(0) };
         assert!(LogicalNet::new(Arc::clone(&schema), 2, bad).is_err());
+        let rejected = |cfg: LogicalNetConfig| {
+            matches!(
+                LogicalNet::new(Arc::clone(&schema), 2, cfg),
+                Err(CoreError::InvalidParameter { .. })
+            )
+        };
+        for lr in [0.0, -0.1, f32::NAN] {
+            assert!(rejected(LogicalNetConfig { lr_logical: lr, ..small_config(0) }), "lr {lr}");
+            assert!(rejected(LogicalNetConfig { lr_linear: lr, ..small_config(0) }), "lr {lr}");
+        }
+        for momentum in [-0.1, 1.0, 1.5, f32::NAN] {
+            assert!(rejected(LogicalNetConfig { momentum, ..small_config(0) }), "{momentum}");
+        }
+        for l1 in [-1e-4, f32::NAN] {
+            assert!(rejected(LogicalNetConfig { l1, ..small_config(0) }), "l1 {l1}");
+        }
+        // The edges of each range still build and train.
+        let ds = threshold_dataset();
+        let edge = LogicalNetConfig { momentum: 0.0, l1: 0.0, epochs: 1, ..small_config(0) };
+        let mut net = LogicalNet::new(Arc::clone(ds.schema()), 2, edge).unwrap();
+        net.fit(&ds).unwrap();
     }
 
     #[test]

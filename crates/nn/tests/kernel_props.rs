@@ -1,6 +1,6 @@
 //! Property suite for the training data-plane kernels (packed matmul,
-//! planned discrete forward, zero-alloc backward) and the workspace-routed
-//! training loops.
+//! planned discrete forward, zero-alloc backward, the first layer's literal
+//! kernels) and the workspace-routed training loops.
 //!
 //! The contract under test is **bitwise identity**: every kernel must
 //! reproduce its naive counterpart's floating-point output exactly, and the
@@ -12,7 +12,9 @@
 
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_nn::matrix::{Matrix, PackedRhs};
-use ctfl_nn::{DiscretePlan, LogicalLayer, LogicalNet, LogicalNetConfig};
+use ctfl_nn::{
+    DiscretePlan, LiteralBatch, LiteralPlan, LogicalLayer, LogicalNet, LogicalNetConfig,
+};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::{Rng, SeedableRng};
 use ctfl_testkit::{check, prop_assert, Gen};
@@ -250,6 +252,135 @@ fn backward_into_matches_naive_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
+// The first layer's literal kernels against the naive oracles on 0/1 inputs.
+// ---------------------------------------------------------------------------
+
+/// The clamp on the backward's divisor (`max(1 − w, ε)`); weights within it
+/// of 1 make the clamp bite.
+const FACTOR_EPS: f32 = 1e-6;
+
+#[derive(Debug)]
+struct LiteralCase {
+    seed: u64,
+    /// Up to 200 literals: masks of one, two, three and four words.
+    in_dim: usize,
+    /// Up to 80 nodes: runs shorter and longer than the 32-lane blocks.
+    n_nodes: usize,
+    batch: usize,
+    ones_frac: f64,
+    dy_zero_frac: f64,
+}
+
+fn gen_literal_case(g: &mut Gen) -> LiteralCase {
+    LiteralCase {
+        seed: g.rng().gen(),
+        in_dim: g.len_in(1, 200),
+        n_nodes: g.len_in(2, 80),
+        batch: g.len_in(1, 10),
+        ones_frac: g.f64_in(0.0, 1.0),
+        dy_zero_frac: g.f64_in(0.0, 0.9),
+    }
+}
+
+/// A layer whose weights mix the exact values the kernels must get right
+/// (0, 0.5, 1 and within `FACTOR_EPS` of 1) with arbitrary ones in
+/// `[0, 1]`, and a 0/1 batch that includes an all-zero and an all-one row.
+fn literal_layer(c: &LiteralCase, rng: &mut StdRng) -> (LogicalLayer, Matrix) {
+    let mut layer = LogicalLayer::new(c.in_dim, c.n_nodes, rng);
+    for w in layer.weights_mut().data_mut() {
+        *w = match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => 0.5,
+            2 => 1.0,
+            3 => 1.0 - FACTOR_EPS * rng.gen::<f32>(),
+            _ => rng.gen::<f32>(),
+        };
+    }
+    let mut x = Matrix::zeros(c.batch, c.in_dim);
+    for b in 0..c.batch {
+        for v in x.row_mut(b) {
+            let one = match b {
+                0 => false,
+                1 => true,
+                _ => rng.gen::<f64>() < c.ones_frac,
+            };
+            *v = if one { 1.0 } else { 0.0 };
+        }
+    }
+    (layer, x)
+}
+
+fn literal_inputs(
+    layer: &LogicalLayer,
+    x: &Matrix,
+) -> Result<(LiteralBatch, LiteralPlan), String> {
+    let mut lits = LiteralBatch::default();
+    prop_assert!(lits.rebuild(x), "a 0/1 batch failed the input check");
+    let mut plan = LiteralPlan::default();
+    prop_assert!(layer.plan_literals_into(&mut plan), "weights in [0, 1] failed the range check");
+    Ok((lits, plan))
+}
+
+#[test]
+fn literal_forwards_match_naive_bitwise() {
+    check("literal_forwards_match_naive_bitwise", 96, gen_literal_case, |c| {
+        let mut rng = StdRng::seed_from_u64(c.seed);
+        let (layer, x) = literal_layer(c, &mut rng);
+        let (lits, plan) = literal_inputs(&layer, &x)?;
+        let mut out = dirty(&mut rng);
+        layer.forward_soft_literals_into(&lits, &plan, &mut out);
+        assert_bits_eq(&out, &layer.forward_soft(&x), "forward_soft_literals_into")?;
+        let mut out = dirty(&mut rng);
+        layer.forward_discrete_literals_into(&lits, &plan, &mut out);
+        assert_bits_eq(&out, &layer.forward_discrete(&x), "forward_discrete_literals_into")
+    });
+}
+
+#[test]
+fn literal_backward_matches_naive_dw_bitwise() {
+    check("literal_backward_matches_naive_dw_bitwise", 96, gen_literal_case, |c| {
+        let mut rng = StdRng::seed_from_u64(c.seed);
+        let (layer, x) = literal_layer(c, &mut rng);
+        let (lits, plan) = literal_inputs(&layer, &x)?;
+        let y = layer.forward_soft(&x);
+        // Signed gradients with exact zeros, the naive loop's skip case.
+        let dy = random_matrix(&mut rng, c.batch, c.n_nodes, c.dy_zero_frac);
+        let mut dw_naive = Matrix::zeros(c.n_nodes, c.in_dim);
+        layer.backward(&x, &y, &dy, &mut dw_naive);
+        let (mut dwt, mut dw) = (dirty(&mut rng), dirty(&mut rng));
+        layer.backward_literals_into(&lits, &plan, &y, &dy, &mut dwt, &mut dw);
+        assert_bits_eq(&dw, &dw_naive, "backward_literals_into dw")
+    });
+}
+
+/// The checks that route a step to the literal kernels accept exactly what
+/// they promise: inputs bit-exactly `+0.0` or `1.0`, weights in `[0, 1]`.
+#[test]
+fn literal_checks_reject_what_the_kernels_cannot_take() {
+    let mut lits = LiteralBatch::default();
+    let ok = Matrix::from_vec(2, 3, vec![0.0, 1.0, 1.0, 0.0, 0.0, 1.0]);
+    assert!(lits.rebuild(&ok));
+    for bad in [0.5, -0.0, 2.0, -1.0, f32::NAN, f32::INFINITY, 1.0 + f32::EPSILON] {
+        let mut x = ok.clone();
+        x.set(1, 2, bad);
+        assert!(!lits.rebuild(&x), "input {bad:?} passed the check");
+    }
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut layer = LogicalLayer::new(70, 5, &mut rng);
+    let mut plan = LiteralPlan::default();
+    assert!(layer.plan_literals_into(&mut plan));
+    for edge in [0.0, 1.0, -0.0] {
+        layer.weights_mut().set(4, 69, edge);
+        assert!(layer.plan_literals_into(&mut plan), "weight {edge:?} failed the check");
+    }
+    for bad in [1.0 + f32::EPSILON, -1e-7, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        layer.weights_mut().set(4, 69, bad);
+        assert!(!layer.plan_literals_into(&mut plan), "weight {bad:?} passed the check");
+        layer.weights_mut().set(4, 69, 0.25);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: workspace training replays the naive parameter stream.
 // ---------------------------------------------------------------------------
 
@@ -270,6 +401,24 @@ fn random_dataset(rng: &mut StdRng, n_rows: usize) -> Dataset {
     ds
 }
 
+/// A dataset of six continuous features and one discrete one: at
+/// `tau_d = 6` it encodes to 75 literals, two words a row.
+fn wide_dataset(rng: &mut StdRng, n_rows: usize) -> Dataset {
+    let mut features: Vec<(String, FeatureKind)> =
+        (0..6).map(|f| (format!("x{f}"), FeatureKind::continuous(0.0, 1.0))).collect();
+    features.push(("c".to_string(), FeatureKind::discrete(3)));
+    let mut ds = Dataset::empty(FeatureSchema::new(features), 2);
+    for _ in 0..n_rows {
+        let xs: Vec<f32> = (0..6).map(|_| rng.gen::<f32>()).collect();
+        let c = rng.gen_range(0..3u32);
+        let label = u32::from((xs[0] > 0.5) ^ (xs[3] < 0.3) ^ (c == 1));
+        let mut row: Vec<_> = xs.iter().map(|&v| v.into()).collect();
+        row.push(c.into());
+        ds.push_row(&row, label).unwrap();
+    }
+    ds
+}
+
 #[derive(Debug)]
 struct TrainCase {
     seed: u64,
@@ -278,6 +427,9 @@ struct TrainCase {
     literal_skip: bool,
     batch_size: usize,
     epochs: usize,
+    /// Train on [`wide_dataset`] (75 literals) instead of
+    /// [`random_dataset`] (11).
+    wide: bool,
 }
 
 fn gen_train_case(g: &mut Gen) -> TrainCase {
@@ -294,12 +446,22 @@ fn gen_train_case(g: &mut Gen) -> TrainCase {
         literal_skip: g.bool(),
         batch_size: g.len_in(1, 24),
         epochs: g.len_in(1, 4),
+        wide: g.bool(),
+    }
+}
+
+fn case_dataset(c: &TrainCase) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(c.seed);
+    if c.wide {
+        wide_dataset(&mut rng, c.rows)
+    } else {
+        random_dataset(&mut rng, c.rows)
     }
 }
 
 fn case_config(c: &TrainCase) -> LogicalNetConfig {
     LogicalNetConfig {
-        tau_d: 4,
+        tau_d: if c.wide { 6 } else { 4 },
         layer_sizes: c.layers.clone(),
         literal_skip: c.literal_skip,
         epochs: c.epochs,
@@ -316,8 +478,7 @@ fn params_bits(net: &LogicalNet) -> Vec<u32> {
 #[test]
 fn train_replays_reference_parameter_stream() {
     check("train_replays_reference_parameter_stream", 12, gen_train_case, |c| {
-        let mut rng = StdRng::seed_from_u64(c.seed);
-        let ds = random_dataset(&mut rng, c.rows);
+        let ds = case_dataset(c);
         let cfg = case_config(c);
 
         let mut fast = LogicalNet::new(Arc::clone(ds.schema()), 2, cfg.clone()).unwrap();
@@ -349,8 +510,7 @@ fn train_replays_reference_parameter_stream() {
 #[test]
 fn train_local_replays_reference_parameter_stream() {
     check("train_local_replays_reference_parameter_stream", 12, gen_train_case, |c| {
-        let mut rng = StdRng::seed_from_u64(c.seed);
-        let ds = random_dataset(&mut rng, c.rows);
+        let ds = case_dataset(c);
         let cfg = case_config(c);
 
         let mut fast = LogicalNet::new(Arc::clone(ds.schema()), 2, cfg.clone()).unwrap();
@@ -366,6 +526,89 @@ fn train_local_replays_reference_parameter_stream() {
                 "round {round}: parameter bits diverge"
             );
         }
+        Ok(())
+    });
+}
+
+/// Where a step fails one of the literal checks, it must run the general
+/// kernels and still replay the reference.
+#[derive(Debug, Clone, Copy)]
+enum Fallback {
+    /// A first-layer weight set to this value.
+    Weight(f32),
+    /// An encoded input set to this value.
+    Input(f32),
+    /// Head weights of `±f32::MAX` on the first layer's first node, so its
+    /// upstream gradient overflows to `±∞` on some rows.
+    InfiniteGradient,
+    /// A NaN weight in the second layer, whose input gradient carries NaN
+    /// into the first layer's upstream gradient.
+    NanGradient,
+}
+
+#[derive(Debug)]
+struct FallbackCase {
+    train: TrainCase,
+    fallback: Fallback,
+}
+
+fn gen_fallback_case(g: &mut Gen) -> FallbackCase {
+    let mut train = gen_train_case(g);
+    let fallback = match g.usize_in(0, 6) {
+        0 => Fallback::Weight(1.0 + f32::EPSILON),
+        1 => Fallback::Weight(-f32::EPSILON),
+        2 => Fallback::Weight(f32::NAN),
+        3 => Fallback::Input(0.5),
+        4 => Fallback::Input(-0.0),
+        5 => Fallback::InfiniteGradient,
+        _ => Fallback::NanGradient,
+    };
+    if matches!(fallback, Fallback::NanGradient) && train.layers.len() < 2 {
+        train.layers.push(g.len_in(2, 8));
+    }
+    FallbackCase { train, fallback }
+}
+
+/// Writes the case's fallback trigger into both nets' parameters or into
+/// the encoded batch.
+fn inject(c: &FallbackCase, nets: [&mut LogicalNet; 2], x: &mut Matrix, rng: &mut StdRng) {
+    let l0 = &nets[0].layers()[0];
+    let (n0, in0) = (l0.n_nodes(), l0.in_dim());
+    let layer_params: usize = nets[0].layers().iter().map(|l| l.n_nodes() * l.in_dim()).sum();
+    let mut params = nets[0].params();
+    match c.fallback {
+        Fallback::Weight(w) => params[rng.gen_range(0..n0 * in0)] = w,
+        Fallback::Input(v) => x.set(rng.gen_range(0..x.rows()), rng.gen_range(0..x.cols()), v),
+        Fallback::InfiniteGradient => {
+            // Head row 0 (node 0's rule), classes 0 and 1.
+            params[layer_params] = f32::MAX;
+            params[layer_params + 1] = -f32::MAX;
+        }
+        Fallback::NanGradient => {
+            params[n0 * in0 + rng.gen_range(0..layer_params - n0 * in0)] = f32::NAN;
+        }
+    }
+    for net in nets {
+        net.set_params(&params).unwrap();
+    }
+}
+
+/// One `train_local` step, a single epoch over a single batch, so the
+/// comparison sees the step that took the fallback before NaN or the
+/// optimizer's projection spreads over the other parameters.
+#[test]
+fn literal_fallback_replays_reference() {
+    check("literal_fallback_replays_reference", 48, gen_fallback_case, |c| {
+        let ds = case_dataset(&c.train);
+        let cfg = LogicalNetConfig { batch_size: c.train.rows, ..case_config(&c.train) };
+        let mut fast = LogicalNet::new(Arc::clone(ds.schema()), 2, cfg.clone()).unwrap();
+        let mut naive = LogicalNet::new(Arc::clone(ds.schema()), 2, cfg).unwrap();
+        let mut encoded = fast.encode(&ds).unwrap();
+        let mut rng = StdRng::seed_from_u64(c.train.seed ^ 0xFA11);
+        inject(c, [&mut fast, &mut naive], &mut encoded.x, &mut rng);
+        fast.train_local(&encoded, 1).unwrap();
+        naive.train_local_reference(&encoded, 1).unwrap();
+        prop_assert!(params_bits(&fast) == params_bits(&naive), "parameter bits diverge");
         Ok(())
     });
 }
