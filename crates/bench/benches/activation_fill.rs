@@ -7,11 +7,18 @@
 //! Also reports the end-to-end speedup ratio so regressions are visible in
 //! the JSON log: the batched path must stay well ahead of row-at-a-time
 //! evaluation (the refactor targets ≥2×).
+//!
+//! Two more groups time the client side of private scoring at its own
+//! shape, 1,000 shards of ~24 rows under a 230-rule model: the fill alone,
+//! and the whole upload with and without randomized response at `p = 0.1`.
+//! Each prints per-client figures, since at this shape a pass is ~1,000
+//! fixed costs rather than one column scan.
 
 use ctfl_core::data::Dataset;
 use ctfl_core::model::RuleModel;
 use ctfl_core::rule::{Predicate, Rule, RuleExpr};
 use ctfl_data::synthetic::{self, SyntheticConfig};
+use ctfl_fl::privacy::{ActivationUpload, PrivacyConfig};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::Rng;
 use ctfl_rng::SeedableRng;
@@ -104,6 +111,87 @@ fn bench_fill() {
     );
 }
 
+/// 1,000 client shards of 1–47 rows (~24 on average) of one synthetic
+/// task, and a 230-rule model over it: the `score_1k_clients` upload shape.
+fn short_shards() -> (Vec<Dataset>, RuleModel) {
+    let cfg = SyntheticConfig {
+        n_instances: 24_000,
+        n_continuous: 6,
+        n_discrete: 8,
+        discrete_arity: 6,
+        n_terms: 5,
+        term_len: 2,
+        label_noise: 0.12,
+        seed: 7,
+    };
+    let (data, _) = synthetic::generate(&cfg);
+    let model = model_for(&data, 230, 13);
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut next = 0;
+    let shards = (0..1_000)
+        .map(|_| {
+            let len = rng.gen_range(1usize..=47);
+            let rows: Vec<usize> = (next..next + len).map(|i| i % data.len()).collect();
+            next += len;
+            data.subset(&rows)
+        })
+        .collect();
+    (shards, model)
+}
+
+fn bench_short_shards() {
+    let (shards, model) = short_shards();
+    let n_rows: usize = shards.iter().map(Dataset::len).sum();
+    for shard in &shards {
+        assert_eq!(
+            model.activation_matrix(shard, false).unwrap(),
+            model.activation_matrix_rowwise(shard).unwrap()
+        );
+    }
+    let per_client = |ns: u128| ns as f64 / 1e3 / shards.len() as f64;
+
+    let mut fill = Bencher::new("activation_fill_1000_shards_x230");
+    fill.sample_size(20);
+    let serial = fill
+        .bench("batch/serial", || {
+            shards.iter().map(|s| model.activation_matrix(s, false).unwrap()).collect::<Vec<_>>()
+        })
+        .median_ns;
+    println!(
+        "fill: {:.1} us per client ({n_rows} rows over {} shards)",
+        per_client(serial),
+        shards.len()
+    );
+
+    let mut upload = Bencher::new("upload_1000_shards_x230");
+    upload.sample_size(20);
+    let mut medians = [0u128; 2];
+    for (median, p) in medians.iter_mut().zip([0.0, 0.1]) {
+        let privacy = PrivacyConfig { flip_probability: p };
+        *median = upload
+            .bench(&format!("compute/p{p}"), || {
+                shards
+                    .iter()
+                    .enumerate()
+                    .map(|(c, shard)| {
+                        let mut rng = StdRng::seed_from_u64(c as u64);
+                        ActivationUpload::compute(c, &model, shard, &privacy, &mut rng).unwrap()
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .median_ns;
+    }
+    println!(
+        "upload: {:.1} us per client at p = 0, {:.1} us at p = 0.1 \
+         (randomized response {:.1} us, {:.2} ns per bit)",
+        per_client(medians[0]),
+        per_client(medians[1]),
+        per_client(medians[1].saturating_sub(medians[0])),
+        medians[1].saturating_sub(medians[0]) as f64 / (n_rows * model.rules().len()) as f64
+    );
+}
+
 fn main() {
     bench_fill();
+    bench_short_shards();
 }

@@ -280,6 +280,28 @@ impl ActivationMatrix {
         }
     }
 
+    /// Flips every bit for which `flip` returns `true`, a word at a time.
+    ///
+    /// `flip` is called once per (row, bit), row-major and bit-ascending,
+    /// and never for the bits past `n_bits`, which stay zero.
+    pub fn flip_bits(&mut self, mut flip: impl FnMut() -> bool) {
+        if self.words_per_row == 0 {
+            return;
+        }
+        for row in self.words.chunks_exact_mut(self.words_per_row) {
+            for (wi, word) in row.iter_mut().enumerate() {
+                let width = (self.n_bits - wi * 64).min(64);
+                // Shifting each outcome in at the bottom and reversing once
+                // per word costs less than a variable shift per bit.
+                let mut flips = 0u64;
+                for _ in 0..width {
+                    flips = flips << 1 | u64::from(flip());
+                }
+                *word ^= flips.reverse_bits() >> (64 - width);
+            }
+        }
+    }
+
     /// A stable 64-bit signature of a row, used to group identical
     /// activation vectors (FNV-1a over the packed words).
     pub fn row_signature(&self, row: usize) -> u64 {
@@ -388,6 +410,37 @@ mod tests {
         }
         scattered.scatter_bit(129, &mask);
         assert_eq!(scattered, reference);
+    }
+
+    #[test]
+    fn flip_bits_visits_each_bit_in_order_and_keeps_the_tail_clear() {
+        let mut m = ActivationMatrix::zeros(3, 130);
+        m.set(1, 64, true);
+        let mut calls = 0;
+        m.flip_bits(|| {
+            calls += 1;
+            true
+        });
+        assert_eq!(calls, 3 * 130);
+        assert_eq!((m.row_count(0), m.row_count(1)), (130, 129));
+        assert!(!m.get(1, 64));
+        assert!(ActivationMatrix::from_words(3, 130, m.as_words().to_vec()).is_ok());
+
+        // Call i flips bit (i / 130, i % 130) exactly when i % 7 == 0.
+        let mut flipped = ActivationMatrix::zeros(3, 130);
+        let mut i = 0;
+        flipped.flip_bits(|| {
+            i += 1;
+            (i - 1) % 7 == 0
+        });
+        let mut reference = ActivationMatrix::zeros(3, 130);
+        for i in (0..3 * 130).filter(|i| i % 7 == 0) {
+            reference.set(i / 130, i % 130, true);
+        }
+        assert_eq!(flipped, reference);
+
+        let mut empty = ActivationMatrix::zeros(4, 0);
+        empty.flip_bits(|| unreachable!("a zero-width matrix has no bits"));
     }
 
     #[test]

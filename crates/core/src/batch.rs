@@ -85,17 +85,33 @@ impl CompiledRules {
     /// Both modes produce identical output.
     pub fn activation_matrix(&self, view: &DatasetView<'_>, parallel: bool) -> ActivationMatrix {
         let n_rows = view.len();
-        let masks = self.predicate_masks(view, parallel);
         let mut m = ActivationMatrix::zeros(n_rows, self.programs.len());
+        if n_rows == 0 {
+            return m;
+        }
+        let masks = self.predicate_masks(view, parallel);
+        let ones = all_ones(n_rows);
+        let mut rule_mask = vec![0u64; ones.len()];
         for (bit, prog) in self.programs.iter().enumerate() {
-            let rule_mask = eval_program(prog, &masks, n_rows);
+            // Whole blocks first, then the last few words one at a time.
+            let (blocks, rest) = rule_mask.as_chunks_mut::<BLOCK_WORDS>();
+            for (block, out) in blocks.iter_mut().enumerate() {
+                let w0 = block * BLOCK_WORDS;
+                *out = eval_block(prog, &masks, w0, &word_block(&ones, w0));
+            }
+            let w0 = blocks.len() * BLOCK_WORDS;
+            for (w, out) in (w0..).zip(rest) {
+                *out = eval_block(prog, &masks, w, &[ones[w]])[0];
+            }
             m.scatter_bit(bit, &rule_mask);
         }
         m
     }
 
-    /// One row-indexed bitmask per unique predicate.
-    fn predicate_masks(&self, view: &DatasetView<'_>, parallel: bool) -> Vec<Vec<u64>> {
+    /// Every unique predicate's row mask in one arena: predicate `i` holds
+    /// words `i * mask_words..(i + 1) * mask_words`. Each [`map_chunks`]
+    /// chunk fills its own contiguous slab. `view` must not be empty.
+    fn predicate_masks(&self, view: &DatasetView<'_>, parallel: bool) -> PredicateMasks {
         // Work per predicate is one packed mask of `len/64` words; plan the
         // thread count from the total word volume so tiny datasets (where
         // spawn overhead would dominate) stay serial instead of hitting a
@@ -106,13 +122,34 @@ impl CompiledRules {
         } else {
             1
         };
-        map_chunks(&self.preds, n_threads, |ps| {
-            ps.iter().map(|p| predicate_mask(p, view)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        let mut slabs = map_chunks(&self.preds, n_threads, |ps| {
+            let mut slab = vec![0u64; ps.len() * mask_words];
+            for (p, words) in ps.iter().zip(slab.chunks_exact_mut(mask_words)) {
+                predicate_mask(p, view, words);
+            }
+            slab
+        });
+        let words = if slabs.len() == 1 { slabs.swap_remove(0) } else { slabs.concat() };
+        PredicateMasks { words, mask_words }
     }
+}
+
+/// The predicate arena [`CompiledRules::predicate_masks`] builds.
+struct PredicateMasks {
+    words: Vec<u64>,
+    mask_words: usize,
+}
+
+impl PredicateMasks {
+    /// Words `w0..w0 + N` of predicate `i`'s row mask.
+    fn block<const N: usize>(&self, i: usize, w0: usize) -> [u64; N] {
+        word_block(&self.words, i * self.mask_words + w0)
+    }
+}
+
+/// Words `at..at + N` of `words`.
+fn word_block<const N: usize>(words: &[u64], at: usize) -> [u64; N] {
+    words[at..at + N].try_into().expect("a range of N words converts to [u64; N]")
 }
 
 fn compile_expr(
@@ -142,33 +179,31 @@ fn compile_expr(
     }
 }
 
-/// Scans one column and packs the predicate outcome of 64 rows per word.
-fn predicate_mask(pred: &Predicate, view: &DatasetView<'_>) -> Vec<u64> {
-    let n = view.len();
-    let mut words = vec![0u64; n.div_ceil(64)];
+/// Scans one column and packs the predicate outcome of 64 rows per word
+/// into `words`.
+fn predicate_mask(pred: &Predicate, view: &DatasetView<'_>, words: &mut [u64]) {
     let col = view.source().column(pred.feature());
     let idx = view.indices();
     match *pred {
         Predicate::Gt { threshold, .. } => {
-            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, &mut words, |v| v > threshold)
+            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, words, |v| v > threshold)
         }
         Predicate::Ge { threshold, .. } => {
-            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, &mut words, |v| v >= threshold)
+            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, words, |v| v >= threshold)
         }
         Predicate::Lt { threshold, .. } => {
-            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, &mut words, |v| v < threshold)
+            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, words, |v| v < threshold)
         }
         Predicate::Le { threshold, .. } => {
-            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, &mut words, |v| v <= threshold)
+            fill_mask(col.as_f32().expect("compiled programs are well-typed"), idx, words, |v| v <= threshold)
         }
         Predicate::Eq { category, .. } => {
-            fill_mask(col.as_u32().expect("compiled programs are well-typed"), idx, &mut words, |c| c == category)
+            fill_mask(col.as_u32().expect("compiled programs are well-typed"), idx, words, |c| c == category)
         }
         Predicate::Neq { category, .. } => {
-            fill_mask(col.as_u32().expect("compiled programs are well-typed"), idx, &mut words, |c| c != category)
+            fill_mask(col.as_u32().expect("compiled programs are well-typed"), idx, words, |c| c != category)
         }
     }
-    words
 }
 
 /// Branchless word fill: direct column scan for all-rows views, gathered
@@ -201,57 +236,46 @@ fn fill_mask<T: Copy>(
     }
 }
 
-/// Combines predicate masks according to the formula. Empty `And` is
-/// all-ones, empty `Or` all-zeros; `Not` must clear the tail bits past
-/// `n_rows` so they never leak into the scatter.
-fn eval_program(prog: &Program, masks: &[Vec<u64>], n_rows: usize) -> Vec<u64> {
+/// Words a program evaluates at a time: enough to spread the tree walk
+/// over wide shards, few enough to keep each node's block on the stack.
+const BLOCK_WORDS: usize = 8;
+
+/// Evaluates `prog` over the `N` row-mask words from word `w0` on. `ones`
+/// holds the same words of the all-rows mask, so `And` folds from it, `Or`
+/// from 0, and `Not` re-masks with it: no result sets a bit past the last
+/// row, where the scatter would index past the matrix. No node allocates,
+/// and a fixed `N` lets each word loop compile to straight-line code.
+fn eval_block<const N: usize>(
+    prog: &Program,
+    masks: &PredicateMasks,
+    w0: usize,
+    ones: &[u64; N],
+) -> [u64; N] {
+    let eval = |part| eval_block(part, masks, w0, ones);
     match prog {
-        Program::Pred(i) => masks[*i].clone(),
+        Program::Pred(i) => masks.block(*i, w0),
         Program::And(parts) => {
-            let mut iter = parts.iter();
-            let Some(first) = iter.next() else { return all_ones(n_rows) };
-            let mut acc = eval_program(first, masks, n_rows);
-            for part in iter {
-                let m = eval_program(part, masks, n_rows);
-                for (a, b) in acc.iter_mut().zip(&m) {
-                    *a &= b;
-                }
-            }
-            acc
+            parts.iter().fold(*ones, |acc, part| zip_words(acc, eval(part), |a, b| a & b))
         }
         Program::Or(parts) => {
-            let mut acc = vec![0u64; n_rows.div_ceil(64)];
-            for part in parts {
-                let m = eval_program(part, masks, n_rows);
-                for (a, b) in acc.iter_mut().zip(&m) {
-                    *a |= b;
-                }
-            }
-            acc
+            parts.iter().fold([0; N], |acc, part| zip_words(acc, eval(part), |a, b| a | b))
         }
-        Program::Not(inner) => {
-            let mut acc = eval_program(inner, masks, n_rows);
-            for w in acc.iter_mut() {
-                *w = !*w;
-            }
-            mask_tail(&mut acc, n_rows);
-            acc
-        }
+        Program::Not(inner) => zip_words(eval(inner), *ones, |a, m| !a & m),
     }
 }
 
+fn zip_words<const N: usize>(a: [u64; N], b: [u64; N], op: impl Fn(u64, u64) -> u64) -> [u64; N] {
+    std::array::from_fn(|k| op(a[k], b[k]))
+}
+
+/// The row mask selecting all `n_rows` rows, with the tail bits clear.
 fn all_ones(n_rows: usize) -> Vec<u64> {
     let mut words = vec![!0u64; n_rows.div_ceil(64)];
-    mask_tail(&mut words, n_rows);
-    words
-}
-
-fn mask_tail(words: &mut [u64], n_rows: usize) {
     if !n_rows.is_multiple_of(64) {
-        if let Some(last) = words.last_mut() {
-            *last &= (1u64 << (n_rows % 64)) - 1;
-        }
+        let last = words.len() - 1;
+        words[last] = (1u64 << (n_rows % 64)) - 1;
     }
+    words
 }
 
 #[cfg(test)]
@@ -305,15 +329,19 @@ mod tests {
 
     #[test]
     fn batch_matches_per_row_eval() {
-        let ds = dataset(131); // crosses two word boundaries
-        let rs = rules();
-        let compiled = CompiledRules::compile(&rs, &schema()).unwrap();
-        let m = compiled.activation_matrix(&ds.view(), false);
-        assert_eq!(m.n_rows(), ds.len());
-        for i in 0..ds.len() {
-            let row = ds.row(i);
-            for (bit, rule) in rs.iter().enumerate() {
-                assert_eq!(m.get(i, bit), rule.activated(&row), "row {i} bit {bit}");
+        // 131 rows cross two word boundaries; 600 rows fill one whole
+        // evaluation block and leave two words for the one-word path.
+        for n in [131, 600] {
+            let ds = dataset(n);
+            let rs = rules();
+            let compiled = CompiledRules::compile(&rs, &schema()).unwrap();
+            let m = compiled.activation_matrix(&ds.view(), false);
+            assert_eq!(m.n_rows(), ds.len());
+            for i in 0..ds.len() {
+                let row = ds.row(i);
+                for (bit, rule) in rs.iter().enumerate() {
+                    assert_eq!(m.get(i, bit), rule.activated(&row), "row {i} bit {bit}");
+                }
             }
         }
     }

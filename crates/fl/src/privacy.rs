@@ -12,6 +12,13 @@
 //! differential privacy with `ε = ln((1 − p) / p)` per bit. Perturbation
 //! trades tracing precision for privacy; the tests quantify the effect.
 //!
+//! The flips draw from the client's RNG in a fixed order: one `next_u64`
+//! per (row, bit), row-major and bit-ascending, and bit `(r, b)` flips
+//! when its draw `k = next_u64() >> 11` is below `⌈p · 2⁵³⌉`
+//! ([`ctfl_rng::Bernoulli`]). That is exactly `gen_bool(p)` on the same
+//! draw, so an upload is a pure function of the client's seed; the draws
+//! of one row word are gathered into one flip mask and XORed in at once.
+//!
 //! Because uploads are *claims* (the federation never sees the raw data
 //! behind them), a rational participant paid by contribution score will
 //! game them — see [`crate::score_attack`] for the attack layer. The
@@ -26,7 +33,7 @@ use ctfl_core::model::RuleModel;
 use ctfl_core::robustness::{audit_uploads, UploadAuditConfig, UploadAuditInput, UploadAuditReport};
 use ctfl_core::shard::{ActivationShard, ShardedActivations};
 use ctfl_core::tracing::{trace_sharded, ShardedTraceInputs, TraceConfig};
-use ctfl_rng::Rng;
+use ctfl_rng::{Bernoulli, Rng};
 
 /// Local-DP configuration for activation uploads.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,14 +105,7 @@ impl ActivationUpload {
         config.validate()?;
         let mut activations = model.activation_matrix(private_data, false)?;
         if config.flip_probability > 0.0 {
-            for row in 0..activations.n_rows() {
-                for bit in 0..activations.n_bits() {
-                    if rng.gen_bool(config.flip_probability) {
-                        let v = activations.get(row, bit);
-                        activations.set(row, bit, !v);
-                    }
-                }
-            }
+            randomized_response(&mut activations, config.flip_probability, rng);
         }
         Ok(ActivationUpload {
             client,
@@ -124,6 +124,13 @@ impl ActivationUpload {
             claimed_flip_probability: self.claimed_flip_probability,
         }
     }
+}
+
+/// Flips each bit of `acts` with probability `p`, in the draw order the
+/// module documentation fixes.
+fn randomized_response<R: Rng + ?Sized>(acts: &mut ActivationMatrix, p: f64, rng: &mut R) {
+    let coin = Bernoulli::new(p);
+    acts.flip_bits(|| coin.sample(rng));
 }
 
 /// Assembles uploads into a [`ShardedActivations`] store — each client's
@@ -298,7 +305,7 @@ mod tests {
     use ctfl_core::data::{FeatureKind, FeatureSchema};
     use ctfl_core::rule::{conjunction, Predicate};
     use ctfl_rng::rngs::StdRng;
-    use ctfl_rng::SeedableRng;
+    use ctfl_rng::{RngCore, SeedableRng};
     use std::sync::Arc;
 
     /// Pinned reference for upload assembly: the historical per-bit, per-row
@@ -343,6 +350,44 @@ mod tests {
             return Err(CoreError::Empty { what: "unquarantined uploads" });
         }
         Ok((acts, labels, client_of))
+    }
+
+    /// Pinned reference for randomized response: one `gen_bool` per
+    /// (row, bit), row-major, flipping through `get`/`set`.
+    fn randomized_response_reference(acts: &mut ActivationMatrix, p: f64, rng: &mut StdRng) {
+        for row in 0..acts.n_rows() {
+            for bit in 0..acts.n_bits() {
+                if rng.gen_bool(p) {
+                    let v = acts.get(row, bit);
+                    acts.set(row, bit, !v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn randomized_response_is_bit_identical_to_the_per_bit_reference() {
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        let mut fill = StdRng::seed_from_u64(3);
+        for n_rows in [0, 1, 2, 24, 63, 64, 65, 130] {
+            for n_bits in [1, 7, 63, 64, 65, 127, 128, 129, 200] {
+                let mut start = ActivationMatrix::zeros(0, n_bits);
+                for _ in 0..n_rows {
+                    let bits: Vec<bool> = (0..n_bits).map(|_| fill.gen()).collect();
+                    start.push_row(&bits).unwrap();
+                }
+                for p in [0.1, 0.25, 1e-17, below_half] {
+                    let seed = (n_rows * 1000 + n_bits) as u64;
+                    let (mut fast, mut reference) = (start.clone(), start.clone());
+                    let mut fast_rng = StdRng::seed_from_u64(seed);
+                    let mut reference_rng = StdRng::seed_from_u64(seed);
+                    randomized_response(&mut fast, p, &mut fast_rng);
+                    randomized_response_reference(&mut reference, p, &mut reference_rng);
+                    assert_eq!(fast, reference, "{n_rows} x {n_bits} at p {p}");
+                    assert_eq!(fast_rng.next_u64(), reference_rng.next_u64(), "rng state");
+                }
+            }
+        }
     }
 
     fn model_and_data() -> (RuleModel, Dataset, Dataset) {

@@ -75,17 +75,47 @@ pub trait Rng: RngCore {
         range.sample_from(self)
     }
 
-    /// `true` with probability `p`.
+    /// `true` with probability `p`: one [`Bernoulli`] draw.
     ///
     /// # Panics
     /// Panics unless `0 ≤ p ≤ 1`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability must be in [0, 1], got {p}");
-        f64::sample(self) < p
+        Bernoulli::new(p).sample(self)
     }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
+
+/// A coin of fixed bias, drawn as [`Rng::gen_bool`] draws it.
+///
+/// A draw is `true` when the uniform `f64` sample `k · 2⁻⁵³`, for
+/// `k = next_u64() >> 11`, is below `p`. Both sides are exact in `f64`
+/// (`k < 2⁵³`, and scaling by a power of two is exact), so for
+/// `p ∈ [0, 1]` the test is the real `k < p · 2⁵³`, which for an integer
+/// `k` is `k < ⌈p · 2⁵³⌉`. `Bernoulli` computes that cut once, so each
+/// draw is one shift and one integer compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli {
+    /// `⌈p · 2⁵³⌉`, in `0..=2⁵³`.
+    cut: u64,
+}
+
+impl Bernoulli {
+    /// The coin that lands `true` with probability `p`.
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ p ≤ 1`.
+    pub fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "gen_bool probability must be in [0, 1], got {p}");
+        Bernoulli { cut: (p * (1u64 << 53) as f64).ceil() as u64 }
+    }
+
+    /// One draw; consumes one `next_u64`.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
+        (rng.next_u64() >> 11) < self.cut
+    }
+}
 
 /// Types with a canonical "standard" distribution (the role of
 /// `rand::distributions::Standard`).
@@ -268,6 +298,49 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
         assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
         assert!((0..100).all(|_| rng.gen_bool(1.0)));
+    }
+
+    /// Yields one fixed word, so a test can pick the draw `k`.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn bernoulli_cut_agrees_with_the_float_test_at_its_boundary() {
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        let edges = [
+            0.0,
+            f64::from_bits(1), // the smallest subnormal
+            1e-17,             // p · 2⁵³ ≈ 0.09: a cut of 1
+            1.0 / (1u64 << 53) as f64,
+            0.1,
+            0.25, // p · 2⁵³ is an integer
+            0.3,
+            below_half,
+            0.5,
+            below_one,
+            1.0,
+        ];
+        for p in edges {
+            let cut = Bernoulli::new(p).cut;
+            assert!(cut <= 1 << 53, "p {p}: cut {cut}");
+            for k in [cut.wrapping_sub(1), cut, cut + 1] {
+                if k >= 1 << 53 {
+                    continue;
+                }
+                let float = f64::sample(&mut Fixed(k << 11)) < p;
+                assert_eq!(Bernoulli::new(p).sample(&mut Fixed(k << 11)), float, "p {p}, k {k}");
+                assert_eq!(float, k < cut, "p {p}, k {k}, cut {cut}");
+            }
+        }
+        assert_eq!(Bernoulli::new(1e-17).cut, 1);
+        assert_eq!(Bernoulli::new(0.25).cut, 1 << 51);
+        assert_eq!(Bernoulli::new(1.0).cut, 1 << 53);
     }
 
     #[test]

@@ -93,7 +93,9 @@ fn random_task(g: &mut Gen) -> RandomTask {
             (0..n_features).map(|f| random_value(g, &kinds[f])).collect();
         (row, g.u32_in(0, n_classes as u32 - 1))
     });
-    let n_rules = g.len_in(1, 12);
+    // Up to 150 rules, so activation rows span one to three words and the
+    // fill's multi-word scatter gets covered; up to 199 rows cover tail words.
+    let n_rules = g.len_in(1, 150);
     let rules = g.vec(n_rules, |g| {
         let expr = random_expr(g, &kinds, 3);
         let class = g.usize_in(0, n_classes - 1);
