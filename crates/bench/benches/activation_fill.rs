@@ -87,8 +87,10 @@ fn bench_fill() {
     assert_eq!(model.activation_matrix(&data, false).unwrap(), reference);
     assert_eq!(model.activation_matrix(&data, true).unwrap(), reference);
 
+    // 60 samples: the median of 10 read 2.6–4.3 ms across back-to-back
+    // runs of one binary on 2 vCPUs; compare minimums.
     let mut group = Bencher::new("activation_fill_20000x96");
-    group.sample_size(10);
+    group.sample_size(60);
     let row = group.bench("per_row", || model.activation_matrix_rowwise(&data).unwrap()).median_ns;
     let serial =
         group.bench("batch/serial", || model.activation_matrix(&data, false).unwrap()).median_ns;

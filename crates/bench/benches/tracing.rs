@@ -2,7 +2,16 @@
 //! the three grouping strategies (paper Section III-C "Efficient
 //! Computation of CTFL"). SignatureDedup and the Max-Miner FrequentRuleSets
 //! grouping must beat BruteForce on redundant activation data.
+//!
+//! The E8 groups' 128-bit rows at 12% density never give a work group
+//! enough traced bits for the kernel's missing-weight bound. A second group
+//! traces `scale_sweep`'s wide cell (dense rows of `WIDE_BITS` = 230 bits,
+//! Pareto rule weights) at the `score_1k_clients` scale, 24,000 train × 512
+//! test rows over 1,000 clients, where the groups build it; compare its
+//! minimum of 60 samples, which spreads far less than the median on a
+//! shared host.
 
+use ctfl_bench::wide::{wide_cell, WIDE_BITS};
 use ctfl_core::activation::ActivationMatrix;
 use ctfl_core::tracing::{trace, GroupingStrategy, TraceConfig, TraceInputs};
 use ctfl_rng::rngs::StdRng;
@@ -93,6 +102,32 @@ fn bench_tracing() {
     }
 }
 
+/// Seed of the wide cell's data: `scale_sweep`'s default.
+const WIDE_SEED: u64 = 7;
+
+fn bench_wide_tracing() {
+    let s = wide_cell(WIDE_SEED, 24_000, 512, 1000);
+    let inputs = TraceInputs {
+        train_acts: &s.train,
+        train_labels: &s.train_labels,
+        client_of: &s.client_of,
+        n_clients: 1000,
+        test_acts: &s.test,
+        test_labels: &s.test_labels,
+        predictions: &s.predictions,
+        weights: &s.weights,
+        class_masks: &s.class_masks,
+    };
+    let mut group = Bencher::new(&format!("tracing_wide_24000x512x{WIDE_BITS}"));
+    group.sample_size(60);
+    for parallel in [false, true] {
+        let id = format!("signature_dedup/{}", if parallel { "parallel" } else { "serial" });
+        let cfg = TraceConfig { parallel, ..TraceConfig::default() };
+        group.bench(&id, || trace(&inputs, &cfg).unwrap());
+    }
+}
+
 fn main() {
     bench_tracing();
+    bench_wide_tracing();
 }

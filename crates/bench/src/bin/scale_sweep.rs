@@ -34,6 +34,7 @@
 
 use ctfl_bench::args::CommonArgs;
 use ctfl_bench::measure::median_ns;
+use ctfl_bench::wide::{wide_cell, WIDE_BITS};
 use ctfl_core::activation::ActivationMatrix;
 use ctfl_core::allocation::{micro_scores, CreditDirection};
 use ctfl_core::batch::CompiledRules;
@@ -46,7 +47,7 @@ use ctfl_core::tracing::{
 use ctfl_data::synthetic::{federated_shards, generate, SyntheticConfig};
 use ctfl_fl::server::fnv1a_bytes;
 use ctfl_rng::rngs::StdRng;
-use ctfl_rng::{Rng, SeedableRng};
+use ctfl_rng::SeedableRng;
 use ctfl_valuation::coalition::Coalition;
 use ctfl_valuation::utility::UtilityFn;
 use ctfl_valuation::{leave_one_out_scores, sampled_shapley, ShapleySamplingConfig};
@@ -57,11 +58,9 @@ const ROW_GRID: [usize; 3] = [20_000, 200_000, 1_000_000];
 const CLIENT_GRID: [usize; 3] = [10, 100, 1000];
 const N_TEST: usize = 64;
 const N_BLOCKS: usize = 32;
-/// Wide-cell shape: rule count, train rows, clients and row density.
-const WIDE_BITS: usize = 230;
+/// Wide-cell shape: train rows and clients.
 const WIDE_ROWS: usize = 20_000;
 const WIDE_CLIENTS: usize = 100;
-const WIDE_DENSITY: f64 = 0.45;
 
 /// FNV-1a over the little-endian bit patterns of an f64 slice.
 fn fnv1a_f64(values: &[f64]) -> u64 {
@@ -100,83 +99,6 @@ impl UtilityFn for BlockUtility {
     fn value(&self, c: &Coalition) -> f64 {
         let total: f64 = c.members().iter().map(|&i| self.weights[i]).sum();
         total / (1.0 + 0.05 * c.len() as f64)
-    }
-}
-
-/// A seeded row of `WIDE_BITS` bits, each set with probability `density`.
-fn wide_row(rng: &mut StdRng, density: f64) -> Vec<u64> {
-    let bits: Vec<usize> = (0..WIDE_BITS).filter(|_| rng.gen_bool(density)).collect();
-    ActivationMatrix::build_mask(WIDE_BITS, bits)
-}
-
-/// The wide cell's federation and test side. Rule weights are Pareto
-/// (α = 1.5), each rule supports a random one of two classes, a test row
-/// is predicted by its heavier class sum and mislabeled 20% of the time,
-/// and 30% of the train rows are copies of a test row, labeled with its
-/// prediction, that drop each bit with probability 0.05: pairs at the
-/// threshold.
-struct WideCell {
-    train: ActivationMatrix,
-    train_labels: Vec<u32>,
-    client_of: Vec<u32>,
-    test: ActivationMatrix,
-    test_labels: Vec<u32>,
-    predictions: Vec<usize>,
-    weights: Vec<f64>,
-    class_masks: Vec<Vec<u64>>,
-}
-
-fn wide_cell(seed: u64) -> WideCell {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0057_1DE0);
-    let weights: Vec<f64> =
-        (0..WIDE_BITS).map(|_| (1.0 - rng.gen::<f64>()).powf(-1.0 / 1.5)).collect();
-    let rule_class: Vec<usize> = (0..WIDE_BITS).map(|_| rng.gen_range(0..2usize)).collect();
-    let class_masks: Vec<Vec<u64>> = (0..2)
-        .map(|c| {
-            ActivationMatrix::build_mask(WIDE_BITS, (0..WIDE_BITS).filter(|&b| rule_class[b] == c))
-        })
-        .collect();
-    let mut test = ActivationMatrix::with_capacity(N_TEST, WIDE_BITS);
-    let (mut test_labels, mut predictions) = (Vec::new(), Vec::new());
-    for _ in 0..N_TEST {
-        let row = wide_row(&mut rng, WIDE_DENSITY);
-        test.extend_from_words(1, &row).expect("row width");
-        let votes: Vec<f64> = class_masks
-            .iter()
-            .map(|m| test.masked_weight_sum(test.n_rows() - 1, m, &weights))
-            .collect();
-        let predicted = usize::from(votes[1] >= votes[0]);
-        predictions.push(predicted);
-        test_labels.push((predicted ^ usize::from(rng.gen_bool(0.2))) as u32);
-    }
-    let mut train = ActivationMatrix::with_capacity(WIDE_ROWS, WIDE_BITS);
-    let mut train_labels = Vec::with_capacity(WIDE_ROWS);
-    for _ in 0..WIDE_ROWS {
-        if rng.gen_bool(0.3) {
-            let t = rng.gen_range(0..N_TEST);
-            let mut row = test.row_words(t).to_vec();
-            for b in 0..WIDE_BITS {
-                if rng.gen_bool(0.05) {
-                    row[b / 64] &= !(1 << (b % 64));
-                }
-            }
-            train.extend_from_words(1, &row).expect("row width");
-            train_labels.push(predictions[t] as u32);
-        } else {
-            train.extend_from_words(1, &wide_row(&mut rng, WIDE_DENSITY)).expect("row width");
-            train_labels.push(rng.gen_range(0..2u32));
-        }
-    }
-    let client_of = (0..WIDE_ROWS).map(|r| (r * WIDE_CLIENTS / WIDE_ROWS) as u32).collect();
-    WideCell {
-        train,
-        train_labels,
-        client_of,
-        test,
-        test_labels,
-        predictions,
-        weights,
-        class_masks,
     }
 }
 
@@ -349,7 +271,7 @@ fn main() {
     );
 
     // Gate 5: the wide cell, where the kernel's missing-weight bound runs.
-    let wide = wide_cell(args.seed);
+    let wide = wide_cell(args.seed, WIDE_ROWS, N_TEST, WIDE_CLIENTS);
     let mono = TraceInputs {
         train_acts: &wide.train,
         train_labels: &wide.train_labels,

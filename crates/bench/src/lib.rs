@@ -20,6 +20,7 @@ pub mod federation;
 pub mod measure;
 pub mod report;
 pub mod schemes;
+pub mod wide;
 
 pub use args::CommonArgs;
 pub use datasets::DatasetSpec;

@@ -31,26 +31,33 @@
 //! The kernel's related sets are the exact Eq. 4 test's, bit for bit; the
 //! pinned per-bit oracle [`trace_reference`] checks this with `==`.
 //!
-//! * **Class arenas.** Once per trace, each class's training rows are
-//!   gathered into one contiguous word arena in global row order, through
-//!   [`TrainAccess`], so both row stores run the same scan over the same
-//!   layout. A work group scans its traced class's arena;
-//!   `FrequentRuleSets` candidate lists are positions in it. A class with
-//!   fewer rules than the bound's cutoff keeps only its row ids and reads
-//!   its (short) rows from the store, which is cheaper than copying them.
+//! * **Class arenas.** Once per trace, each class's training row ids are
+//!   gathered in global row order, through [`TrainAccess`], so both row
+//!   stores scan the same rows in the same order. A work group scans its
+//!   traced class a block of 64 rows at a time; `FrequentRuleSets`
+//!   candidates are a per-block mask of arena positions. The first group
+//!   that scans a class with a bound also builds the class's rows
+//!   bit-major, one `u64` per rule bit per block, by 64 × 64 bit-matrix
+//!   transposes; a class no group bounds never pays for them.
 //! * **Missing-weight bound.** A work group with at least
 //!   `BOUND_MIN_BITS` (12) traced bits `R = rep & mask`, whose weights
-//!   quantize to more than twice the budget, first computes an integer
-//!   lower bound on the traced weight each row misses: four bit-planes of
-//!   weights quantized down to eighths of a related row's missing-weight
-//!   budget, and a few popcounts per word. A row the bound rules out
-//!   provably fails the exact test, including its f64 rounding (the
-//!   argument is on `MissBound`); it needs finite, non-negative weights,
-//!   which the validator checks.
+//!   quantize to more than twice the budget, first bounds from below the
+//!   traced weight each row misses, in integer units of an eighth of a
+//!   related row's missing-weight budget. It evaluates the bound on 64
+//!   rows at once: a bit-sliced counter over the block's columns, heaviest
+//!   weight first, stopping once every row of the block is ruled out. A
+//!   row the bound rules out provably fails the exact test, including its
+//!   f64 rounding (the argument is on `MissBound`); it needs finite,
+//!   non-negative weights, which the validator checks.
 //! * **Exact check of survivors.** Every row the bound does not rule out,
-//!   and every row of a narrower group, gets the exact
-//!   `triple_weight_sum_words(..) >= threshold` test, summed in ascending
-//!   bit order like the oracle.
+//!   and every row of an unbounded group, gets the exact
+//!   `triple_weight_sum_words(..) >= threshold` test on its words in the
+//!   store, summed in ascending bit order like the oracle, and related
+//!   rows come out in ascending order.
+//! * **Apply.** A worker applies each group's related rows to the one set
+//!   of output tables, under a lock, as soon as it has them, as exact
+//!   integer counts: no thread holds a per-client table or a backlog of
+//!   related rows of its own.
 
 // Index-based loops below mirror the textbook formulations; iterator
 // rewrites obscure the row/column arithmetic.
@@ -62,6 +69,7 @@ use crate::parallel::{map_chunks, plan_threads};
 use crate::shard::ShardedActivations;
 use ctfl_rulemine::{assign_groups, max_miner, MaxMinerConfig, TransactionSet};
 use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Strategy for organising the `|D_te| × |D_N|` comparison.
 ///
@@ -611,29 +619,6 @@ fn cells_to_table(cells: &[u64], weights: &[f64], n_rules: usize) -> Vec<f64> {
     cells.iter().enumerate().map(|(i, &k)| weights[i % n_rules] * k as f64).collect()
 }
 
-/// Per-worker accumulator. Everything in here is an exact integer (or an
-/// index-addressed trace), so merging accumulators is order-independent
-/// and the parallel kernel's output cannot depend on thread timing.
-struct TraceAcc {
-    benefit_counts: Vec<u32>,
-    harm_counts: Vec<u32>,
-    benefit_cells: Vec<u64>,
-    harm_cells: Vec<u64>,
-    traces: Vec<(u32, TestTrace)>,
-}
-
-impl TraceAcc {
-    fn new(n_train: usize, n_clients: usize, n_rules: usize) -> Self {
-        TraceAcc {
-            benefit_counts: vec![0; n_train],
-            harm_counts: vec![0; n_train],
-            benefit_cells: vec![0; n_clients * n_rules],
-            harm_cells: vec![0; n_clients * n_rules],
-            traces: Vec::new(),
-        }
-    }
-}
-
 /// The word-parallel trace kernel, generic over the training store.
 fn trace_kernel<T: TrainAccess>(
     train: &T,
@@ -657,8 +642,8 @@ fn trace_kernel<T: TrainAccess>(
     }
 
     // Gather training rows by label so each test row only scans rows of
-    // its traced class, contiguously, whichever store they came from.
-    let arenas = ClassArena::gather(train, test.class_masks, test.acts.words_per_row());
+    // its traced class, in ascending order, whichever store they came from.
+    let arenas = ClassArena::gather(train, test.class_masks.len(), test.acts.words_per_row());
 
     // Organise test rows into work groups according to the strategy. Each
     // group: (representative handling, member test indices, optional
@@ -682,56 +667,54 @@ fn trace_kernel<T: TrainAccess>(
         ),
     };
 
-    // Trace group chunks on scoped threads, each into a private
-    // accumulator; merge below is pure integer addition + index placement.
+    // Scan group chunks on worker threads, each applying a group's related
+    // rows to the one set of tables as soon as it has them. Counts and
+    // cells are exact integer sums and traces are placed by test index, so
+    // neither the chunking nor the order of the applies can change the
+    // output.
     let n_threads = if config.parallel {
         plan_threads(n_test.saturating_mul(n_train), groups.len(), PAIR_FLOOR, config.threads)
     } else {
         1
     };
-    let accs = map_chunks(&groups, n_threads, |gs| {
-        let mut acc = TraceAcc::new(n_train, n_clients, n_rules);
-        for g in gs {
-            trace_group_into(train, test, config, g, &traced_class, &denoms, &arenas, n_clients, &mut acc);
-        }
-        acc
+    let tables = Mutex::new(GroupTables {
+        per_test: vec![None; n_test],
+        benefit_counts: vec![0; n_train],
+        harm_counts: vec![0; n_train],
+        benefit_cells: vec![0.0; n_clients * n_rules],
+        harm_cells: vec![0.0; n_clients * n_rules],
     });
-
-    // Merge worker accumulators in chunk order.
-    let mut per_test: Vec<Option<TestTrace>> = vec![None; n_test];
-    let mut train_benefit_counts = vec![0u32; n_train];
-    let mut train_harm_counts = vec![0u32; n_train];
-    let mut benefit_cells = vec![0u64; n_clients * n_rules];
-    let mut harm_cells = vec![0u64; n_clients * n_rules];
-    for acc in accs {
-        for (dst, src) in train_benefit_counts.iter_mut().zip(&acc.benefit_counts) {
-            *dst += src;
+    map_chunks(&groups, n_threads, |gs| {
+        for g in gs {
+            let related = related_rows(train, test, config, g, &traced_class, &denoms, &arenas);
+            // Only another worker's panic poisons the lock, and
+            // `map_chunks` resumes that panic and drops these tables; this
+            // worker carries on so that the caller sees that message.
+            let mut tables = tables.lock().unwrap_or_else(PoisonError::into_inner);
+            tables.apply(train, test, g, &related, &traced_class, &denoms, n_clients);
         }
-        for (dst, src) in train_harm_counts.iter_mut().zip(&acc.harm_counts) {
-            *dst += src;
-        }
-        for (dst, src) in benefit_cells.iter_mut().zip(&acc.benefit_cells) {
-            *dst += src;
-        }
-        for (dst, src) in harm_cells.iter_mut().zip(&acc.harm_cells) {
-            *dst += src;
-        }
-        for (t, tt) in acc.traces {
-            per_test[t as usize] = Some(tt);
+    });
+    let mut out = tables.into_inner().expect("map_chunks resumes any worker's panic");
+    // Each cell becomes `weights[rule] × count` in place.
+    for cells in [&mut out.benefit_cells, &mut out.harm_cells] {
+        for row in cells.chunks_exact_mut(n_rules.max(1)) {
+            for (cell, &w) in row.iter_mut().zip(test.weights) {
+                *cell *= w;
+            }
         }
     }
 
     let per_test: Vec<TestTrace> =
-        per_test.into_iter().map(|t| t.expect("every test row belongs to a group")).collect();
+        out.per_test.into_iter().map(|t| t.expect("every test row belongs to a group")).collect();
 
     TraceOutcome {
         per_test,
         n_clients,
         n_rules,
-        train_benefit_counts,
-        train_harm_counts,
-        client_rule_benefit: cells_to_table(&benefit_cells, test.weights, n_rules),
-        client_rule_harm: cells_to_table(&harm_cells, test.weights, n_rules),
+        train_benefit_counts: out.benefit_counts,
+        train_harm_counts: out.harm_counts,
+        client_rule_benefit: out.benefit_cells,
+        client_rule_harm: out.harm_cells,
     }
 }
 
@@ -753,102 +736,122 @@ struct WorkGroup {
     /// activation signature (SignatureDedup) or a frequent rule subset
     /// (FrequentRuleSets). BruteForce uses singleton groups.
     members: Vec<u32>,
-    /// Optional prefiltered candidates: positions in the traced class's
-    /// [`ClassArena`] (an admissible superset of the related set of every
-    /// member).
-    candidates: Option<Vec<u32>>,
+    /// Optional prefiltered candidates: a bit set over the positions of the
+    /// traced class's [`ClassArena`], one word per 64-row block (an
+    /// admissible superset of the related set of every member).
+    candidates: Option<Vec<u64>>,
 }
 
-/// One class's training rows gathered into a contiguous word arena, once
-/// per trace. Both stores gather through [`TrainAccess`], so the pair scan
-/// walks the same memory layout, in the same row order, for either.
+/// One class's training rows, gathered once per trace. Both stores gather
+/// through [`TrainAccess`], so the pair scan visits the same rows, in the
+/// same order, for either; the exact test and the `FrequentRuleSets`
+/// candidate pass read each row's words from the store.
 ///
-/// A class whose mask holds fewer than [`BOUND_MIN_BITS`] rules can never
-/// have a group wide enough for a [`MissBound`]; its arena keeps the row
-/// ids only and its rows are read from the store. For such short rows the
-/// copy costs more than it saves: on `scale_sweep`'s planted five-rule
-/// model it added 6–8 ms per trace of a million one-word rows, while on
-/// `score_1k_clients` the words took the trace from 141–146 ms to
-/// 125–131 ms.
+/// The first work group that scans the class with a [`MissBound`] also
+/// builds the class's rows bit-major, which the bound reads; a trace in
+/// which no group of the class is bounded (a planted five-rule model, or
+/// τ_w ≤ 0.5) never builds them.
 struct ClassArena {
-    words_per_row: usize,
     /// Global row index of each arena row, ascending.
     rows: Vec<u32>,
-    /// Packed activation words, `rows.len() × words_per_row`, for a class
-    /// with at least [`BOUND_MIN_BITS`] rules.
-    words: Option<Vec<u64>>,
+    words_per_row: usize,
+    /// Per 64-row block, `words_per_row × 64` columns: bit `j` of column
+    /// `b` is bit `b` of the block's row `j`. A short last block reads as
+    /// all-zero rows past its end.
+    cols: OnceLock<Vec<u64>>,
+}
+
+/// Transposes a 64 × 64 bit matrix in place: bit `c` of word `r` moves to
+/// bit `r` of word `c`. Six rounds each swap the off-diagonal `j × j`
+/// sub-blocks of every `2j × 2j` block, for `j` = 32, 16, …, 1.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            // Row `k`'s high half of each 2j-bit group trades places with
+            // row `k + j`'s low half.
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k + j] ^= t;
+            a[k] ^= t << j;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
 }
 
 impl ClassArena {
-    /// One arena per class, in one pass over the rows. The arenas grow
+    /// One arena per class, in one pass over the labels. The arenas grow
     /// as they fill: reserving each class's exact size up front took a
     /// second pass over the labels and measured 12 ms slower on
     /// `scale_sweep`'s first million-row cell.
-    fn gather<T: TrainAccess>(
-        train: &T,
-        class_masks: &[Vec<u64>],
-        words_per_row: usize,
-    ) -> Vec<Self> {
-        let mut arenas: Vec<ClassArena> = class_masks
-            .iter()
-            .map(|mask| {
-                let rules: u32 = mask.iter().map(|w| w.count_ones()).sum();
-                let words = (rules >= BOUND_MIN_BITS).then(Vec::new);
-                ClassArena { words_per_row, rows: Vec::new(), words }
-            })
+    fn gather<T: TrainAccess>(train: &T, n_classes: usize, words_per_row: usize) -> Vec<Self> {
+        let mut arenas: Vec<ClassArena> = (0..n_classes)
+            .map(|_| ClassArena { rows: Vec::new(), words_per_row, cols: OnceLock::new() })
             .collect();
         for (row, (_, label)) in train.owners_and_labels().enumerate() {
-            let arena = &mut arenas[label as usize];
-            arena.rows.push(row as u32);
-            if let Some(words) = &mut arena.words {
-                words.extend_from_slice(train.row_words(row));
-            }
+            arenas[label as usize].rows.push(row as u32);
         }
         arenas
     }
 
+    /// The columns of 64-row block `k`, building every block's on first
+    /// use: one 64 × 64 transpose per (block, word), a fixed cost per block
+    /// whatever the rows hold, which suits a trained model's dense rows.
+    fn block<T: TrainAccess>(&self, train: &T, k: usize) -> &[u64] {
+        let wpr = self.words_per_row;
+        let cols = self.cols.get_or_init(|| {
+            let mut cols = vec![0; self.rows.len().div_ceil(64) * wpr * 64];
+            let mut tiles = vec![[0u64; 64]; wpr];
+            for (block, out) in self.rows.chunks(64).zip(cols.chunks_exact_mut(wpr * 64)) {
+                tiles.iter_mut().for_each(|tile| tile.fill(0));
+                for (j, &row) in block.iter().enumerate() {
+                    for (tile, &word) in tiles.iter_mut().zip(train.row_words(row as usize)) {
+                        tile[j] = word;
+                    }
+                }
+                for (tile, out) in tiles.iter_mut().zip(out.chunks_exact_mut(64)) {
+                    transpose64(tile);
+                    out.copy_from_slice(tile);
+                }
+            }
+            cols
+        });
+        &cols[k * wpr * 64..(k + 1) * wpr * 64]
+    }
+
     /// Global row indices, ascending, of the arena rows (all of them, or
-    /// the `candidates` positions) that `related` accepts.
+    /// the `candidates` positions) that `bound` keeps and `related`
+    /// accepts. The walk goes 64 positions at a time: the block's live
+    /// rows are a mask, the bound clears the rows it rules out, and only
+    /// the rest reach `related`.
     fn scan<T: TrainAccess>(
         &self,
         train: &T,
-        candidates: Option<&[u32]>,
+        candidates: Option<&[u64]>,
+        bound: Option<&MissBound>,
         related: impl Fn(&[u64]) -> bool,
     ) -> Vec<u32> {
+        let n = self.rows.len();
         let mut out = Vec::new();
-        match (candidates, &self.words) {
-            (Some(candidates), _) => {
-                for &pos in candidates {
-                    if related(self.row(train, pos as usize)) {
-                        out.push(self.rows[pos as usize]);
-                    }
-                }
+        for k in 0..n.div_ceil(64) {
+            let tail = n - k * 64;
+            let mut live = if tail >= 64 { !0 } else { (1u64 << tail) - 1 };
+            if let Some(c) = candidates {
+                live &= c[k];
             }
-            (None, Some(words)) => {
-                for (&tr, row) in self.rows.iter().zip(words.chunks_exact(self.words_per_row)) {
-                    if related(row) {
-                        out.push(tr);
-                    }
+            let mut keep = bound.map_or(live, |b| b.survivors(self.block(train, k), live));
+            while keep != 0 {
+                let row = self.rows[k * 64 + keep.trailing_zeros() as usize];
+                if related(train.row_words(row as usize)) {
+                    out.push(row);
                 }
-            }
-            (None, None) => {
-                for &tr in &self.rows {
-                    if related(train.row_words(tr as usize)) {
-                        out.push(tr);
-                    }
-                }
+                keep &= keep - 1;
             }
         }
         out
-    }
-
-    /// The packed words of arena row `pos`, from the arena or the store.
-    #[inline]
-    fn row<'a, T: TrainAccess>(&'a self, train: &'a T, pos: usize) -> &'a [u64] {
-        match &self.words {
-            Some(words) => &words[pos * self.words_per_row..(pos + 1) * self.words_per_row],
-            None => train.row_words(self.rows[pos] as usize),
-        }
     }
 }
 
@@ -873,27 +876,34 @@ const BUDGET_UNITS: u32 = 8;
 /// rounding).
 const MIN_TRACED_UNITS: u32 = 2 * BUDGET_UNITS;
 
-/// Bit-planes per activation word; quantized weights saturate at
-/// `2^PLANES - 1 = 15` units. Since `15 > BUDGET_UNITS`, one missed weight
-/// at the cap already rules a row out, so the cap never changes a
-/// verdict; three planes (cap 7) let 1.9% more rows through on
-/// `score_1k_clients` and were no faster.
-const PLANES: usize = 4;
+/// The largest quantized weight, in units: what a 4-plane counter holds.
+/// Since `15 > BUDGET_UNITS`, one missed weight at the cap already rules a
+/// row out, so the cap never changes a verdict.
+const Q_CAP: u32 = 15;
 
 /// An admissible integer lower bound on the traced weight a training row
 /// misses, which rules out most rows of a wide work group before the
-/// exact Eq. 4 test.
+/// exact Eq. 4 test, 64 rows at a time.
 ///
 /// For a group with traced bits `R = rep & mask`, `denom = Σ_{b∈R} w_b`
 /// and `threshold`, a related row can miss at most
 /// `slack = (denom − threshold) + 4·|R|·ε·denom` of weight (`ε` is
 /// `f64::EPSILON`). Each traced weight is quantized down to
-/// `q_b = min(⌊w_b / unit⌋, 15)` units of `unit = slack / 8` and stored as
-/// four bit-planes per word; a row `x` misses at least
-/// `L(x) = Σ_p 2^p · Σ_words popcount(plane_p & !x)` units. A row with
-/// `L(x) > 8` is skipped; every other row gets the exact
+/// `q_b = min(⌊w_b / unit⌋, 15)` units of `unit = slack / 8`; a row `x`
+/// misses at least `L(x) = Σ_{b∈R, b∉x} q_b` units. A row with `L(x) > 8`
+/// is skipped; every other row gets the exact
 /// `triple_weight_sum_words(..) >= threshold` test, so the related set is
 /// the one the exact test alone finds.
+///
+/// **Evaluation.** The bound keeps its non-zero `(b, q_b)` terms heaviest
+/// first and reads a block of 64 arena rows bit-major, one column word per
+/// rule bit ([`ClassArena`]). A term worth more than the budget rules out
+/// every live row missing its bit with one OR; a lighter one adds `q_b` to
+/// a 4-plane bit-sliced counter of the rows missing it. The counter starts
+/// every row at 7, so a carry out of its top plane means `L(x) ≥ 9` and
+/// rules the row out. It sums the same `q_b` the row-wise `L(x)` does, so
+/// every row gets the row-wise verdict `L(x) > 8`; the walk stops once
+/// every live row of the block is ruled out.
 ///
 /// **Why a skipped row is never related.** Weights are finite and
 /// non-negative (the validator's check) and `denom` is finite. Write `M`
@@ -909,9 +919,9 @@ const PLANES: usize = 4;
 /// `L(x) ≥ 9` means `M ≥ 9·unit/(1 + u) > slack`. The `> 8` test thus
 /// leaves a whole unit of margin beyond the rounding allowance.
 struct MissBound {
-    /// Per activation word, the traced bits whose quantized weight has
-    /// bit `p` set, for `p` in `0..PLANES`.
-    planes: Vec<[u64; PLANES]>,
+    /// `(bit, q_b)` for every traced bit with `q_b > 0`, by descending
+    /// `q_b`, ties in ascending bit order.
+    terms: Vec<(u32, u32)>,
 }
 
 impl MissBound {
@@ -929,28 +939,26 @@ impl MissBound {
         if !unit.is_normal() {
             return None;
         }
-        let cap = (1u64 << PLANES) - 1;
-        let mut total = 0;
-        let planes = traced
-            .enumerate()
-            .map(|(wi, word)| {
-                let mut planes = [0u64; PLANES];
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    // A float-to-int cast saturates, so an infinite quotient
-                    // (a huge weight over a tiny unit) lands on the cap.
-                    let q = ((weights[wi * 64 + b] / unit).floor() as u64).min(cap);
-                    total += q;
-                    for (p, plane) in planes.iter_mut().enumerate() {
-                        *plane |= (q >> p & 1) << b;
-                    }
-                    bits &= bits - 1;
+        let mut terms = Vec::new();
+        for (wi, word) in traced.enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = wi * 64 + bits.trailing_zeros() as usize;
+                // A float-to-int cast saturates, so an infinite quotient
+                // (a huge weight over a tiny unit) lands on the cap.
+                let q = ((weights[b] / unit).floor() as u32).min(Q_CAP);
+                if q > 0 {
+                    terms.push((b as u32, q));
                 }
-                planes
-            })
-            .collect();
-        (total > u64::from(MIN_TRACED_UNITS)).then_some(MissBound { planes })
+                bits &= bits - 1;
+            }
+        }
+        let total: u32 = terms.iter().map(|&(_, q)| q).sum();
+        if total <= MIN_TRACED_UNITS {
+            return None;
+        }
+        terms.sort_by_key(|&(_, q)| std::cmp::Reverse(q));
+        Some(MissBound { terms })
     }
 
     /// `slack / 8`: the weight of one unit.
@@ -959,37 +967,45 @@ impl MissBound {
         slack / f64::from(BUDGET_UNITS)
     }
 
-    /// `L(x)`: a lower bound, in units, on the traced weight `row` misses.
+    /// The rows of `live` whose `L(x)` stays within the budget, for a block
+    /// of 64 rows given as its `cols` (bit `j` of `cols[b]` is row `j`'s
+    /// bit `b`).
     #[inline]
-    fn units_missed(&self, row: &[u64]) -> u32 {
-        row.iter()
-            .zip(&self.planes)
-            .map(|(x, [p0, p1, p2, p3])| {
-                (p0 & !x).count_ones()
-                    + 2 * (p1 & !x).count_ones()
-                    + 4 * (p2 & !x).count_ones()
-                    + 8 * (p3 & !x).count_ones()
-            })
-            .sum()
-    }
-
-    /// Whether `row` misses more than the budget, so cannot be related.
-    #[inline]
-    fn rules_out(&self, row: &[u64]) -> bool {
-        self.units_missed(row) > BUDGET_UNITS
+    fn survivors(&self, cols: &[u64], live: u64) -> u64 {
+        // The rows ruled out, plus the rows outside `live`.
+        let mut out = !live;
+        // A 4-plane bit-sliced counter of `7 + units missed` per row, so a
+        // carry out of the top plane means more than 8 units.
+        let mut count = [!0u64, !0, !0, 0];
+        for &(bit, q) in &self.terms {
+            if out == !0 {
+                break;
+            }
+            let miss = !cols[bit as usize];
+            if q > BUDGET_UNITS {
+                out |= miss;
+                continue;
+            }
+            // Add `q` to the count of the rows missing `bit`.
+            let mut carry = 0;
+            for (p, plane) in count.iter_mut().enumerate() {
+                let addend = miss & 0u64.wrapping_sub(u64::from(q >> p & 1));
+                let half = *plane ^ addend;
+                let next = (*plane & addend) | (carry & half);
+                *plane = half ^ carry;
+                carry = next;
+            }
+            out |= carry;
+        }
+        !out
     }
 }
 
-/// Traces one work group into the worker's accumulator.
-///
-/// All members share the representative's traced class and activation
-/// signature (construction invariant), so the related set and the
-/// per-related-row rule-overlap profile are computed **once** and applied
-/// with integer multipliers — `n_correct` members feed the benefit
-/// tables, `n_wrong` the harm tables. Under `SignatureDedup` on a skewed
-/// test set this removes almost all duplicate pair work.
-#[allow(clippy::too_many_arguments)]
-fn trace_group_into<T: TrainAccess>(
+/// Global indices, ascending, of the training rows related to one work
+/// group's representative. All members share its traced class and
+/// activation signature (construction invariant), so the related set is
+/// computed **once** per group.
+fn related_rows<T: TrainAccess>(
     train: &T,
     test: &TestSide<'_>,
     config: &TraceConfig,
@@ -997,76 +1013,100 @@ fn trace_group_into<T: TrainAccess>(
     traced_class: &[usize],
     denoms: &[f64],
     arenas: &[ClassArena],
-    n_clients: usize,
-    acc: &mut TraceAcc,
-) {
+) -> Vec<u32> {
     let rep = group.members[0] as usize;
     let c = traced_class[rep];
     let denom = denoms[rep];
+    if denom <= 0.0 {
+        return Vec::new();
+    }
     let mask = &test.class_masks[c];
     let rep_words = test.acts.row_words(rep);
-    let n_rules = test.acts.n_bits();
-    let arena = &arenas[c];
-    // Global indices of the related rows, ascending.
-    let related = if denom > 0.0 {
-        let threshold = config.tau_w * denom - 1e-12; // tolerate FP rounding at equality
-        let exact =
-            |row: &[u64]| triple_weight_sum_words(rep_words, row, mask, test.weights) >= threshold;
-        let candidates = group.candidates.as_deref();
-        // One scan, instantiated with and without the bound, so a narrow
-        // group's loop carries no bound check.
-        match MissBound::new(rep_words, mask, test.weights, denom, threshold) {
-            Some(b) => arena.scan(train, candidates, |row| !b.rules_out(row) && exact(row)),
-            None => arena.scan(train, candidates, exact),
-        }
-    } else {
-        Vec::new()
-    };
+    let threshold = config.tau_w * denom - 1e-12; // tolerate FP rounding at equality
+    let exact =
+        |row: &[u64]| triple_weight_sum_words(rep_words, row, mask, test.weights) >= threshold;
+    let bound = MissBound::new(rep_words, mask, test.weights, denom, threshold);
+    arenas[c].scan(train, group.candidates.as_deref(), bound.as_ref(), exact)
+}
 
-    let mut n_correct = 0u32;
-    let mut n_wrong = 0u32;
-    for &t in &group.members {
-        if test.predictions[t as usize] == test.labels[t as usize] as usize {
-            n_correct += 1;
-        } else {
-            n_wrong += 1;
-        }
-    }
+/// The kernel's output under construction: per-test traces by index, and
+/// the exact integer counts the tables are made from. The per-(client,
+/// rule) cells count in `f64`, which adds integers exactly below `2^53`,
+/// so each holds `count as f64` until the weights scale it, as
+/// [`cells_to_table`] computes it.
+struct GroupTables {
+    per_test: Vec<Option<TestTrace>>,
+    benefit_counts: Vec<u32>,
+    harm_counts: Vec<u32>,
+    benefit_cells: Vec<f64>,
+    harm_cells: Vec<f64>,
+}
 
-    let mut related_per_client = vec![0u32; n_clients];
-    for &tr in &related {
-        let tr = tr as usize;
-        acc.benefit_counts[tr] += n_correct;
-        acc.harm_counts[tr] += n_wrong;
-        let client = train.client(tr) as usize;
-        related_per_client[client] += 1;
-        // Rules activated by BOTH the training row and the (shared) test
-        // signature within the traced mask, counted once per member via
-        // the integer multipliers.
-        let base = client * n_rules;
-        for (wi, ((aw, bw), mw)) in train.row_words(tr).iter().zip(rep_words).zip(mask).enumerate() {
-            let mut bits = aw & bw & mw;
-            while bits != 0 {
-                let bit = wi * 64 + bits.trailing_zeros() as usize;
-                acc.benefit_cells[base + bit] += n_correct as u64;
-                acc.harm_cells[base + bit] += n_wrong as u64;
-                bits &= bits - 1;
+impl GroupTables {
+    /// Applies one work group's related rows. Each related row's
+    /// rule-overlap profile is applied once per group, with integer
+    /// multipliers — `n_correct` members feed the benefit tables, `n_wrong`
+    /// the harm tables. Under `SignatureDedup` on a skewed test set this
+    /// removes almost all duplicate pair work.
+    #[allow(clippy::too_many_arguments)]
+    fn apply<T: TrainAccess>(
+        &mut self,
+        train: &T,
+        test: &TestSide<'_>,
+        group: &WorkGroup,
+        related: &[u32],
+        traced_class: &[usize],
+        denoms: &[f64],
+        n_clients: usize,
+    ) {
+        let rep = group.members[0] as usize;
+        let c = traced_class[rep];
+        let mask = &test.class_masks[c];
+        let rep_words = test.acts.row_words(rep);
+        let n_rules = test.acts.n_bits();
+        let is_correct = |t: u32| test.predictions[t as usize] == test.labels[t as usize] as usize;
+        let n_correct = group.members.iter().filter(|&&t| is_correct(t)).count() as u32;
+        let n_wrong = group.members.len() as u32 - n_correct;
+
+        let mut related_per_client = vec![0u32; n_clients];
+        for &tr in related {
+            let tr = tr as usize;
+            self.benefit_counts[tr] += n_correct;
+            self.harm_counts[tr] += n_wrong;
+            related_per_client[train.client(tr) as usize] += 1;
+        }
+        // Each related row counts, for its client, the rules activated by
+        // BOTH the row and the (shared) test signature within the traced
+        // mask. A table whose multiplier is zero is skipped: adding `+0.0`
+        // to a non-negative count changes no bit.
+        for (cells, n) in [(&mut self.benefit_cells, n_correct), (&mut self.harm_cells, n_wrong)] {
+            if n == 0 {
+                continue;
+            }
+            for &tr in related {
+                let tr = tr as usize;
+                let base = train.client(tr) as usize * n_rules;
+                let words = train.row_words(tr).iter().zip(rep_words).zip(mask);
+                for (wi, ((aw, bw), mw)) in words.enumerate() {
+                    let mut bits = aw & bw & mw;
+                    while bits != 0 {
+                        cells[base + wi * 64 + bits.trailing_zeros() as usize] += f64::from(n);
+                        bits &= bits - 1;
+                    }
+                }
             }
         }
-    }
 
-    for &t in &group.members {
-        let t = t as usize;
-        acc.traces.push((
-            t as u32,
-            TestTrace {
+        for &t in &group.members {
+            let t = t as usize;
+            self.per_test[t] = Some(TestTrace {
                 predicted: test.predictions[t],
                 actual: test.labels[t] as usize,
                 traced_class: c,
                 denom: denoms[t],
                 related_per_client: related_per_client.clone(),
-            },
-        ));
+            });
+        }
     }
 }
 
@@ -1129,12 +1169,14 @@ fn build_frequent_groups<T: TrainAccess>(
                 // weight(F) - (1 - τ_w) * denom(rep).
                 let bound = f_weight - (1.0 - tau_w) * denoms[rep] - 1e-9;
                 let arena = &arenas[c];
-                (0..arena.rows.len() as u32)
-                    .filter(|&pos| {
-                        let row = arena.row(train, pos as usize);
-                        masked_weight_sum_words(row, f.words(), test.weights) >= bound
-                    })
-                    .collect::<Vec<u32>>()
+                let mut candidates = vec![0u64; arena.rows.len().div_ceil(64)];
+                for (pos, &row) in arena.rows.iter().enumerate() {
+                    let row = train.row_words(row as usize);
+                    if masked_weight_sum_words(row, f.words(), test.weights) >= bound {
+                        candidates[pos / 64] |= 1 << (pos % 64);
+                    }
+                }
+                candidates
             });
             out.push(WorkGroup { members, candidates });
         }
@@ -1444,6 +1486,13 @@ mod tests {
         }
     }
 
+    /// The row-wise `L(x)`: the units of the bound's terms that `row`
+    /// misses, summed one row at a time.
+    fn units_missed(bound: &MissBound, row: &[u64]) -> u32 {
+        let missed = |b: u32| row[b as usize / 64] >> (b % 64) & 1 == 0;
+        bound.terms.iter().filter(|&&(b, _)| missed(b)).map(|&(_, q)| q).sum()
+    }
+
     #[test]
     fn miss_bound_is_admissible_and_only_built_for_wide_groups() {
         use ctfl_testkit::{check, prop_assert};
@@ -1496,7 +1545,7 @@ mod tests {
                 prop_assert!(bound.is_some() == (wide && unit.is_normal()));
                 let Some(bound) = bound else { return Ok(()) };
                 for row in rows {
-                    let units = bound.units_missed(row);
+                    let units = units_missed(&bound, row);
                     let mut missing = 0.0;
                     for (wi, (t, x)) in traced.iter().zip(row).enumerate() {
                         let mut bits = t & !x;
@@ -1509,7 +1558,7 @@ mod tests {
                         f64::from(units) <= missing,
                         "bound {units} units over the exact {missing}"
                     );
-                    if bound.rules_out(row) {
+                    if units > BUDGET_UNITS {
                         let num = triple_weight_sum_words(rep, row, mask, weights);
                         prop_assert!(num < threshold, "ruled out a related row: {num}");
                     }
@@ -1528,16 +1577,16 @@ mod tests {
         let mask = ActivationMatrix::build_mask(200, 0..200);
         let denom = masked_weight_sum_words(&dense, &mask, &weights);
         let bound = MissBound::new(&dense, &mask, &weights, denom, 0.9 * denom - 1e-12).unwrap();
-        assert!(bound.rules_out(&[0; 4]));
-        assert!(!bound.rules_out(&dense));
+        assert!(units_missed(&bound, &[0; 4]) > BUDGET_UNITS);
+        assert_eq!(units_missed(&bound, &dense), 0);
         let missing = |n: usize| {
             let mut row = dense.clone();
             (0..n).for_each(|k| row[k * 5 / 64] &= !(1 << (k * 5 % 64)));
             row
         };
-        assert_eq!(bound.units_missed(&missing(5)), 5);
-        assert!(!bound.rules_out(&missing(8)));
-        assert!(bound.rules_out(&missing(9)));
+        assert_eq!(units_missed(&bound, &missing(5)), 5);
+        assert_eq!(units_missed(&bound, &missing(8)), BUDGET_UNITS);
+        assert_eq!(units_missed(&bound, &missing(9)), BUDGET_UNITS + 1);
         let narrow = ActivationMatrix::build_mask(200, 0..BOUND_MIN_BITS as usize - 1);
         let denom = masked_weight_sum_words(&narrow, &mask, &weights);
         assert!(MissBound::new(&narrow, &mask, &weights, denom, 0.9 * denom - 1e-12).is_none());
@@ -1548,6 +1597,209 @@ mod tests {
         // every weight quantizes to zero units, and no bound is built.
         let denom = masked_weight_sum_words(&dense, &mask, &weights);
         assert!(MissBound::new(&dense, &mask, &weights, denom, 0.5 * denom - 1e-12).is_none());
+    }
+
+    /// Bare training rows of one class, for building arenas directly.
+    struct Rows {
+        n_bits: usize,
+        words: Vec<Vec<u64>>,
+    }
+
+    impl TrainAccess for Rows {
+        fn n_rows(&self) -> usize {
+            self.words.len()
+        }
+        fn n_bits(&self) -> usize {
+            self.n_bits
+        }
+        fn row_words(&self, row: usize) -> &[u64] {
+            &self.words[row]
+        }
+        fn label(&self, _: usize) -> u32 {
+            0
+        }
+        fn client(&self, _: usize) -> u32 {
+            0
+        }
+    }
+
+    #[test]
+    fn transpose_matches_a_per_bit_reference() {
+        // xorshift64: a fixed stream of bits at a chosen density.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut bit = move |density: f64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 11) as f64) < density * (1u64 << 53) as f64
+        };
+        for density in [0.0, 0.03, 0.5, 0.97, 1.0] {
+            let mut tile = [0u64; 64];
+            for word in tile.iter_mut() {
+                for c in 0..64 {
+                    *word |= u64::from(bit(density)) << c;
+                }
+            }
+            let mut t = tile;
+            transpose64(&mut t);
+            for r in 0..64 {
+                for c in 0..64 {
+                    assert_eq!(t[c] >> r & 1, tile[r] >> c & 1, "density {density} ({r}, {c})");
+                }
+            }
+            transpose64(&mut t);
+            assert_eq!(t, tile);
+        }
+        // An arena's columns, per block, against a per-bit reference; rows
+        // past a short last block read as zero.
+        for n_rows in [1usize, 63, 64, 65, 128, 130] {
+            let n_bits = 130;
+            let words = (0..n_rows)
+                .map(|_| {
+                    let set = (0..n_bits).filter(|_| bit(0.4));
+                    ActivationMatrix::build_mask(n_bits, set)
+                })
+                .collect();
+            let rows = Rows { n_bits, words };
+            let arena = ClassArena::gather(&rows, 1, 3);
+            for k in 0..n_rows.div_ceil(64) {
+                let cols = arena[0].block(&rows, k);
+                assert_eq!(cols.len(), 3 * 64);
+                for (b, &col) in cols.iter().enumerate() {
+                    for j in 0..64 {
+                        let pos = k * 64 + j;
+                        let bit = pos < n_rows && rows.words[pos][b / 64] >> (b % 64) & 1 == 1;
+                        assert_eq!(col >> j & 1 == 1, bit, "rows {n_rows} block {k} bit {b} row {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_scan_matches_the_row_wise_bound() {
+        use ctfl_testkit::{check, prop_assert, prop_assert_eq};
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        // What the cases reached: bounds built, live rows missing a term
+        // over the budget, rows missing more than 15 units, and blocks
+        // whose walk stopped before its last term.
+        let seen: [AtomicUsize; 4] = Default::default();
+        check(
+            "block_scan_matches_the_row_wise_bound",
+            192,
+            |g| {
+                let n_bits = g.usize_in(65, 300);
+                let family = g.usize_in(0, 5);
+                let weights = g.vec(n_bits, |g| family_weight(g, family));
+                let tau_w = [0.5, 0.8, 0.9, 0.95, 1.0][g.usize_in(0, 4)];
+                let density = g.f64_in(0.3, 0.95);
+                let bits = |g: &mut ctfl_testkit::prop::Gen, p: f64| {
+                    let set: Vec<usize> = (0..n_bits).filter(|_| g.f64_in(0.0, 1.0) < p).collect();
+                    ActivationMatrix::build_mask(n_bits, set)
+                };
+                let rep = bits(g, density);
+                let mask = bits(g, 0.5);
+                // Tail blocks of 1–63 rows, whole blocks, and anything up
+                // to 200 rows.
+                let n_rows =
+                    [g.usize_in(1, 63), 64, 128, g.usize_in(65, 127), g.usize_in(1, 200)]
+                        [g.usize_in(0, 4)];
+                // Copies of the representative missing a few bits survive
+                // or sit at the budget; dense random rows and empty rows
+                // miss far more than it.
+                let rows = g.vec(n_rows, |g| match g.usize_in(0, 3) {
+                    0 | 1 => {
+                        let mut row = rep.clone();
+                        for _ in 0..g.usize_in(0, 6) {
+                            let b = g.usize_in(0, n_bits - 1);
+                            row[b / 64] &= !(1 << (b % 64));
+                        }
+                        row
+                    }
+                    2 => bits(g, density),
+                    _ => vec![0; n_bits.div_ceil(64)],
+                });
+                // Candidate masks: every row, or a random subset.
+                let full = g.bool();
+                let candidates = g.vec(n_rows.div_ceil(64), |g| {
+                    if full {
+                        !0
+                    } else {
+                        (0..64).fold(0, |w, i| w | u64::from(g.bool()) << i)
+                    }
+                });
+                (weights, tau_w, rep, mask, rows, candidates)
+            },
+            |(weights, tau_w, rep, mask, rows, candidates)| {
+                let n_bits = weights.len();
+                let denom = masked_weight_sum_words(rep, mask, weights);
+                let threshold = tau_w * denom - 1e-12;
+                let Some(bound) = MissBound::new(rep, mask, weights, denom, threshold) else {
+                    return Ok(());
+                };
+                seen[0].fetch_add(1, Relaxed);
+                // The row-wise `L(x)` from the weights, and for each row the
+                // term at which the walk rules it out.
+                let traced: Vec<u64> = rep.iter().zip(mask).map(|(r, m)| r & m).collect();
+                let n_traced: u32 = traced.iter().map(|w| w.count_ones()).sum();
+                let unit = MissBound::unit(n_traced, denom, threshold);
+                let q = |b: usize| ((weights[b] / unit).floor() as u32).min(Q_CAP);
+                let missed = |row: &[u64], b: usize| {
+                    traced[b / 64] >> (b % 64) & 1 == 1 && row[b / 64] >> (b % 64) & 1 == 0
+                };
+                let row_units = |row: &[u64]| -> u32 {
+                    (0..n_bits).filter(|&b| missed(row, b)).map(q).sum()
+                };
+                let ruled_out_at = |row: &[u64]| {
+                    let mut units = 0;
+                    bound.terms.iter().position(|&(b, q)| {
+                        if missed(row, b as usize) {
+                            units += q;
+                        }
+                        units > BUDGET_UNITS
+                    })
+                };
+
+                let words_per_row = n_bits.div_ceil(64);
+                let store = Rows { n_bits, words: rows.clone() };
+                let arenas = ClassArena::gather(&store, 1, words_per_row);
+                let mut expected_related = Vec::new();
+                for k in 0..rows.len().div_ceil(64) {
+                    let tail = rows.len() - k * 64;
+                    let live = candidates[k] & if tail >= 64 { !0 } else { (1u64 << tail) - 1 };
+                    let got = bound.survivors(arenas[0].block(&store, k), live);
+                    // The term after which every live row is ruled out.
+                    let mut exit_at = Some(0);
+                    for j in (0..64).filter(|&j| live >> j & 1 == 1) {
+                        let row = &rows[k * 64 + j];
+                        let units = row_units(row);
+                        prop_assert_eq!(got >> j & 1 == 1, units <= BUDGET_UNITS);
+                        if units <= BUDGET_UNITS {
+                            expected_related.push((k * 64 + j) as u32);
+                        }
+                        if bound.terms.iter().any(|&(b, q)| q > BUDGET_UNITS && missed(row, b as usize))
+                        {
+                            seen[1].fetch_add(1, Relaxed);
+                        }
+                        if units > 15 {
+                            seen[2].fetch_add(1, Relaxed);
+                        }
+                        exit_at = exit_at.zip(ruled_out_at(row)).map(|(a, b)| a.max(b));
+                    }
+                    prop_assert!(got & !live == 0, "a survivor outside the live rows");
+                    if live != 0 && exit_at.is_some_and(|i| i + 1 < bound.terms.len()) {
+                        seen[3].fetch_add(1, Relaxed);
+                    }
+                }
+                // The scan keeps the same rows, in ascending order.
+                let scanned =
+                    arenas[0].scan(&store, Some(candidates), Some(&bound), |_| true);
+                prop_assert_eq!(scanned, expected_related);
+                Ok(())
+            },
+        );
+        let seen = seen.map(|s| s.into_inner());
+        assert!(seen.iter().all(|&n| n > 0), "cases missed a regime: {seen:?}");
     }
 
     #[test]

@@ -21,13 +21,15 @@
 //! 2. removing data-dependent branches that are IEEE-754 no-ops;
 //! 3. skipping terms that a *checked* input property makes exactly `×1.0`
 //!    or `±0`. The literal kernels of the first layer
-//!    ([`LiteralBatch`], [`LiteralPlan`]) rely on three checks, made once
-//!    per training step: every input is bit-exactly `+0.0` or `1.0`, every
-//!    weight lies in `[0, 1]`, and (for the backward) every upstream
-//!    gradient is finite. Under them a Conj factor is exactly `1.0` at
-//!    `x = 1` and a Disj factor at `x = 0`, and each skipped gradient term
-//!    is `±0`, which cannot change a `+0.0`-seeded sum. When a check
-//!    fails, the step runs the general kernels instead.
+//!    ([`LiteralBatch`], [`LiteralPlan`]) rely on three checks: every
+//!    input is bit-exactly `+0.0` or `1.0` (checked once per training call
+//!    over the whole shard), every weight lies in `[0, 1]`, and (for the
+//!    backward) every upstream gradient is finite (both once per step).
+//!    Under them a Conj factor is exactly `1.0` at `x = 1` and a Disj
+//!    factor at `x = 0`, and each skipped gradient term is `±0`, which
+//!    cannot change a `+0.0`-seeded sum. When a check fails, the step (or,
+//!    for a shard that is not 0/1, the whole call) runs the general kernels
+//!    instead.
 
 // The hot kernels below index multiple parallel slices by position; the
 // iterator forms clippy suggests obscure the lockstep row/column arithmetic.
@@ -106,7 +108,8 @@ fn pack_bits(values: &[f32], pred: impl Fn(f32) -> bool) -> u64 {
 
 /// A batch of 0/1 inputs as one bit set per row: bit `i` of row `b` is set
 /// when `x[b][i] == 1.0`. The input the first layer's literal kernels
-/// read, rebuilt once per training step.
+/// read: built once per training call over a whole shard, and gathered
+/// from it per step.
 #[derive(Debug, Clone, Default)]
 pub struct LiteralBatch {
     rows: usize,
@@ -138,6 +141,19 @@ impl LiteralBatch {
             }
         }
         exact
+    }
+
+    /// Copies the bit sets of rows `rows` of `src` (built by
+    /// [`Self::rebuild`] on a matrix that passed its check), in order:
+    /// those of the matrix that selects the same rows.
+    pub(crate) fn gather(&mut self, src: &LiteralBatch, rows: &[usize]) {
+        self.rows = rows.len();
+        self.width = src.width;
+        self.words = src.words;
+        self.ones.clear();
+        for &r in rows {
+            self.ones.extend_from_slice(src.ones(r));
+        }
     }
 
     /// The one-bits of row `b`.
@@ -807,6 +823,27 @@ mod tests {
     fn tiny_layer(w: Vec<f32>, kinds: Vec<NodeKind>, in_dim: usize) -> LogicalLayer {
         let n = kinds.len();
         LogicalLayer { in_dim, kinds, w: Matrix::from_vec(n, in_dim, w) }
+    }
+
+    #[test]
+    fn gathered_literal_rows_equal_a_rebuild_of_the_selected_rows() {
+        use ctfl_rng::Rng;
+        let mut rng = StdRng::seed_from_u64(4);
+        for width in [1, 63, 64, 65, 168, 200] {
+            let mut x = Matrix::zeros(40, width);
+            for v in x.data_mut() {
+                *v = if rng.gen_bool(0.4) { 1.0 } else { 0.0 };
+            }
+            let mut shard = LiteralBatch::default();
+            assert!(shard.rebuild(&x));
+            let rows: Vec<usize> = (0..25).map(|_| rng.gen_range(0..40usize)).collect();
+            let mut gathered = LiteralBatch::default();
+            gathered.gather(&shard, &rows);
+            let mut rebuilt = LiteralBatch::default();
+            assert!(rebuilt.rebuild(&x.select_rows(&rows)));
+            let fields = |l: &LiteralBatch| (l.rows, l.width, l.words, l.ones.clone());
+            assert_eq!(fields(&gathered), fields(&rebuilt), "width {width}");
+        }
     }
 
     #[test]

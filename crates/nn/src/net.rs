@@ -19,6 +19,7 @@ use ctfl_core::error::{CoreError, Result};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::seq::SliceRandom;
 use ctfl_rng::SeedableRng;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::encoding::{EncodedData, Encoder};
@@ -176,8 +177,15 @@ struct TrainWorkspace {
     /// (repacked per step; layer 0's only when the step cannot take the
     /// literal path).
     packed_layers: Vec<PackedRhs>,
-    /// The batch as per-row literal bit sets (rebuilt per step).
+    /// The batch as per-row literal bit sets (gathered from
+    /// `shard_literals` per step when the shard is 0/1).
     literals: LiteralBatch,
+    /// The training call's whole shard as literal bit sets, built once per
+    /// `train`/`train_local` call.
+    shard_literals: LiteralBatch,
+    /// Whether every shard input is exactly `+0.0` or `1.0`, so that
+    /// `shard_literals` holds them.
+    shard_is_binary: bool,
     /// Layer 0's selected-literal masks and `(1 − w)ᵀ` (rebuilt per step).
     literal_plan: LiteralPlan,
     /// Head weights packed transposed (repacked per step).
@@ -204,6 +212,28 @@ struct TrainWorkspace {
     /// Best-epoch parameter snapshot, written with `clone_from` so the
     /// improving-epoch path stops allocating.
     snapshot: Option<(Vec<LogicalLayer>, LinearHead)>,
+}
+
+impl TrainWorkspace {
+    /// Readies the workspace for a training call on `data`: the row order,
+    /// and the shard's literal bit sets with their 0/1 check.
+    fn start_call(&mut self, data: &EncodedData) {
+        self.order.clear();
+        self.order.extend(0..data.len());
+        self.shard_is_binary = self.shard_literals.rebuild(&data.x);
+    }
+
+    /// Gathers the batch of rows `order[range]`: features, labels, and for
+    /// a binary shard the literal bit sets.
+    fn stage_batch(&mut self, data: &EncodedData, range: Range<usize>) {
+        let rows = &self.order[range];
+        data.x.select_rows_into(rows, &mut self.x);
+        self.labels.clear();
+        self.labels.extend(rows.iter().map(|&i| data.labels[i]));
+        if self.shard_is_binary {
+            self.literals.gather(&self.shard_literals, rows);
+        }
+    }
 }
 
 /// The two forward passes a training step runs.
@@ -479,11 +509,11 @@ impl LogicalNet {
         let n_layers = self.layers.len();
         let batch = ws.x.rows();
 
-        // Layer 0 reads the encoder's literals. When the batch is exactly
-        // 0/1 and its weights lie in [0, 1], its forwards work from per-row
-        // literal sets; otherwise it runs the general kernels.
-        let literal = ws.literals.rebuild(&ws.x)
-            && self.layers[0].plan_literals_into(&mut ws.literal_plan);
+        // Layer 0 reads the encoder's literals. When the shard is exactly
+        // 0/1 and its weights lie in [0, 1], its forwards work from the
+        // per-row literal sets gathered with the batch; otherwise it runs
+        // the general kernels, which give the same bits.
+        let literal = ws.shard_is_binary && self.layers[0].plan_literals_into(&mut ws.literal_plan);
 
         // Rebuild the discrete plans and head packing — both change at every
         // optimizer step, but once per *step* instead of once per row. On
@@ -717,8 +747,7 @@ impl LogicalNet {
         // Detach the workspace so `&mut self` stays free for the step; it is
         // reattached (buffers warm) before returning.
         let mut ws = self.workspace.take().unwrap_or_default();
-        ws.order.clear();
-        ws.order.extend(0..data.len());
+        ws.start_call(data);
         let mut best_acc = -1.0f64;
         // The workspace snapshot slot may hold stale parameters from an
         // earlier `train` call on this instance — only restore what *this*
@@ -733,9 +762,7 @@ impl LogicalNet {
             let mut start = 0;
             while start < ws.order.len() {
                 let end = (start + self.config.batch_size).min(ws.order.len());
-                data.x.select_rows_into(&ws.order[start..end], &mut ws.x);
-                ws.labels.clear();
-                ws.labels.extend(ws.order[start..end].iter().map(|&i| data.labels[i]));
+                ws.stage_batch(data, start..end);
                 start = end;
                 epoch_loss += self.grafted_step_ws(&mut ws, &mut sgds, &mut adam_v, &mut adam_b);
                 batches += 1;
@@ -926,16 +953,13 @@ impl LogicalNet {
             None => self.fresh_optim_state(),
         };
         let mut ws = self.workspace.take().unwrap_or_default();
-        ws.order.clear();
-        ws.order.extend(0..data.len());
+        ws.start_call(data);
         for _ in 0..epochs {
             ws.order.shuffle(&mut self.rng);
             let mut start = 0;
             while start < ws.order.len() {
                 let end = (start + self.config.batch_size).min(ws.order.len());
-                data.x.select_rows_into(&ws.order[start..end], &mut ws.x);
-                ws.labels.clear();
-                ws.labels.extend(ws.order[start..end].iter().map(|&i| data.labels[i]));
+                ws.stage_batch(data, start..end);
                 start = end;
                 self.grafted_step_ws(&mut ws, &mut state.sgds, &mut state.adam_v, &mut state.adam_b);
             }

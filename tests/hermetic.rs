@@ -151,9 +151,10 @@ fn workspace_members_all_resolve_locally() {
 
 #[test]
 fn x86_64_builds_use_popcnt() {
-    // `.cargo/config.toml` enables the instruction; without it every
-    // `count_ones` in the trace's bound is a bit-twiddling sequence, and
-    // the trace runs at about half speed with no other sign.
+    // `.cargo/config.toml` enables the instruction, and a set RUSTFLAGS
+    // drops it with no other sign. No measured stage depends on it any
+    // more (the config file has the numbers); the flag and this test go
+    // together.
     if cfg!(target_arch = "x86_64") && !cfg!(target_feature = "popcnt") {
         panic!(
             "this x86-64 build lacks POPCNT: a set RUSTFLAGS (or CARGO_ENCODED_RUSTFLAGS) \

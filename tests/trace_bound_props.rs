@@ -65,8 +65,9 @@ fn wide_case(g: &mut Gen) -> WideCase {
         g.vec(n_test, |g| (random_row(g, n_rules, density), g.u32_in(0, 1), g.usize_in(0, 1)));
     // Half the train rows are near-copies of a test row, labeled with its
     // traced class (its prediction), that drop a few bits: they sit at or
-    // near the threshold.
-    let n_train = g.len_in(1, 64);
+    // near the threshold. Up to 260 rows, so a class arena's rows cross
+    // 64-row blocks and end in a short one.
+    let n_train = g.len_in(1, 260);
     let train = g.vec(n_train, |g| {
         if g.bool() {
             let (row, _, prediction) = &test[g.usize_in(0, n_test - 1)];
