@@ -1,8 +1,8 @@
 //! Logical-network micro-benchmarks: soft vs. discrete forward, the
 //! grafted training step, and rule extraction — the building blocks whose
-//! cost dominates CTFL's single training pass. One group times the first
-//! layer's general kernels against its literal kernels at the
-//! `federate_adult` shape.
+//! cost dominates CTFL's single training pass. One group times the layer's
+//! general kernels against its literal kernels at the `federate_adult`
+//! shape.
 
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_nn::extract::{extract_rules, ExtractOptions};
@@ -33,10 +33,10 @@ fn bench_layer_forward() {
     });
 }
 
-/// The first layer at the `federate_adult` shape: 168 literals × 64 nodes,
+/// The layer at the `federate_adult` shape: 168 literals × 64 nodes,
 /// batch 64, 42% of literals set (the adult-like encoding's density). Each
 /// general kernel (packed soft forward, planned discrete forward,
-/// `backward_into` with its input gradient) runs against the literal kernel
+/// `backward_into`) runs against the literal kernel
 /// that replaces it on 0/1 batches, and each side's per-step set-up
 /// against the other's.
 fn bench_first_layer_literals() {
@@ -59,7 +59,7 @@ fn bench_first_layer_literals() {
     let mut lit_plan = LiteralPlan::default();
     assert!(layer.plan_literals_into(&mut lit_plan));
     let y = layer.forward_soft(&x);
-    let (mut out, mut dw, mut dx) = (Matrix::default(), Matrix::zeros(64, 168), Matrix::default());
+    let (mut out, mut dw, mut dwt) = (Matrix::default(), Matrix::zeros(64, 168), Matrix::default());
 
     let mut group = Bencher::new("layer0_168x64_batch64_ones42");
     group.bench("setup_general", || {
@@ -81,10 +81,10 @@ fn bench_first_layer_literals() {
     });
     group.bench("backward_into", || {
         dw.fill_zero();
-        layer.backward_into(&x, &y, &dy, &mut dw, &mut dx);
+        layer.backward_into(&x, &y, &dy, &mut dw);
     });
     group.bench("backward_literals_into", || {
-        layer.backward_literals_into(&lits, &lit_plan, &y, &dy, &mut dx, &mut dw);
+        layer.backward_literals_into(&lits, &lit_plan, &y, &dy, &mut dwt, &mut dw);
     });
 }
 

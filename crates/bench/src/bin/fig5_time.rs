@@ -10,7 +10,7 @@
 use ctfl_bench::args::CommonArgs;
 use ctfl_bench::datasets::DatasetSpec;
 use ctfl_bench::federation::{Federation, FederationConfig, SkewMode};
-use ctfl_bench::report::{fmt_seconds, Table};
+use ctfl_bench::report::{fmt_ratio, fmt_seconds, Table};
 use ctfl_bench::schemes::{run_baseline, run_ctfl, Scheme};
 use ctfl_testkit::json;
 
@@ -53,7 +53,7 @@ fn main() {
         for (scheme, secs, trainings) in &rows {
             let speedup = match (scheme, shapley_time) {
                 (Scheme::ShapleyValue, _) => "1x".to_string(),
-                (_, Some(st)) => format!("{:.0}x", st / secs.max(1e-9)),
+                (_, Some(st)) => fmt_ratio(st / secs.max(1e-9)),
                 (_, None) => "-".to_string(),
             };
             t.row(vec![

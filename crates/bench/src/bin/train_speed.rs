@@ -61,7 +61,6 @@ fn net_config(seed: u64) -> LogicalNetConfig {
     LogicalNetConfig {
         tau_d: 8,
         layer_sizes: vec![64],
-        literal_skip: true,
         epochs: 6,
         batch_size: 64,
         seed,

@@ -119,7 +119,6 @@ impl Federation {
             lr_logical: 0.1,
             lr_linear: 0.3,
             momentum: 0.0,
-            ..LogicalNetConfig::default()
         };
         Federation { config, train, test, partition, net_config }
     }

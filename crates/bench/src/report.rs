@@ -73,6 +73,18 @@ pub fn fmt_seconds(s: f64) -> String {
     }
 }
 
+/// Formats a ratio (a speedup) to two significant digits: `0.27x`, `1.3x`,
+/// `13x`, `130x`.
+pub fn fmt_ratio(r: f64) -> String {
+    if !(r.is_finite() && r > 0.0) {
+        return format!("{r}x");
+    }
+    let scale = 10f64.powi(r.log10().floor() as i32 - 1);
+    let rounded = (r / scale).round() * scale;
+    let decimals = (1 - rounded.log10().floor() as i32).max(0) as usize;
+    format!("{rounded:.decimals$}x")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,5 +116,12 @@ mod tests {
         assert_eq!(fmt_seconds(0.0421), "42ms");
         assert_eq!(fmt_seconds(3.24), "3.2s");
         assert_eq!(fmt_seconds(312.0), "312s");
+        assert_eq!(fmt_ratio(0.27), "0.27x");
+        assert_eq!(fmt_ratio(0.2749), "0.27x");
+        assert_eq!(fmt_ratio(1.34), "1.3x");
+        assert_eq!(fmt_ratio(9.96), "10x");
+        assert_eq!(fmt_ratio(13.4), "13x");
+        assert_eq!(fmt_ratio(134.0), "130x");
+        assert_eq!(fmt_ratio(0.0), "0x");
     }
 }

@@ -79,8 +79,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 pub enum GroupingStrategy {
     /// Compare every test instance against every training instance.
     BruteForce,
-    /// Deduplicate test instances with identical activation signatures and
-    /// traced class; each unique signature is traced once.
+    /// Deduplicate test instances with identical activation rows and
+    /// traced class; each unique row is traced once.
     SignatureDedup,
     /// Paper Section III-C: mine maximal frequent activated-rule sets over
     /// the test activation vectors with Max-Miner, partition test instances
@@ -718,22 +718,25 @@ fn trace_kernel<T: TrainAccess>(
     }
 }
 
-/// Test rows keyed by `(traced class, activation signature)`: the members
-/// of one key share their related set, so the kernel traces each key once.
-fn signature_groups(
-    test: &TestSide<'_>,
+/// Test rows keyed by `(traced class, activation words)`: the members of
+/// one key are identical rows of one class, so they share their related
+/// set and the kernel traces each key once. Keying by the words rather
+/// than a hash of them makes that hold for any rows; `ActivationMatrix`
+/// keeps every row's tail bits zero, so equal words mean equal rows.
+fn signature_groups<'a>(
+    test: &TestSide<'a>,
     traced_class: &[usize],
-) -> HashMap<(usize, u64), Vec<u32>> {
-    let mut groups: HashMap<(usize, u64), Vec<u32>> = HashMap::new();
+) -> HashMap<(usize, &'a [u64]), Vec<u32>> {
+    let mut groups: HashMap<(usize, &[u64]), Vec<u32>> = HashMap::new();
     for (t, &c) in traced_class.iter().enumerate() {
-        groups.entry((c, test.acts.row_signature(t))).or_default().push(t as u32);
+        groups.entry((c, test.acts.row_words(t))).or_default().push(t as u32);
     }
     groups
 }
 
 struct WorkGroup {
     /// Test rows in this group. All members share the same traced class and
-    /// activation signature (SignatureDedup) or a frequent rule subset
+    /// activation words (SignatureDedup) or a frequent rule subset
     /// (FrequentRuleSets). BruteForce uses singleton groups.
     members: Vec<u32>,
     /// Optional prefiltered candidates: a bit set over the positions of the
@@ -1003,7 +1006,7 @@ impl MissBound {
 
 /// Global indices, ascending, of the training rows related to one work
 /// group's representative. All members share its traced class and
-/// activation signature (construction invariant), so the related set is
+/// activation words (construction invariant), so the related set is
 /// computed **once** per group.
 fn related_rows<T: TrainAccess>(
     train: &T,
@@ -1115,7 +1118,7 @@ impl GroupTables {
 /// Within each traced class, test activation vectors (restricted to the
 /// class mask) form transactions; Max-Miner yields maximal frequent rule
 /// sets; test rows sharing both the heaviest covering set *and* the full
-/// activation signature form a group. The frequent set `F` gives an
+/// activation row form a group. The frequent set `F` gives an
 /// admissible candidate prefilter: a training row can relate to a member
 /// `t` only if its weighted overlap with `F` is at least
 /// `weight(F) - (1 - τ_w) · denom(t)`.
@@ -1131,9 +1134,9 @@ fn build_frequent_groups<T: TrainAccess>(
     let n_rules = test.acts.n_bits();
     let n_classes = test.class_masks.len();
 
-    // First dedup by (class, signature) — members of a signature group have
+    // First dedup by (class, row words) — members of a signature group have
     // identical related sets, so the frequent-set machinery only needs to
-    // run per unique signature.
+    // run per unique row.
     let sig_groups = signature_groups(test, traced_class);
 
     let mut out = Vec::new();
@@ -1290,6 +1293,32 @@ mod tests {
         // Harm counts: only rows related to misclassified tests.
         let harm_total: u32 = out.train_harm_counts.iter().sum();
         assert_eq!(harm_total, 7);
+    }
+
+    #[test]
+    fn signature_groups_hold_identical_rows_of_one_class() {
+        // 40 rows over 70 bits (two words): the words repeat with period
+        // 10 (bit 64 with period 2), and the traced class with period 3, so
+        // 30 keys, each the same words under one class.
+        let rows: Vec<Vec<bool>> = (0..40)
+            .map(|t| (0..70).map(|b| (t % 5 + b) % 7 == 0 || (b == 64 && t % 2 == 0)).collect())
+            .collect();
+        let acts = ActivationMatrix::from_rows(70, &rows).unwrap();
+        let traced_class: Vec<usize> = (0..40).map(|t| t % 3).collect();
+        let test =
+            TestSide { acts: &acts, labels: &[], predictions: &[], weights: &[], class_masks: &[] };
+        let groups = signature_groups(&test, &traced_class);
+        assert_eq!(groups.len(), 30);
+        let mut seen = [false; 40];
+        for (&(class, words), members) in &groups {
+            for &t in members {
+                let t = t as usize;
+                assert_eq!(traced_class[t], class, "row {t}");
+                assert_eq!(acts.row_words(t), words, "row {t}");
+                assert!(!std::mem::replace(&mut seen[t], true), "row {t} in two groups");
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every row belongs to a group");
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Rule extraction from a binarized logical network.
 //!
-//! Walks the binarized weights (`1(θ > 0.5)`) of every logical node into a
-//! `ctfl-core` [`RuleExpr`], assigns each head slot a supported class and an
-//! importance weight from the linear head, and returns a [`RuleModel`].
+//! Builds each logical node straight from its selected literal predicates
+//! (`1(θ > 0.5)`) into a `ctfl-core` [`RuleExpr`]; the head slots are those
+//! nodes followed by the literals themselves. Each slot gets a supported
+//! class and an importance weight from the linear head, and the result is a
+//! [`RuleModel`].
 //!
 //! **Exactness (binary tasks):** the extracted model classifies *identically*
-//! to the binarized network. Constant-true nodes (e.g. a conjunction whose
+//! to the binarized network. Constant-true nodes (a conjunction whose
 //! binarized selection is empty) are folded into the model's per-class
-//! biases; constant-false nodes are dropped; for every remaining slot the
+//! biases; constant-false nodes (an empty disjunction) are dropped; for
+//! every remaining slot the
 //! rule's weight is the head margin `|v[s][1] − v[s][0]|` and its class the
 //! margin's sign, so the weighted vote difference of the [`RuleModel`]
 //! equals the logit difference of the network. Verified by tests.
@@ -16,7 +19,7 @@
 //! `weight = top margin`) is an approximation; the paper's scope is binary.
 
 use ctfl_core::data::FeatureSchema;
-use ctfl_core::error::{CoreError, Result};
+use ctfl_core::error::Result;
 use ctfl_core::model::RuleModel;
 use ctfl_core::rule::{Rule, RuleExpr};
 use std::sync::Arc;
@@ -24,9 +27,9 @@ use std::sync::Arc;
 use crate::logical::NodeKind;
 use crate::net::LogicalNet;
 
-/// A node expression during bottom-up construction: logical constants are
-/// tracked exactly so they can be folded or dropped.
-#[derive(Debug, Clone, PartialEq)]
+/// A head slot's expression: logical constants are tracked exactly so they
+/// can be folded or dropped.
+#[derive(Debug, PartialEq)]
 enum Built {
     ConstTrue,
     ConstFalse,
@@ -53,53 +56,21 @@ impl Default for ExtractOptions {
 pub fn extract_rules(net: &LogicalNet, options: ExtractOptions) -> Result<RuleModel> {
     let schema: &Arc<FeatureSchema> = net.schema();
     let literals = net.encoder().literals();
+    let predicate = |i: usize| RuleExpr::pred(literals[i].to_predicate());
 
-    // Build every layer's node expressions bottom-up.
-    let mut built_layers: Vec<Vec<Built>> = Vec::with_capacity(net.layers().len());
-    for (k, layer) in net.layers().iter().enumerate() {
-        let mut nodes = Vec::with_capacity(layer.n_nodes());
-        for j in 0..layer.n_nodes() {
-            let selected = layer.selected(j);
-            let children: Vec<Built> = selected
-                .iter()
-                .map(|&i| {
-                    if k == 0 {
-                        Built::Expr(RuleExpr::pred(literals[i].to_predicate()))
-                    } else {
-                        // Input layout for deeper layers: prev outputs then
-                        // literals.
-                        let prev = &built_layers[k - 1];
-                        if i < prev.len() {
-                            prev[i].clone()
-                        } else {
-                            Built::Expr(RuleExpr::pred(literals[i - prev.len()].to_predicate()))
-                        }
-                    }
-                })
-                .collect();
-            nodes.push(combine(layer.kinds()[j], children));
-        }
-        built_layers.push(nodes);
-    }
-
-    // Head slots: layer outputs in order, then literal skips.
-    let mut slots: Vec<Built> = built_layers.into_iter().flatten().collect();
-    if net.config().literal_skip {
-        slots.extend(literals.iter().map(|l| Built::Expr(RuleExpr::pred(l.to_predicate()))));
-    }
+    // Head slots: the layer's nodes in order, then the literals themselves.
+    let layer = net.layer();
+    let nodes = layer
+        .kinds()
+        .iter()
+        .enumerate()
+        .map(|(j, &kind)| combine(kind, layer.selected(j).into_iter().map(predicate).collect()));
+    let slots = nodes.chain((0..literals.len()).map(|i| Built::Expr(predicate(i))));
     let head = net.head();
-    if slots.len() != head.n_rules() {
-        return Err(CoreError::LengthMismatch {
-            what: "head slots",
-            expected: head.n_rules(),
-            actual: slots.len(),
-        });
-    }
-
     let n_classes = net.n_classes();
     let mut biases: Vec<f64> = head.bias().iter().map(|&b| f64::from(b)).collect();
     let mut rules = Vec::new();
-    for (s, built) in slots.into_iter().enumerate() {
+    for (s, built) in slots.enumerate() {
         match built {
             Built::ConstFalse => {}
             Built::ConstTrue => {
@@ -120,39 +91,15 @@ pub fn extract_rules(net: &LogicalNet, options: ExtractOptions) -> Result<RuleMo
     RuleModel::with_biases(Arc::clone(schema), n_classes, rules, Some(biases))
 }
 
-/// Combines child expressions under a connective with constant folding.
-fn combine(kind: NodeKind, children: Vec<Built>) -> Built {
-    match kind {
-        NodeKind::Conj => {
-            let mut parts = Vec::new();
-            for c in children {
-                match c {
-                    Built::ConstFalse => return Built::ConstFalse,
-                    Built::ConstTrue => {}
-                    Built::Expr(e) => parts.push(e),
-                }
-            }
-            match parts.len() {
-                0 => Built::ConstTrue, // empty AND (incl. all-true children)
-                1 => Built::Expr(parts.pop().expect("len checked")),
-                _ => Built::Expr(RuleExpr::And(parts)),
-            }
-        }
-        NodeKind::Disj => {
-            let mut parts = Vec::new();
-            for c in children {
-                match c {
-                    Built::ConstTrue => return Built::ConstTrue,
-                    Built::ConstFalse => {}
-                    Built::Expr(e) => parts.push(e),
-                }
-            }
-            match parts.len() {
-                0 => Built::ConstFalse, // empty OR
-                1 => Built::Expr(parts.pop().expect("len checked")),
-                _ => Built::Expr(RuleExpr::Or(parts)),
-            }
-        }
+/// A node's expression over its selected literal predicates: an empty AND
+/// is true, an empty OR false, and a single predicate stands alone.
+fn combine(kind: NodeKind, mut parts: Vec<RuleExpr>) -> Built {
+    match (kind, parts.len()) {
+        (NodeKind::Conj, 0) => Built::ConstTrue,
+        (NodeKind::Disj, 0) => Built::ConstFalse,
+        (_, 1) => Built::Expr(parts.pop().expect("len checked")),
+        (NodeKind::Conj, _) => Built::Expr(RuleExpr::And(parts)),
+        (NodeKind::Disj, _) => Built::Expr(RuleExpr::Or(parts)),
     }
 }
 
@@ -281,22 +228,16 @@ mod tests {
     fn constant_folding() {
         // Direct unit tests of `combine`.
         use ctfl_core::rule::Predicate;
-        let e = || Built::Expr(RuleExpr::pred(Predicate::eq(0, 1)));
+        let e = || RuleExpr::pred(Predicate::eq(0, 1));
         assert_eq!(combine(NodeKind::Conj, vec![]), Built::ConstTrue);
         assert_eq!(combine(NodeKind::Disj, vec![]), Built::ConstFalse);
-        assert_eq!(combine(NodeKind::Conj, vec![Built::ConstFalse, e()]), Built::ConstFalse);
-        assert_eq!(combine(NodeKind::Disj, vec![Built::ConstTrue, e()]), Built::ConstTrue);
-        assert_eq!(combine(NodeKind::Conj, vec![Built::ConstTrue]), Built::ConstTrue);
         // Singletons flatten.
-        match combine(NodeKind::Conj, vec![Built::ConstTrue, e()]) {
-            Built::Expr(RuleExpr::Pred(_)) => {}
-            other => panic!("expected flattened predicate, got {other:?}"),
+        for kind in [NodeKind::Conj, NodeKind::Disj] {
+            assert_eq!(combine(kind, vec![e()]), Built::Expr(e()), "{kind:?}");
         }
-        // True children vanish inside AND; false children vanish inside OR.
-        match combine(NodeKind::Disj, vec![Built::ConstFalse, e(), e()]) {
-            Built::Expr(RuleExpr::Or(parts)) => assert_eq!(parts.len(), 2),
-            other => panic!("{other:?}"),
-        }
+        let (and, or) = (RuleExpr::And(vec![e(), e()]), RuleExpr::Or(vec![e(), e()]));
+        assert_eq!(combine(NodeKind::Conj, vec![e(), e()]), Built::Expr(and));
+        assert_eq!(combine(NodeKind::Disj, vec![e(), e()]), Built::Expr(or));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Logical layers (paper Eq. 7).
+//! The logical layer (paper Eq. 7).
 //!
-//! A logical layer contains conjunction and disjunction nodes whose soft
-//! activations blend neural learnability with symbolic structure:
+//! The network's one logical layer reads the encoder's literals through
+//! conjunction and disjunction nodes whose soft activations blend neural
+//! learnability with symbolic structure:
 //!
 //! ```text
 //! Conj(x, w) = Π_i F_c(x_i, w_i),        F_c = 1 − w_i (1 − x_i)
@@ -20,8 +21,8 @@
 //!    chain keeping the naive k-ascending order;
 //! 2. removing data-dependent branches that are IEEE-754 no-ops;
 //! 3. skipping terms that a *checked* input property makes exactly `×1.0`
-//!    or `±0`. The literal kernels of the first layer
-//!    ([`LiteralBatch`], [`LiteralPlan`]) rely on three checks: every
+//!    or `±0`. The literal kernels ([`LiteralBatch`], [`LiteralPlan`])
+//!    rely on three checks: every
 //!    input is bit-exactly `+0.0` or `1.0` (checked once per training call
 //!    over the whole shard), every weight lies in `[0, 1]`, and (for the
 //!    backward) every upstream gradient is finite (both once per step).
@@ -30,6 +31,9 @@
 //!    cannot change a `+0.0`-seeded sum. When a check fails, the step (or,
 //!    for a shard that is not 0/1, the whole call) runs the general kernels
 //!    instead.
+//!
+//! The backward kernels compute the weight gradient only: the layer's
+//! inputs are literals, not parameters, so nothing reads an input gradient.
 
 // The hot kernels below index multiple parallel slices by position; the
 // iterator forms clippy suggests obscure the lockstep row/column arithmetic.
@@ -107,9 +111,8 @@ fn pack_bits(values: &[f32], pred: impl Fn(f32) -> bool) -> u64 {
 }
 
 /// A batch of 0/1 inputs as one bit set per row: bit `i` of row `b` is set
-/// when `x[b][i] == 1.0`. The input the first layer's literal kernels
-/// read: built once per training call over a whole shard, and gathered
-/// from it per step.
+/// when `x[b][i] == 1.0`. The input the literal kernels read: built once
+/// per training call over a whole shard, and gathered from it per step.
 #[derive(Debug, Clone, Default)]
 pub struct LiteralBatch {
     rows: usize,
@@ -180,7 +183,7 @@ impl LiteralBatch {
     }
 }
 
-/// The first layer's per-step weight state for [`LiteralBatch`] inputs:
+/// The layer's per-step weight state for [`LiteralBatch`] inputs:
 /// each node's selected-literal mask (`w > 0.5`) and the complements
 /// `(1 − w)ᵀ`, stored node-contiguous (`comp[i · n_nodes + j] = 1 − w[j][i]`)
 /// so the product chains of one node kind advance together on one
@@ -497,39 +500,28 @@ impl LogicalLayer {
         }
     }
 
-    /// Backward through the soft forward, writing the input gradient into a
-    /// caller-owned buffer (`dx` is zeroed and accumulated here; `dw` is
-    /// accumulated into as passed, exactly like [`Self::backward`]).
+    /// Backward through the soft forward: accumulates the weight gradient
+    /// into `dw` as passed, exactly like [`Self::backward`].
     ///
     /// Bit-identical to [`Self::backward`]: the arithmetic is the naive
     /// loop's, element for element — same saturation guard, same
-    /// per-element accumulation order into `dw` and `dx`. The only changes
-    /// are structural: gradients land in caller-owned buffers, and the
-    /// inner loop is branch-free straight-line FP over pre-sliced rows so
-    /// the compiler can keep the (SIMD) divider busy. In particular there
-    /// is deliberately *no* skip of `w_i == 0` terms here — the division
-    /// skip would be exact (`y / 1.0 == y`), but a data-dependent branch in
-    /// the middle of the division pipeline costs more than the divisions
-    /// it saves, and it blocks vectorization of the whole loop.
-    pub fn backward_into(
-        &self,
-        x: &Matrix,
-        y: &Matrix,
-        dy: &Matrix,
-        dw: &mut Matrix,
-        dx: &mut Matrix,
-    ) {
+    /// per-element accumulation order into `dw`. The only change is
+    /// structural: the inner loop is branch-free straight-line FP over
+    /// pre-sliced rows so the compiler can keep the (SIMD) divider busy. In
+    /// particular there is deliberately *no* skip of `w_i == 0` terms here
+    /// — the division skip would be exact (`y / 1.0 == y`), but a
+    /// data-dependent branch in the middle of the division pipeline costs
+    /// more than the divisions it saves, and it blocks vectorization of the
+    /// whole loop.
+    pub fn backward_into(&self, x: &Matrix, y: &Matrix, dy: &Matrix, dw: &mut Matrix) {
         assert_eq!(dy.cols(), self.n_nodes());
         assert_eq!(dw.rows(), self.n_nodes());
         assert_eq!(dw.cols(), self.in_dim);
-        dx.resize(x.rows(), self.in_dim);
-        dx.fill_zero();
         let in_dim = self.in_dim;
         for b in 0..x.rows() {
             let xr = &x.row(b)[..in_dim];
             let yr = y.row(b);
             let dyr = dy.row(b);
-            let dxr = &mut dx.row_mut(b)[..in_dim];
             for (j, kind) in self.kinds.iter().enumerate() {
                 let g = dyr[j];
                 if g == 0.0 {
@@ -542,18 +534,14 @@ impl LogicalLayer {
                         let yj = yr[j];
                         for i in 0..in_dim {
                             let f = (1.0 - wr[i] * (1.0 - xr[i])).max(FACTOR_EPS);
-                            let rest = yj / f;
-                            dwr[i] += g * (-(1.0 - xr[i])) * rest;
-                            dxr[i] += g * wr[i] * rest;
+                            dwr[i] += g * (-(1.0 - xr[i])) * (yj / f);
                         }
                     }
                     NodeKind::Disj => {
                         let p = 1.0 - yr[j];
                         for i in 0..in_dim {
                             let gi = (1.0 - wr[i] * xr[i]).max(FACTOR_EPS);
-                            let rest = p / gi;
-                            dwr[i] += g * xr[i] * rest;
-                            dxr[i] += g * wr[i] * rest;
+                            dwr[i] += g * xr[i] * (p / gi);
                         }
                     }
                 }
@@ -695,8 +683,6 @@ impl LogicalLayer {
     /// Weight gradient of the soft forward on 0/1 inputs. `dw` is
     /// **overwritten** with the batch's gradient; `dwt` is scratch that
     /// holds it transposed (`in_dim × n_nodes`) while the rows accumulate.
-    /// No input gradient is computed: this kernel serves the first layer,
-    /// whose inputs are not parameters.
     ///
     /// Bit-identical to [`Self::backward`]'s `dw` on a zero-filled `dw`,
     /// provided every value of `dy` is finite and `lits` and `plan` passed
@@ -765,13 +751,11 @@ impl LogicalLayer {
     ///
     /// Given the cached input `x`, cached soft output `y` and upstream
     /// gradient `dy`, accumulates weight gradients into `dw`
-    /// (`n_nodes × in_dim`) and returns the input gradient
-    /// (`batch × in_dim`).
-    pub fn backward(&self, x: &Matrix, y: &Matrix, dy: &Matrix, dw: &mut Matrix) -> Matrix {
+    /// (`n_nodes × in_dim`).
+    pub fn backward(&self, x: &Matrix, y: &Matrix, dy: &Matrix, dw: &mut Matrix) {
         assert_eq!(dy.cols(), self.n_nodes());
         assert_eq!(dw.rows(), self.n_nodes());
         assert_eq!(dw.cols(), self.in_dim);
-        let mut dx = Matrix::zeros(x.rows(), self.in_dim);
         for b in 0..x.rows() {
             let xr = x.row(b);
             let yr = y.row(b);
@@ -786,31 +770,24 @@ impl LogicalLayer {
                     NodeKind::Conj => {
                         // y = Π F_i with F_i = 1 - w_i (1 - x_i)
                         // ∂y/∂w_i = -(1 - x_i) · y / F_i
-                        // ∂y/∂x_i = w_i · y / F_i
                         let yj = yr[j];
                         for i in 0..self.in_dim {
                             let f = (1.0 - wr[i] * (1.0 - xr[i])).max(FACTOR_EPS);
-                            let rest = yj / f;
-                            dw.add_at(j, i, g * (-(1.0 - xr[i])) * rest);
-                            dx.add_at(b, i, g * wr[i] * rest);
+                            dw.add_at(j, i, g * (-(1.0 - xr[i])) * (yj / f));
                         }
                     }
                     NodeKind::Disj => {
                         // y = 1 - Π G_i with G_i = 1 - w_i x_i; P = 1 - y
                         // ∂y/∂w_i = x_i · P / G_i
-                        // ∂y/∂x_i = w_i · P / G_i
                         let p = 1.0 - yr[j];
                         for i in 0..self.in_dim {
                             let gi = (1.0 - wr[i] * xr[i]).max(FACTOR_EPS);
-                            let rest = p / gi;
-                            dw.add_at(j, i, g * xr[i] * rest);
-                            dx.add_at(b, i, g * wr[i] * rest);
+                            dw.add_at(j, i, g * xr[i] * (p / gi));
                         }
                     }
                 }
             }
         }
-        dx
     }
 }
 
@@ -892,8 +869,8 @@ mod tests {
 
     #[test]
     fn gradient_check_finite_differences() {
-        // Check ∂y/∂w and ∂y/∂x against central finite differences at an
-        // interior point (no saturation).
+        // Check ∂y/∂w against central finite differences at an interior
+        // point (no saturation).
         let mut rng = StdRng::seed_from_u64(11);
         let mut layer = LogicalLayer::new(4, 4, &mut rng);
         // Keep weights away from 0/1 so clamping doesn't bite.
@@ -905,10 +882,9 @@ mod tests {
         // Upstream gradient: all ones.
         let dy = Matrix::from_vec(2, 4, vec![1.0; 8]);
         let mut dw = Matrix::zeros(4, 4);
-        let dx = layer.backward(&x, &y, &dy, &mut dw);
+        layer.backward(&x, &y, &dy, &mut dw);
 
         let eps = 1e-3f32;
-        // Weight gradients.
         for j in 0..4 {
             for i in 0..4 {
                 let orig = layer.w.get(j, i);
@@ -920,21 +896,6 @@ mod tests {
                 let fd = (yp - ym) / (2.0 * eps);
                 let an = dw.get(j, i);
                 assert!((fd - an).abs() < 2e-2, "dw[{j}][{i}]: fd={fd} an={an}");
-            }
-        }
-        // Input gradients.
-        let mut x2 = x.clone();
-        for b in 0..2 {
-            for i in 0..4 {
-                let orig = x2.get(b, i);
-                x2.set(b, i, orig + eps);
-                let yp: f32 = layer.forward_soft(&x2).data().iter().sum();
-                x2.set(b, i, orig - eps);
-                let ym: f32 = layer.forward_soft(&x2).data().iter().sum();
-                x2.set(b, i, orig);
-                let fd = (yp - ym) / (2.0 * eps);
-                let an = dx.get(b, i);
-                assert!((fd - an).abs() < 2e-2, "dx[{b}][{i}]: fd={fd} an={an}");
             }
         }
     }

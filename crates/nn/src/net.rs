@@ -1,11 +1,10 @@
 //! The logical neural network (paper Figure 3) and its gradient-grafting
 //! training loop.
 //!
-//! Architecture: encoded literals → one or more [`LogicalLayer`]s (each
-//! receiving the previous layer's output concatenated with the raw literals
-//! — the paper's skip connections) → a [`LinearHead`] over the concatenated
-//! outputs of *all* logical layers (optionally plus the literals themselves,
-//! yielding single-predicate rules).
+//! Architecture, as the paper trains it: encoded literals → one
+//! [`LogicalLayer`] of conjunction and disjunction nodes → a [`LinearHead`]
+//! over the layer's outputs followed by the literals themselves (the skip
+//! connection that yields single-predicate rules).
 //!
 //! **Gradient grafting** (paper Section V): each step forwards the
 //! *binarized* model to obtain `Ȳ`, evaluates `∂L/∂Ȳ` there, and
@@ -29,24 +28,24 @@ use crate::loss::{accuracy, argmax_tie_high, cross_entropy, cross_entropy_grad, 
 use crate::matrix::{Matrix, PackedRhs};
 use crate::optim::{Adam, ProjectedSgd};
 
+/// L1 pull on logical weights (sparser, more interpretable rules).
+const L1: f32 = 1e-4;
+
 /// Hyper-parameters of the logical network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogicalNetConfig {
     /// Discretization bounds per continuous feature (`τ_d`; the layer emits
     /// `2·τ_d` literals per feature). Paper default: 10.
     pub tau_d: usize,
-    /// Logical layer widths. Paper default: one layer of 64–512 nodes.
+    /// The logical layer's width, as a one-element list (paper default: one
+    /// layer of 64–512 nodes). Any other length is rejected.
     pub layer_sizes: Vec<usize>,
-    /// Also feed raw literals into the head (single-predicate rules).
-    pub literal_skip: bool,
     /// Learning rate for logical weights (projected SGD).
     pub lr_logical: f32,
     /// Learning rate for the linear head (Adam).
     pub lr_linear: f32,
     /// SGD momentum for logical weights.
     pub momentum: f32,
-    /// L1 pull on logical weights (sparser, more interpretable rules).
-    pub l1: f32,
     /// Training epochs.
     pub epochs: usize,
     /// Minibatch size.
@@ -60,11 +59,9 @@ impl Default for LogicalNetConfig {
         LogicalNetConfig {
             tau_d: 10,
             layer_sizes: vec![64],
-            literal_skip: true,
             lr_logical: 0.05,
             lr_linear: 0.01,
             momentum: 0.9,
-            l1: 1e-4,
             epochs: 40,
             batch_size: 64,
             seed: 0xC7F1,
@@ -89,7 +86,7 @@ pub struct LogicalNet {
     schema: Arc<FeatureSchema>,
     n_classes: usize,
     encoder: Encoder,
-    layers: Vec<LogicalLayer>,
+    layer: LogicalLayer,
     head: LinearHead,
     config: LogicalNetConfig,
     rng: StdRng,
@@ -110,7 +107,7 @@ impl Clone for LogicalNet {
             schema: Arc::clone(&self.schema),
             n_classes: self.n_classes,
             encoder: self.encoder.clone(),
-            layers: self.layers.clone(),
+            layer: self.layer.clone(),
             head: self.head.clone(),
             config: self.config.clone(),
             rng: self.rng.clone(),
@@ -124,42 +121,24 @@ impl Clone for LogicalNet {
 
 #[derive(Debug, Clone)]
 struct OptimState {
-    sgds: Vec<ProjectedSgd>,
+    sgd: ProjectedSgd,
     adam_v: Adam,
     adam_b: Adam,
 }
 
-struct ForwardCache {
-    /// Input fed to each layer (after skip concatenation).
-    layer_inputs: Vec<Matrix>,
-    /// Output of each layer.
-    layer_outputs: Vec<Matrix>,
-    /// Concatenated rule-activation matrix (head input).
-    rules: Matrix,
-}
-
-/// Buffers for one forward pass (discrete or continuous). All matrices are
-/// resized in place and fully overwritten each pass.
+/// One forward pass's intermediates (discrete or continuous). In the
+/// workspace both matrices are resized in place and fully overwritten each
+/// pass.
 #[derive(Debug, Clone, Default)]
 struct PassBuffers {
-    /// Skip-concatenated input per layer `k >= 1` (layer 0 reads the batch
-    /// matrix directly).
-    inputs: Vec<Matrix>,
-    /// Output per layer.
-    outputs: Vec<Matrix>,
-    /// Concatenated rule activations (head input).
+    /// The layer's output.
+    output: Matrix,
+    /// The layer's output followed by the literals (head input).
     rules: Matrix,
 }
 
-impl PassBuffers {
-    fn ensure(&mut self, n_layers: usize) {
-        self.inputs.resize_with(n_layers.saturating_sub(1), Matrix::default);
-        self.outputs.resize_with(n_layers, Matrix::default);
-    }
-}
-
-/// Reusable training scratch: batch staging, per-layer forward/backward
-/// intermediates, packed head weights, discrete execution plans, and the
+/// Reusable training scratch: batch staging, forward/backward
+/// intermediates, packed weights, the discrete execution plan, and the
 /// best-epoch snapshot slot. Once warm, a training step touches no
 /// allocator.
 #[derive(Debug, Clone, Default)]
@@ -170,13 +149,12 @@ struct TrainWorkspace {
     labels: Vec<u32>,
     /// Shuffled row order for the epoch loop.
     order: Vec<usize>,
-    /// Per-layer CSR plans over the binarized weights (rebuilt per step;
-    /// layer 0's only when the step cannot take the literal path).
-    plans: Vec<DiscretePlan>,
-    /// Per-layer weights packed transposed for the continuous forward
-    /// (repacked per step; layer 0's only when the step cannot take the
-    /// literal path).
-    packed_layers: Vec<PackedRhs>,
+    /// CSR plan over the binarized weights (rebuilt per step when the step
+    /// cannot take the literal path, and before each accuracy pass).
+    plan: DiscretePlan,
+    /// The layer's weights packed transposed for the continuous forward
+    /// (repacked per step when the step cannot take the literal path).
+    packed_layer: PackedRhs,
     /// The batch as per-row literal bit sets (gathered from
     /// `shard_literals` per step when the shard is 0/1).
     literals: LiteralBatch,
@@ -186,7 +164,7 @@ struct TrainWorkspace {
     /// Whether every shard input is exactly `+0.0` or `1.0`, so that
     /// `shard_literals` holds them.
     shard_is_binary: bool,
-    /// Layer 0's selected-literal masks and `(1 − w)ᵀ` (rebuilt per step).
+    /// The selected-literal masks and `(1 − w)ᵀ` (rebuilt per step).
     literal_plan: LiteralPlan,
     /// Head weights packed transposed (repacked per step).
     packed_head: PackedRhs,
@@ -200,18 +178,16 @@ struct TrainWorkspace {
     exp_scratch: Vec<f32>,
     dv: Matrix,
     dbias: Vec<f32>,
+    /// The head's gradient on the layer's outputs: the layer's upstream
+    /// gradient.
     dr: Matrix,
-    /// Per-layer weight gradients.
-    dws: Vec<Matrix>,
-    /// Output gradient of the layer currently being back-propagated.
-    dy: Matrix,
-    /// Input gradient of the layer back-propagated *last* iteration (its
-    /// leading columns are the carry into the layer below). Layer 0's
-    /// literal backward uses it for its transposed weight gradient.
-    dx: Matrix,
+    /// The layer's weight gradient.
+    dw: Matrix,
+    /// The literal backward's transposed weight gradient.
+    dwt: Matrix,
     /// Best-epoch parameter snapshot, written with `clone_from` so the
     /// improving-epoch path stops allocating.
-    snapshot: Option<(Vec<LogicalLayer>, LinearHead)>,
+    snapshot: Option<(LogicalLayer, LinearHead)>,
 }
 
 impl TrainWorkspace {
@@ -239,74 +215,44 @@ impl TrainWorkspace {
 /// The two forward passes a training step runs.
 #[derive(Clone, Copy)]
 enum Pass<'a> {
-    /// Binarized weights and boolean logic, through per-layer CSR plans.
-    Discrete(&'a [DiscretePlan]),
-    /// Soft logic, through per-layer transposed weight packs.
-    Soft(&'a [PackedRhs]),
+    /// Binarized weights and boolean logic, through the CSR plan.
+    Discrete(&'a DiscretePlan),
+    /// Soft logic, through the transposed weight pack.
+    Soft(&'a PackedRhs),
 }
 
-/// Forward pass through `layers` into `buf`, reading the batch from `x`,
-/// or layer 0's input from `literals` when the step passed the literal
-/// checks. Bit-identical to [`LogicalNet::forward`]: the per-layer kernels
-/// replay the naive summation order exactly and the skip/rule concatenation
-/// copies the same slices in the same order.
+/// Writes the head input: each row of the layer's output `y` followed by
+/// the same row of the literals `x`.
+fn rules_into(y: &Matrix, x: &Matrix, rules: &mut Matrix) {
+    rules.resize(x.rows(), y.cols() + x.cols());
+    for b in 0..x.rows() {
+        let (out, lits) = rules.row_mut(b).split_at_mut(y.cols());
+        out.copy_from_slice(y.row(b));
+        lits.copy_from_slice(x.row(b));
+    }
+}
+
+/// Forward pass through `layer` into `buf`, reading the batch from `x`, or
+/// from `literals` when the step passed the literal checks. Bit-identical
+/// to [`LogicalNet::forward`]: the kernels replay the naive summation order
+/// exactly and the rule concatenation copies the same slices.
 fn forward_ws(
-    layers: &[LogicalLayer],
-    literal_skip: bool,
+    layer: &LogicalLayer,
     x: &Matrix,
     pass: Pass<'_>,
     literals: Option<(&LiteralBatch, &LiteralPlan)>,
     buf: &mut PassBuffers,
 ) {
-    let batch = x.rows();
-    buf.ensure(layers.len());
-    for k in 0..layers.len() {
-        let (prior, rest) = buf.outputs.split_at_mut(k);
-        let out = &mut rest[0];
-        let input = if k == 0 {
-            x
-        } else {
-            // Skip connection: previous output ++ literals.
-            let prev = &prior[k - 1];
-            let input = &mut buf.inputs[k - 1];
-            input.resize(batch, prev.cols() + x.cols());
-            for b in 0..batch {
-                let row = input.row_mut(b);
-                row[..prev.cols()].copy_from_slice(prev.row(b));
-                row[prev.cols()..].copy_from_slice(x.row(b));
-            }
-            &*input
-        };
-        match (pass, literals.filter(|_| k == 0)) {
-            (Pass::Discrete(_), Some((lits, plan))) => {
-                layers[0].forward_discrete_literals_into(lits, plan, out);
-            }
-            (Pass::Soft(_), Some((lits, plan))) => {
-                layers[0].forward_soft_literals_into(lits, plan, out);
-            }
-            (Pass::Discrete(plans), None) => {
-                layers[k].forward_discrete_planned_into(input, &plans[k], out);
-            }
-            (Pass::Soft(packs), None) => layers[k].forward_soft_packed_into(input, &packs[k], out),
+    let out = &mut buf.output;
+    match (pass, literals) {
+        (Pass::Discrete(_), Some((lits, plan))) => {
+            layer.forward_discrete_literals_into(lits, plan, out);
         }
+        (Pass::Soft(_), Some((lits, plan))) => layer.forward_soft_literals_into(lits, plan, out),
+        (Pass::Discrete(plan), None) => layer.forward_discrete_planned_into(x, plan, out),
+        (Pass::Soft(pack), None) => layer.forward_soft_packed_into(x, pack, out),
     }
-    // Rule vector: all layer outputs (++ literals if skip).
-    let mut width: usize = buf.outputs.iter().map(Matrix::cols).sum();
-    if literal_skip {
-        width += x.cols();
-    }
-    buf.rules.resize(batch, width);
-    for b in 0..batch {
-        let row = buf.rules.row_mut(b);
-        let mut off = 0;
-        for out in &buf.outputs {
-            row[off..off + out.cols()].copy_from_slice(out.row(b));
-            off += out.cols();
-        }
-        if literal_skip {
-            row[off..].copy_from_slice(x.row(b));
-        }
-    }
+    rules_into(out, x, &mut buf.rules);
 }
 
 impl LogicalNet {
@@ -322,12 +268,18 @@ impl LogicalNet {
                 message: format!("need at least 2 classes, got {n_classes}"),
             });
         }
-        if config.layer_sizes.is_empty() || config.layer_sizes.iter().any(|&s| s < 2) {
-            return Err(CoreError::InvalidParameter {
-                name: "layer_sizes",
-                message: "need at least one layer, each with >= 2 nodes".into(),
-            });
-        }
+        let width = match config.layer_sizes[..] {
+            [width] if width >= 2 => width,
+            _ => {
+                return Err(CoreError::InvalidParameter {
+                    name: "layer_sizes",
+                    message: format!(
+                        "need exactly one layer of >= 2 nodes, got {:?}",
+                        config.layer_sizes
+                    ),
+                })
+            }
+        };
         if config.batch_size == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "batch_size",
@@ -350,30 +302,16 @@ impl LogicalNet {
                 message: format!("must lie in [0, 1), got {}", config.momentum),
             });
         }
-        if config.l1.is_nan() || config.l1 < 0.0 {
-            return Err(CoreError::InvalidParameter {
-                name: "l1",
-                message: format!("must be non-negative, got {}", config.l1),
-            });
-        }
         let mut rng = StdRng::seed_from_u64(config.seed);
         let encoder = Encoder::new(&schema, config.tau_d, &mut rng)?;
         let n_literals = encoder.width();
-        let mut layers = Vec::with_capacity(config.layer_sizes.len());
-        let mut prev = n_literals;
-        for (k, &size) in config.layer_sizes.iter().enumerate() {
-            let in_dim = if k == 0 { n_literals } else { prev + n_literals };
-            layers.push(LogicalLayer::new(in_dim, size, &mut rng));
-            prev = size;
-        }
-        let n_rules: usize = config.layer_sizes.iter().sum::<usize>()
-            + if config.literal_skip { n_literals } else { 0 };
-        let head = LinearHead::new(n_rules, n_classes, &mut rng);
+        let layer = LogicalLayer::new(n_literals, width, &mut rng);
+        let head = LinearHead::new(width + n_literals, n_classes, &mut rng);
         Ok(LogicalNet {
             schema,
             n_classes,
             encoder,
-            layers,
+            layer,
             head,
             config,
             rng,
@@ -407,9 +345,9 @@ impl LogicalNet {
         &self.encoder
     }
 
-    /// The logical layers.
-    pub fn layers(&self) -> &[LogicalLayer] {
-        &self.layers
+    /// The logical layer.
+    pub fn layer(&self) -> &LogicalLayer {
+        &self.layer
     }
 
     /// The linear head.
@@ -422,47 +360,12 @@ impl LogicalNet {
         &self.config
     }
 
-    fn forward(&self, x: &Matrix, discrete: bool) -> ForwardCache {
-        let batch = x.rows();
-        let mut layer_inputs = Vec::with_capacity(self.layers.len());
-        let mut layer_outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        for (k, layer) in self.layers.iter().enumerate() {
-            let input = if k == 0 {
-                x.clone()
-            } else {
-                // Skip connection: previous output ++ literals.
-                let prev = &layer_outputs[k - 1];
-                let mut m = Matrix::zeros(batch, prev.cols() + x.cols());
-                for b in 0..batch {
-                    let row = m.row_mut(b);
-                    row[..prev.cols()].copy_from_slice(prev.row(b));
-                    row[prev.cols()..].copy_from_slice(x.row(b));
-                }
-                m
-            };
-            let output =
-                if discrete { layer.forward_discrete(&input) } else { layer.forward_soft(&input) };
-            layer_inputs.push(input);
-            layer_outputs.push(output);
-        }
-        // Rule vector: all layer outputs (++ literals if skip).
-        let mut width: usize = layer_outputs.iter().map(Matrix::cols).sum();
-        if self.config.literal_skip {
-            width += x.cols();
-        }
-        let mut rules = Matrix::zeros(batch, width);
-        for b in 0..batch {
-            let row = rules.row_mut(b);
-            let mut off = 0;
-            for out in &layer_outputs {
-                row[off..off + out.cols()].copy_from_slice(out.row(b));
-                off += out.cols();
-            }
-            if self.config.literal_skip {
-                row[off..].copy_from_slice(x.row(b));
-            }
-        }
-        ForwardCache { layer_inputs, layer_outputs, rules }
+    fn forward(&self, x: &Matrix, discrete: bool) -> PassBuffers {
+        let output =
+            if discrete { self.layer.forward_discrete(x) } else { self.layer.forward_soft(x) };
+        let mut rules = Matrix::default();
+        rules_into(&output, x, &mut rules);
+        PassBuffers { output, rules }
     }
 
     /// Discrete-model logits for an encoded batch.
@@ -499,131 +402,77 @@ impl LogicalNet {
     /// kernels replay the naive floating-point summation order exactly, the
     /// literal kernels skip only terms their checks make exact no-ops, and
     /// the optimizer calls are unchanged.
-    fn grafted_step_ws(
-        &mut self,
-        ws: &mut TrainWorkspace,
-        sgds: &mut [ProjectedSgd],
-        adam_v: &mut Adam,
-        adam_b: &mut Adam,
-    ) -> f32 {
-        let n_layers = self.layers.len();
-        let batch = ws.x.rows();
-
-        // Layer 0 reads the encoder's literals. When the shard is exactly
-        // 0/1 and its weights lie in [0, 1], its forwards work from the
+    fn grafted_step_ws(&mut self, ws: &mut TrainWorkspace, state: &mut OptimState) -> f32 {
+        // The layer reads the encoder's literals. When the shard is exactly
+        // 0/1 and the weights lie in [0, 1], its forwards work from the
         // per-row literal sets gathered with the batch; otherwise it runs
         // the general kernels, which give the same bits.
-        let literal = ws.shard_is_binary && self.layers[0].plan_literals_into(&mut ws.literal_plan);
+        let literal = ws.shard_is_binary && self.layer.plan_literals_into(&mut ws.literal_plan);
 
-        // Rebuild the discrete plans and head packing — both change at every
+        // Rebuild the discrete plan and the packings — they change at every
         // optimizer step, but once per *step* instead of once per row. On
-        // the literal path layer 0 needs neither.
-        ws.plans.resize_with(n_layers, DiscretePlan::default);
-        ws.packed_layers.resize_with(n_layers, PackedRhs::default);
-        let first = usize::from(literal);
-        let plans = ws.plans[first..].iter_mut().zip(&mut ws.packed_layers[first..]);
-        for (layer, (plan, pw)) in self.layers[first..].iter().zip(plans) {
-            layer.plan_discrete_into(plan);
-            pw.pack_from(layer.weights());
+        // the literal path the layer needs neither.
+        if !literal {
+            self.layer.plan_discrete_into(&mut ws.plan);
+            ws.packed_layer.pack_from(self.layer.weights());
         }
         self.head.pack_weights_into(&mut ws.packed_head);
         let literals = literal.then_some((&ws.literals, &ws.literal_plan));
 
         // Discrete forward → loss gradient at the binarized output.
-        let disc = Pass::Discrete(&ws.plans);
-        forward_ws(&self.layers, self.config.literal_skip, &ws.x, disc, literals, &mut ws.disc);
+        forward_ws(&self.layer, &ws.x, Pass::Discrete(&ws.plan), literals, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         let loss = cross_entropy(&ws.logits, &ws.labels);
         cross_entropy_grad_into(&ws.logits, &ws.labels, &mut ws.dlogits, &mut ws.exp_scratch);
 
         // Continuous forward (cached) → backward with the grafted gradient.
-        let soft = Pass::Soft(&ws.packed_layers);
-        forward_ws(&self.layers, self.config.literal_skip, &ws.x, soft, literals, &mut ws.cont);
+        forward_ws(&self.layer, &ws.x, Pass::Soft(&ws.packed_layer), literals, &mut ws.cont);
         ws.dv.resize(self.head.n_rules(), self.n_classes);
         ws.dv.fill_zero();
         ws.dbias.clear();
         ws.dbias.resize(self.n_classes, 0.0);
-        // Only the layer-output columns of `dr` are read: literals are
-        // inputs, not parameters.
-        let layer_cols: usize = ws.cont.outputs.iter().map(Matrix::cols).sum();
+        // The head fills only the layer-output columns of `dr` (literals
+        // are inputs, not parameters): the layer's upstream gradient.
+        let n_nodes = self.layer.n_nodes();
         self.head.backward_into(
             &ws.cont.rules,
             &ws.dlogits,
             &mut ws.dv,
             &mut ws.dbias,
             &mut ws.dr,
-            layer_cols,
+            n_nodes,
         );
 
-        ws.dws.resize_with(n_layers, Matrix::default);
-        for (layer, dw) in self.layers.iter().zip(ws.dws.iter_mut()) {
-            dw.resize(layer.n_nodes(), layer.in_dim());
-            dw.fill_zero();
-        }
-
-        // Backprop layers last → first. `ws.dx` holds the input gradient of
-        // the layer processed in the previous iteration; its leading columns
-        // are the carry into this layer's output (the skip concatenation
-        // puts the previous output first).
-        for k in (0..n_layers).rev() {
-            let out_cols = ws.cont.outputs[k].cols();
-            let seg_off: usize = ws.cont.outputs[..k].iter().map(Matrix::cols).sum();
-            ws.dy.resize(batch, out_cols);
-            for b in 0..batch {
-                let src = ws.dr.row(b);
-                ws.dy.row_mut(b).copy_from_slice(&src[seg_off..seg_off + out_cols]);
-            }
-            if k + 1 < n_layers {
-                for b in 0..batch {
-                    let carry = &ws.dx.row(b)[..out_cols];
-                    for (d, &cv) in ws.dy.row_mut(b).iter_mut().zip(carry) {
-                        *d += cv;
-                    }
-                }
-            }
-            // The third literal check: skipped terms are `±0` only for a
-            // finite upstream gradient. Layer 0 needs no input gradient.
-            if k == 0 && literal && ws.dy.data().iter().all(|g| g.is_finite()) {
-                self.layers[0].backward_literals_into(
-                    &ws.literals,
-                    &ws.literal_plan,
-                    &ws.cont.outputs[0],
-                    &ws.dy,
-                    &mut ws.dx,
-                    &mut ws.dws[0],
-                );
-                continue;
-            }
-            let input: &Matrix = if k == 0 { &ws.x } else { &ws.cont.inputs[k - 1] };
-            self.layers[k].backward_into(
-                input,
-                &ws.cont.outputs[k],
-                &ws.dy,
-                &mut ws.dws[k],
-                &mut ws.dx,
+        // The third literal check: skipped terms are `±0` only for a finite
+        // upstream gradient.
+        if literal && ws.dr.data().iter().all(|g| g.is_finite()) {
+            self.layer.backward_literals_into(
+                &ws.literals,
+                &ws.literal_plan,
+                &ws.cont.output,
+                &ws.dr,
+                &mut ws.dwt,
+                &mut ws.dw,
             );
+        } else {
+            ws.dw.resize(n_nodes, self.layer.in_dim());
+            ws.dw.fill_zero();
+            self.layer.backward_into(&ws.x, &ws.cont.output, &ws.dr, &mut ws.dw);
         }
 
-        // Parameter updates.
-        for (layer, (sgd, dw)) in self.layers.iter_mut().zip(sgds.iter_mut().zip(&ws.dws)) {
-            sgd.step(layer.weights_mut().data_mut(), dw.data());
-        }
-        adam_v.step(self.head.weights_mut().data_mut(), ws.dv.data());
-        adam_b.step(self.head.bias_mut(), &ws.dbias);
+        state.sgd.step(self.layer.weights_mut().data_mut(), ws.dw.data());
+        state.adam_v.step(self.head.weights_mut().data_mut(), ws.dv.data());
+        state.adam_b.step(self.head.bias_mut(), &ws.dbias);
         loss
     }
 
-    /// Discrete accuracy on `data` through the workspace buffers (plans and
+    /// Discrete accuracy on `data` through the workspace buffers (plan and
     /// packing are rebuilt first — the optimizer just moved the weights).
     /// Produces logits bit-identical to [`Self::logits_discrete`].
     fn accuracy_ws(&self, data: &EncodedData, ws: &mut TrainWorkspace) -> f64 {
-        ws.plans.resize_with(self.layers.len(), DiscretePlan::default);
-        for (layer, plan) in self.layers.iter().zip(ws.plans.iter_mut()) {
-            layer.plan_discrete_into(plan);
-        }
+        self.layer.plan_discrete_into(&mut ws.plan);
         self.head.pack_weights_into(&mut ws.packed_head);
-        let disc = Pass::Discrete(&ws.plans);
-        forward_ws(&self.layers, self.config.literal_skip, &data.x, disc, None, &mut ws.disc);
+        forward_ws(&self.layer, &data.x, Pass::Discrete(&ws.plan), None, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         accuracy(&ws.logits, &data.labels)
     }
@@ -635,9 +484,7 @@ impl LogicalNet {
         &mut self,
         x: &Matrix,
         labels: &[u32],
-        sgds: &mut [ProjectedSgd],
-        adam_v: &mut Adam,
-        adam_b: &mut Adam,
+        state: &mut OptimState,
     ) -> f32 {
         // Discrete forward → loss gradient at the binarized output.
         let disc = self.forward(x, true);
@@ -651,74 +498,26 @@ impl LogicalNet {
         let mut dbias = vec![0.0f32; self.n_classes];
         let dr = self.head.backward(&cont.rules, &dlogits, &mut dv, &mut dbias);
 
-        // Split dr into per-layer segments (ignore the literal segment —
-        // literals are inputs, not parameters).
-        let mut seg_offsets = Vec::with_capacity(self.layers.len());
-        let mut off = 0;
-        for out in &cont.layer_outputs {
-            seg_offsets.push(off);
-            off += out.cols();
+        // The layer's upstream gradient: the layer-output columns of `dr`
+        // (the literal columns are dropped — literals are inputs, not
+        // parameters).
+        let n_nodes = self.layer.n_nodes();
+        let mut dy = Matrix::zeros(x.rows(), n_nodes);
+        for b in 0..x.rows() {
+            dy.row_mut(b).copy_from_slice(&dr.row(b)[..n_nodes]);
         }
-
-        let mut dws: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.n_nodes(), l.in_dim()))
-            .collect();
-
-        // Backprop layers last → first. `carry` is the gradient flowing into
-        // layer k's output from layer k+1's input.
-        let mut carry: Option<Matrix> = None;
-        for k in (0..self.layers.len()).rev() {
-            let out_cols = cont.layer_outputs[k].cols();
-            let mut dy = Matrix::zeros(x.rows(), out_cols);
-            for b in 0..x.rows() {
-                let src = dr.row(b);
-                let dst = dy.row_mut(b);
-                dst.copy_from_slice(&src[seg_offsets[k]..seg_offsets[k] + out_cols]);
-            }
-            if let Some(c) = carry.take() {
-                for b in 0..x.rows() {
-                    for (d, &cv) in dy.row_mut(b).iter_mut().zip(c.row(b)) {
-                        *d += cv;
-                    }
-                }
-            }
-            let dx = self.layers[k].backward(
-                &cont.layer_inputs[k],
-                &cont.layer_outputs[k],
-                &dy,
-                &mut dws[k],
-            );
-            if k > 0 {
-                // Layer k's input = prev_output ++ literals; forward only the
-                // prev_output part.
-                let prev_cols = cont.layer_outputs[k - 1].cols();
-                let mut c = Matrix::zeros(x.rows(), prev_cols);
-                for b in 0..x.rows() {
-                    c.row_mut(b).copy_from_slice(&dx.row(b)[..prev_cols]);
-                }
-                carry = Some(c);
-            }
-        }
+        let mut dw = Matrix::zeros(n_nodes, self.layer.in_dim());
+        self.layer.backward(x, &cont.output, &dy, &mut dw);
 
         // Parameter updates.
-        for (layer, (sgd, dw)) in self.layers.iter_mut().zip(sgds.iter_mut().zip(&dws)) {
-            sgd.step(layer.weights_mut().data_mut(), dw.data());
-        }
-        adam_v.step(self.head.weights_mut().data_mut(), dv.data());
-        adam_b.step(self.head.bias_mut(), &dbias);
+        state.sgd.step(self.layer.weights_mut().data_mut(), dw.data());
+        state.adam_v.step(self.head.weights_mut().data_mut(), dv.data());
+        state.adam_b.step(self.head.bias_mut(), &dbias);
         loss
     }
 
-    /// Trains on an encoded batch for `config.epochs` epochs, keeping the
-    /// snapshot with the best discrete training accuracy.
-    ///
-    /// Runs the workspace data plane: once the scratch buffers are warm
-    /// (first batch of the first call), each step performs zero heap
-    /// allocations. The parameter stream is bit-identical to
-    /// [`Self::train_reference`].
-    pub fn train(&mut self, data: &EncodedData) -> Result<TrainReport> {
+    /// Rejects empty training data and data encoded at another width.
+    fn check_training_data(&self, data: &EncodedData) -> Result<()> {
         if data.is_empty() {
             return Err(CoreError::Empty { what: "training data" });
         }
@@ -729,21 +528,60 @@ impl LogicalNet {
                 actual: data.x.cols(),
             });
         }
-        let mut sgds: Vec<ProjectedSgd> = self
-            .layers
-            .iter()
-            .map(|l| {
-                ProjectedSgd::new(
-                    l.n_nodes() * l.in_dim(),
-                    self.config.lr_logical,
-                    self.config.momentum,
-                    self.config.l1,
-                )
-            })
-            .collect();
-        let mut adam_v = Adam::new(self.head.n_rules() * self.n_classes, self.config.lr_linear);
-        let mut adam_b = Adam::new(self.n_classes, self.config.lr_linear);
+        Ok(())
+    }
 
+    /// One shuffled epoch of workspace steps over `data` (the workspace
+    /// must have started the call). Returns the mean discrete loss.
+    fn epoch_ws(
+        &mut self,
+        data: &EncodedData,
+        ws: &mut TrainWorkspace,
+        state: &mut OptimState,
+    ) -> f32 {
+        ws.order.shuffle(&mut self.rng);
+        let mut loss = 0.0f32;
+        let mut batches = 0usize;
+        let mut start = 0;
+        while start < ws.order.len() {
+            let end = (start + self.config.batch_size).min(ws.order.len());
+            ws.stage_batch(data, start..end);
+            start = end;
+            loss += self.grafted_step_ws(ws, state);
+            batches += 1;
+        }
+        loss / batches.max(1) as f32
+    }
+
+    /// [`Self::epoch_ws`] through the naive step, allocating every batch.
+    fn epoch_reference(
+        &mut self,
+        data: &EncodedData,
+        order: &mut [usize],
+        state: &mut OptimState,
+    ) -> f32 {
+        order.shuffle(&mut self.rng);
+        let mut loss = 0.0f32;
+        let mut batches = 0usize;
+        for chunk in order.chunks(self.config.batch_size) {
+            let x = data.x.select_rows(chunk);
+            let labels: Vec<u32> = chunk.iter().map(|&i| data.labels[i]).collect();
+            loss += self.grafted_step_reference(&x, &labels, state);
+            batches += 1;
+        }
+        loss / batches.max(1) as f32
+    }
+
+    /// Trains on an encoded batch for `config.epochs` epochs, keeping the
+    /// snapshot with the best discrete training accuracy.
+    ///
+    /// Runs the workspace data plane: once the scratch buffers are warm
+    /// (first batch of the first call), each step performs zero heap
+    /// allocations. The parameter stream is bit-identical to
+    /// [`Self::train_reference`].
+    pub fn train(&mut self, data: &EncodedData) -> Result<TrainReport> {
+        self.check_training_data(data)?;
+        let mut state = self.fresh_optim_state();
         // Detach the workspace so `&mut self` stays free for the step; it is
         // reattached (buffers warm) before returning.
         let mut ws = self.workspace.take().unwrap_or_default();
@@ -756,34 +594,23 @@ impl LogicalNet {
         let mut final_loss = f32::NAN;
 
         for _epoch in 0..self.config.epochs {
-            ws.order.shuffle(&mut self.rng);
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            let mut start = 0;
-            while start < ws.order.len() {
-                let end = (start + self.config.batch_size).min(ws.order.len());
-                ws.stage_batch(data, start..end);
-                start = end;
-                epoch_loss += self.grafted_step_ws(&mut ws, &mut sgds, &mut adam_v, &mut adam_b);
-                batches += 1;
-            }
-            final_loss = epoch_loss / batches.max(1) as f32;
+            final_loss = self.epoch_ws(data, &mut ws, &mut state);
             let acc = self.accuracy_ws(data, &mut ws);
             if acc > best_acc {
                 best_acc = acc;
                 match &mut ws.snapshot {
-                    Some((layers, head)) => {
-                        layers.clone_from(&self.layers);
+                    Some((layer, head)) => {
+                        layer.clone_from(&self.layer);
                         head.clone_from(&self.head);
                     }
-                    None => ws.snapshot = Some((self.layers.clone(), self.head.clone())),
+                    None => ws.snapshot = Some((self.layer.clone(), self.head.clone())),
                 }
                 took_snapshot = true;
             }
         }
         if took_snapshot {
-            let (layers, head) = ws.snapshot.as_ref().expect("snapshot was recorded");
-            self.layers.clone_from(layers);
+            let (layer, head) = ws.snapshot.as_ref().expect("snapshot was recorded");
+            self.layer.clone_from(layer);
             self.head.clone_from(head);
         }
         self.workspace = Some(ws);
@@ -795,61 +622,23 @@ impl LogicalNet {
     /// workspace path reproduces this parameter stream byte-for-byte, and
     /// `train_speed` measures its speedup against this. Do not optimize.
     pub fn train_reference(&mut self, data: &EncodedData) -> Result<TrainReport> {
-        if data.is_empty() {
-            return Err(CoreError::Empty { what: "training data" });
-        }
-        if data.x.cols() != self.encoder.width() {
-            return Err(CoreError::LengthMismatch {
-                what: "encoded width",
-                expected: self.encoder.width(),
-                actual: data.x.cols(),
-            });
-        }
-        let mut sgds: Vec<ProjectedSgd> = self
-            .layers
-            .iter()
-            .map(|l| {
-                ProjectedSgd::new(
-                    l.n_nodes() * l.in_dim(),
-                    self.config.lr_logical,
-                    self.config.momentum,
-                    self.config.l1,
-                )
-            })
-            .collect();
-        let mut adam_v = Adam::new(self.head.n_rules() * self.n_classes, self.config.lr_linear);
-        let mut adam_b = Adam::new(self.n_classes, self.config.lr_linear);
-
+        self.check_training_data(data)?;
+        let mut state = self.fresh_optim_state();
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut best_acc = -1.0f64;
-        let mut best: Option<(Vec<LogicalLayer>, LinearHead)> = None;
+        let mut best: Option<(LogicalLayer, LinearHead)> = None;
         let mut final_loss = f32::NAN;
 
         for _epoch in 0..self.config.epochs {
-            order.shuffle(&mut self.rng);
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(self.config.batch_size) {
-                let x = data.x.select_rows(chunk);
-                let labels: Vec<u32> = chunk.iter().map(|&i| data.labels[i]).collect();
-                epoch_loss += self.grafted_step_reference(
-                    &x,
-                    &labels,
-                    &mut sgds,
-                    &mut adam_v,
-                    &mut adam_b,
-                );
-                batches += 1;
-            }
-            final_loss = epoch_loss / batches.max(1) as f32;
+            final_loss = self.epoch_reference(data, &mut order, &mut state);
             let acc = self.accuracy_encoded(data);
             if acc > best_acc {
                 best_acc = acc;
-                best = Some((self.layers.clone(), self.head.clone()));
+                best = Some((self.layer.clone(), self.head.clone()));
             }
         }
-        if let Some((layers, head)) = best {
-            self.layers = layers;
+        if let Some((layer, head)) = best {
+            self.layer = layer;
             self.head = head;
         }
         Ok(TrainReport { epochs: self.config.epochs, best_accuracy: best_acc, final_loss })
@@ -871,8 +660,9 @@ impl LogicalNet {
     /// Total trainable parameter count (the [`Self::params`] length),
     /// computed arithmetically — no allocation.
     pub fn n_params(&self) -> usize {
-        let logical: usize = self.layers.iter().map(|l| l.n_nodes() * l.in_dim()).sum();
-        logical + self.head.n_rules() * self.n_classes + self.n_classes
+        self.layer.n_nodes() * self.layer.in_dim()
+            + self.head.n_rules() * self.n_classes
+            + self.n_classes
     }
 
     /// Flattened trainable parameters (logical weights, head weights, head
@@ -888,9 +678,7 @@ impl LogicalNet {
     pub fn params_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.n_params());
-        for layer in &self.layers {
-            out.extend_from_slice(layer.weights().data());
-        }
+        out.extend_from_slice(self.layer.weights().data());
         out.extend_from_slice(self.head.weights().data());
         out.extend_from_slice(self.head.bias());
     }
@@ -905,35 +693,21 @@ impl LogicalNet {
                 actual: params.len(),
             });
         }
-        let mut off = 0;
-        for layer in &mut self.layers {
-            let n = layer.n_nodes() * layer.in_dim();
-            layer.weights_mut().data_mut().copy_from_slice(&params[off..off + n]);
-            off += n;
-        }
-        let n = self.head.n_rules() * self.n_classes;
-        self.head.weights_mut().data_mut().copy_from_slice(&params[off..off + n]);
-        off += n;
-        self.head.bias_mut().copy_from_slice(&params[off..]);
+        let (layer, rest) = params.split_at(self.layer.weights().data().len());
+        let (head, bias) = rest.split_at(self.head.weights().data().len());
+        self.layer.weights_mut().data_mut().copy_from_slice(layer);
+        self.head.weights_mut().data_mut().copy_from_slice(head);
+        self.head.bias_mut().copy_from_slice(bias);
         Ok(())
     }
 
     fn fresh_optim_state(&self) -> OptimState {
+        let n_weights = self.layer.n_nodes() * self.layer.in_dim();
+        let config = &self.config;
         OptimState {
-            sgds: self
-                .layers
-                .iter()
-                .map(|l| {
-                    ProjectedSgd::new(
-                        l.n_nodes() * l.in_dim(),
-                        self.config.lr_logical,
-                        self.config.momentum,
-                        self.config.l1,
-                    )
-                })
-                .collect(),
-            adam_v: Adam::new(self.head.n_rules() * self.n_classes, self.config.lr_linear),
-            adam_b: Adam::new(self.n_classes, self.config.lr_linear),
+            sgd: ProjectedSgd::new(n_weights, config.lr_logical, config.momentum, L1),
+            adam_v: Adam::new(self.head.n_rules() * self.n_classes, config.lr_linear),
+            adam_b: Adam::new(self.n_classes, config.lr_linear),
         }
     }
 
@@ -945,24 +719,12 @@ impl LogicalNet {
     /// parameter stream is bit-identical to
     /// [`Self::train_local_reference`].
     pub fn train_local(&mut self, data: &EncodedData, epochs: usize) -> Result<()> {
-        if data.is_empty() {
-            return Err(CoreError::Empty { what: "training data" });
-        }
-        let mut state = match self.local_optim.take() {
-            Some(s) => s,
-            None => self.fresh_optim_state(),
-        };
+        self.check_training_data(data)?;
+        let mut state = self.local_optim.take().unwrap_or_else(|| self.fresh_optim_state());
         let mut ws = self.workspace.take().unwrap_or_default();
         ws.start_call(data);
         for _ in 0..epochs {
-            ws.order.shuffle(&mut self.rng);
-            let mut start = 0;
-            while start < ws.order.len() {
-                let end = (start + self.config.batch_size).min(ws.order.len());
-                ws.stage_batch(data, start..end);
-                start = end;
-                self.grafted_step_ws(&mut ws, &mut state.sgds, &mut state.adam_v, &mut state.adam_b);
-            }
+            self.epoch_ws(data, &mut ws, &mut state);
         }
         self.workspace = Some(ws);
         self.local_optim = Some(state);
@@ -972,27 +734,11 @@ impl LogicalNet {
     /// The pre-workspace `train_local` loop — **pinned naive baseline** for
     /// the kernel property tests. Do not optimize.
     pub fn train_local_reference(&mut self, data: &EncodedData, epochs: usize) -> Result<()> {
-        if data.is_empty() {
-            return Err(CoreError::Empty { what: "training data" });
-        }
-        let mut state = match self.local_optim.take() {
-            Some(s) => s,
-            None => self.fresh_optim_state(),
-        };
+        self.check_training_data(data)?;
+        let mut state = self.local_optim.take().unwrap_or_else(|| self.fresh_optim_state());
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..epochs {
-            order.shuffle(&mut self.rng);
-            for chunk in order.chunks(self.config.batch_size) {
-                let x = data.x.select_rows(chunk);
-                let labels: Vec<u32> = chunk.iter().map(|&i| data.labels[i]).collect();
-                self.grafted_step_reference(
-                    &x,
-                    &labels,
-                    &mut state.sgds,
-                    &mut state.adam_v,
-                    &mut state.adam_b,
-                );
-            }
+            self.epoch_reference(data, &mut order, &mut state);
         }
         self.local_optim = Some(state);
         Ok(())
@@ -1082,11 +828,7 @@ mod tests {
     fn config_validation() {
         let schema = FeatureSchema::new(vec![("x", FeatureKind::continuous(0.0, 1.0))]);
         assert!(LogicalNet::new(Arc::clone(&schema), 1, small_config(0)).is_err());
-        let bad = LogicalNetConfig { layer_sizes: vec![], ..small_config(0) };
-        assert!(LogicalNet::new(Arc::clone(&schema), 2, bad).is_err());
         let bad = LogicalNetConfig { batch_size: 0, ..small_config(0) };
-        assert!(LogicalNet::new(Arc::clone(&schema), 2, bad).is_err());
-        let bad = LogicalNetConfig { layer_sizes: vec![1], ..small_config(0) };
         assert!(LogicalNet::new(Arc::clone(&schema), 2, bad).is_err());
         let rejected = |cfg: LogicalNetConfig| {
             matches!(
@@ -1094,6 +836,11 @@ mod tests {
                 Err(CoreError::InvalidParameter { .. })
             )
         };
+        // The network has exactly one logical layer, of at least 2 nodes.
+        for layer_sizes in [vec![], vec![1], vec![12, 8], vec![12, 8, 4]] {
+            let cfg = LogicalNetConfig { layer_sizes: layer_sizes.clone(), ..small_config(0) };
+            assert!(rejected(cfg), "layer_sizes {layer_sizes:?}");
+        }
         for lr in [0.0, -0.1, f32::NAN] {
             assert!(rejected(LogicalNetConfig { lr_logical: lr, ..small_config(0) }), "lr {lr}");
             assert!(rejected(LogicalNetConfig { lr_linear: lr, ..small_config(0) }), "lr {lr}");
@@ -1101,12 +848,9 @@ mod tests {
         for momentum in [-0.1, 1.0, 1.5, f32::NAN] {
             assert!(rejected(LogicalNetConfig { momentum, ..small_config(0) }), "{momentum}");
         }
-        for l1 in [-1e-4, f32::NAN] {
-            assert!(rejected(LogicalNetConfig { l1, ..small_config(0) }), "l1 {l1}");
-        }
         // The edges of each range still build and train.
         let ds = threshold_dataset();
-        let edge = LogicalNetConfig { momentum: 0.0, l1: 0.0, epochs: 1, ..small_config(0) };
+        let edge = LogicalNetConfig { momentum: 0.0, epochs: 1, ..small_config(0) };
         let mut net = LogicalNet::new(Arc::clone(ds.schema()), 2, edge).unwrap();
         net.fit(&ds).unwrap();
     }
@@ -1117,6 +861,14 @@ mod tests {
         let ds = Dataset::empty(Arc::clone(&schema), 2);
         let mut net = LogicalNet::new(schema, 2, small_config(0)).unwrap();
         assert!(net.fit(&ds).is_err());
+        // Every training entry point rejects data encoded at another width.
+        let mut wide = net.encode(&threshold_dataset()).unwrap();
+        wide.x = Matrix::zeros(wide.x.rows(), wide.x.cols() + 1);
+        let mismatch = |r: Result<()>| matches!(r, Err(CoreError::LengthMismatch { .. }));
+        assert!(mismatch(net.train(&wide).map(drop)));
+        assert!(mismatch(net.train_reference(&wide).map(drop)));
+        assert!(mismatch(net.train_local(&wide, 1)));
+        assert!(mismatch(net.train_local_reference(&wide, 1)));
     }
 
     #[test]
@@ -1128,21 +880,6 @@ mod tests {
         let r = net.forward(&e.x, true).rules;
         assert!(r.data().iter().all(|&v| v == 0.0 || v == 1.0));
         assert_eq!(r.cols(), net.head.n_rules());
-    }
-
-    #[test]
-    fn deeper_network_trains() {
-        let ds = xor_like_dataset();
-        let cfg = LogicalNetConfig {
-            layer_sizes: vec![12, 8],
-            epochs: 60,
-            batch_size: 32,
-            seed: 7,
-            ..LogicalNetConfig::default()
-        };
-        let mut net = LogicalNet::new(Arc::clone(ds.schema()), 2, cfg).unwrap();
-        let report = net.fit(&ds).unwrap();
-        assert!(report.best_accuracy >= 0.9, "accuracy {}", report.best_accuracy);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property suite for the training data-plane kernels (packed matmul,
-//! planned discrete forward, zero-alloc backward, the first layer's literal
+//! planned discrete forward, zero-alloc backward, the layer's literal
 //! kernels) and the workspace-routed training loops.
 //!
 //! The contract under test is **bitwise identity**: every kernel must
@@ -240,19 +240,17 @@ fn backward_into_matches_naive_bitwise() {
         let dy = random_matrix(&mut rng, c.batch, c.n_nodes, c.zero_frac);
 
         let mut dw_naive = Matrix::zeros(c.n_nodes, c.in_dim);
-        let dx_naive = layer.backward(&x, &y, &dy, &mut dw_naive);
+        layer.backward(&x, &y, &dy, &mut dw_naive);
 
         let mut dw_new = Matrix::zeros(c.n_nodes, c.in_dim);
-        let mut dx_new = dirty(&mut rng);
-        layer.backward_into(&x, &y, &dy, &mut dw_new, &mut dx_new);
+        layer.backward_into(&x, &y, &dy, &mut dw_new);
 
-        assert_bits_eq(&dw_new, &dw_naive, "backward_into dw")?;
-        assert_bits_eq(&dx_new, &dx_naive, "backward_into dx")
+        assert_bits_eq(&dw_new, &dw_naive, "backward_into dw")
     });
 }
 
 // ---------------------------------------------------------------------------
-// The first layer's literal kernels against the naive oracles on 0/1 inputs.
+// The literal kernels against the naive oracles on 0/1 inputs.
 // ---------------------------------------------------------------------------
 
 /// The clamp on the backward's divisor (`max(1 − w, ε)`); weights within it
@@ -423,8 +421,8 @@ fn wide_dataset(rng: &mut StdRng, n_rows: usize) -> Dataset {
 struct TrainCase {
     seed: u64,
     rows: usize,
-    layers: Vec<usize>,
-    literal_skip: bool,
+    /// The logical layer's width.
+    width: usize,
     batch_size: usize,
     epochs: usize,
     /// Train on [`wide_dataset`] (75 literals) instead of
@@ -433,17 +431,10 @@ struct TrainCase {
 }
 
 fn gen_train_case(g: &mut Gen) -> TrainCase {
-    let two_layers = g.bool();
-    let layers = if two_layers {
-        vec![g.len_in(2, 10), g.len_in(2, 8)]
-    } else {
-        vec![g.len_in(2, 14)]
-    };
     TrainCase {
         seed: g.rng().gen(),
         rows: g.len_in(8, 60),
-        layers,
-        literal_skip: g.bool(),
+        width: g.len_in(2, 14),
         batch_size: g.len_in(1, 24),
         epochs: g.len_in(1, 4),
         wide: g.bool(),
@@ -462,8 +453,7 @@ fn case_dataset(c: &TrainCase) -> Dataset {
 fn case_config(c: &TrainCase) -> LogicalNetConfig {
     LogicalNetConfig {
         tau_d: if c.wide { 6 } else { 4 },
-        layer_sizes: c.layers.clone(),
-        literal_skip: c.literal_skip,
+        layer_sizes: vec![c.width],
         epochs: c.epochs,
         batch_size: c.batch_size,
         seed: c.seed ^ 0xA5A5,
@@ -534,16 +524,13 @@ fn train_local_replays_reference_parameter_stream() {
 /// kernels and still replay the reference.
 #[derive(Debug, Clone, Copy)]
 enum Fallback {
-    /// A first-layer weight set to this value.
+    /// A logical weight set to this value.
     Weight(f32),
     /// An encoded input set to this value.
     Input(f32),
-    /// Head weights of `±f32::MAX` on the first layer's first node, so its
+    /// Head weights of `±f32::MAX` on the layer's first node, so its
     /// upstream gradient overflows to `±∞` on some rows.
     InfiniteGradient,
-    /// A NaN weight in the second layer, whose input gradient carries NaN
-    /// into the first layer's upstream gradient.
-    NanGradient,
 }
 
 #[derive(Debug)]
@@ -553,39 +540,31 @@ struct FallbackCase {
 }
 
 fn gen_fallback_case(g: &mut Gen) -> FallbackCase {
-    let mut train = gen_train_case(g);
-    let fallback = match g.usize_in(0, 6) {
+    let train = gen_train_case(g);
+    let fallback = match g.usize_in(0, 5) {
         0 => Fallback::Weight(1.0 + f32::EPSILON),
         1 => Fallback::Weight(-f32::EPSILON),
         2 => Fallback::Weight(f32::NAN),
         3 => Fallback::Input(0.5),
         4 => Fallback::Input(-0.0),
-        5 => Fallback::InfiniteGradient,
-        _ => Fallback::NanGradient,
+        _ => Fallback::InfiniteGradient,
     };
-    if matches!(fallback, Fallback::NanGradient) && train.layers.len() < 2 {
-        train.layers.push(g.len_in(2, 8));
-    }
     FallbackCase { train, fallback }
 }
 
 /// Writes the case's fallback trigger into both nets' parameters or into
 /// the encoded batch.
 fn inject(c: &FallbackCase, nets: [&mut LogicalNet; 2], x: &mut Matrix, rng: &mut StdRng) {
-    let l0 = &nets[0].layers()[0];
-    let (n0, in0) = (l0.n_nodes(), l0.in_dim());
-    let layer_params: usize = nets[0].layers().iter().map(|l| l.n_nodes() * l.in_dim()).sum();
+    let layer = nets[0].layer();
+    let layer_params = layer.n_nodes() * layer.in_dim();
     let mut params = nets[0].params();
     match c.fallback {
-        Fallback::Weight(w) => params[rng.gen_range(0..n0 * in0)] = w,
+        Fallback::Weight(w) => params[rng.gen_range(0..layer_params)] = w,
         Fallback::Input(v) => x.set(rng.gen_range(0..x.rows()), rng.gen_range(0..x.cols()), v),
         Fallback::InfiniteGradient => {
             // Head row 0 (node 0's rule), classes 0 and 1.
             params[layer_params] = f32::MAX;
             params[layer_params + 1] = -f32::MAX;
-        }
-        Fallback::NanGradient => {
-            params[n0 * in0 + rng.gen_range(0..layer_params - n0 * in0)] = f32::NAN;
         }
     }
     for net in nets {
@@ -644,8 +623,7 @@ fn golden_trained_params_hash() {
     let ds = random_dataset(&mut rng, 120);
     let cfg = LogicalNetConfig {
         tau_d: 6,
-        layer_sizes: vec![12, 6],
-        literal_skip: true,
+        layer_sizes: vec![12],
         epochs: 5,
         batch_size: 16,
         seed: 0xBEEF,
@@ -656,7 +634,7 @@ fn golden_trained_params_hash() {
     net.train(&encoded).unwrap();
     let hash = fnv1a_bits(&net.params());
     assert_eq!(
-        hash, 0x81F1_B5D8_5F1D_74C3,
+        hash, 0xCDBA_98F1_30FE_D0E4,
         "golden params hash changed: got {hash:#018X}"
     );
 }

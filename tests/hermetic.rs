@@ -5,9 +5,6 @@
 //!
 //! The check is a deliberately small hand-rolled TOML section scanner — using
 //! a `toml` crate here would itself violate the contract being tested.
-//!
-//! The build flags are part of the contract too: x86-64 builds must use
-//! POPCNT, which `.cargo/config.toml` enables.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -147,19 +144,4 @@ fn workspace_members_all_resolve_locally() {
         !text.contains("source = "),
         "Cargo.lock references non-local package sources — workspace is not hermetic"
     );
-}
-
-#[test]
-fn x86_64_builds_use_popcnt() {
-    // `.cargo/config.toml` enables the instruction, and a set RUSTFLAGS
-    // drops it with no other sign. No measured stage depends on it any
-    // more (the config file has the numbers); the flag and this test go
-    // together.
-    if cfg!(target_arch = "x86_64") && !cfg!(target_feature = "popcnt") {
-        panic!(
-            "this x86-64 build lacks POPCNT: a set RUSTFLAGS (or CARGO_ENCODED_RUSTFLAGS) \
-             replaces the rustflags of .cargo/config.toml, which cargo also skips when run \
-             from outside the repository; add `-C target-feature=+popcnt` to RUSTFLAGS"
-        );
-    }
 }
