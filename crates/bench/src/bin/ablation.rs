@@ -14,7 +14,7 @@ use ctfl_bench::datasets::DatasetSpec;
 use ctfl_bench::federation::{default_fl, Federation, FederationConfig, SkewMode};
 use ctfl_bench::report::Table;
 use ctfl_core::allocation::{macro_scores_multi, micro_scores, CreditDirection};
-use ctfl_core::tracing::{inputs_from_model, trace, GroupingStrategy, TraceConfig, TraceParts};
+use ctfl_core::tracing::{inputs_from_model, trace, TraceConfig, TraceParts};
 
 fn main() {
     let args = ctfl_bench::args::CommonArgs::parse();
@@ -54,11 +54,9 @@ fn main() {
     header.extend((0..fed.partition.n_clients).map(|c| format!("phi({c})")));
     let mut t = Table::new(header);
     for tau_w in [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0] {
-        let outcome = trace(
-            &inputs,
-            &TraceConfig { tau_w, parallel: false, threads: 0, grouping: GroupingStrategy::SignatureDedup },
-        )
-        .expect("valid inputs");
+        let outcome =
+            trace(&inputs, &TraceConfig { tau_w, parallel: false, ..TraceConfig::default() })
+                .expect("valid inputs");
         let micro = micro_scores(&outcome, CreditDirection::Gain);
         let allocated: f64 = micro.iter().sum::<f64>() / outcome.test_accuracy().max(1e-12);
         let mut row = vec![format!("{tau_w:.2}"), format!("{:.3}", allocated)];
@@ -68,11 +66,9 @@ fn main() {
     println!("{}", t.render());
 
     // --- delta sweep (macro scores from one trace) ---
-    let outcome = trace(
-        &inputs,
-        &TraceConfig { tau_w: 0.9, parallel: false, threads: 0, grouping: GroupingStrategy::SignatureDedup },
-    )
-    .expect("valid inputs");
+    let outcome =
+        trace(&inputs, &TraceConfig { tau_w: 0.9, parallel: false, ..TraceConfig::default() })
+            .expect("valid inputs");
     let deltas = [1u32, 2, 4, 8, 16, 32];
     let multi = macro_scores_multi(&outcome, &deltas, CreditDirection::Gain).expect("deltas >= 1");
     println!("delta sweep (macro scores at tau_w = 0.9, computed progressively in one pass)");

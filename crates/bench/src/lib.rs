@@ -4,8 +4,8 @@
 //! paper's evaluation (Section VI). Each binary under `src/bin` prints the
 //! rows/series of one paper artifact (see DESIGN.md §3 for the mapping);
 //! the benches under `benches/` (plain binaries on `ctfl-testkit`'s
-//! `Bencher`) cover the micro-performance claims (tracing strategies,
-//! Max-Miner grouping, logical forward/backward and allocation throughput).
+//! `Bencher`) cover the micro-performance claims (trace kernel, logical
+//! forward/backward and allocation throughput).
 //!
 //! The library half hosts the shared drivers: dataset specs, federation
 //! builders, the six contribution-estimation schemes under one interface,

@@ -26,7 +26,8 @@ pub struct CtflConfig {
     pub delta: u32,
     /// Parallelize tracing across test instances.
     pub parallel: bool,
-    /// Comparison organisation strategy.
+    /// Always [`GroupingStrategy::SignatureDedup`]; see the enum for why the
+    /// field remains.
     pub grouping: GroupingStrategy,
     /// Robustness flagging thresholds.
     pub robustness: RobustnessConfig,

@@ -33,12 +33,12 @@
 //!
 //! * **Class arenas.** Once per trace, each class's training row ids are
 //!   gathered in global row order, through [`TrainAccess`], so both row
-//!   stores scan the same rows in the same order. A work group scans its
-//!   traced class a block of 64 rows at a time; `FrequentRuleSets`
-//!   candidates are a per-block mask of arena positions. The first group
-//!   that scans a class with a bound also builds the class's rows
-//!   bit-major, one `u64` per rule bit per block, by 64 × 64 bit-matrix
-//!   transposes; a class no group bounds never pays for them.
+//!   stores scan the same rows in the same order. A work group (the test
+//!   rows that share a traced class and activation words) scans its traced
+//!   class a block of 64 rows at a time. The first group that scans a
+//!   class with a bound also builds the class's rows bit-major, one `u64`
+//!   per rule bit per block, by 64 × 64 bit-matrix transposes; a class no
+//!   group bounds never pays for them.
 //! * **Missing-weight bound.** A work group with at least
 //!   `BOUND_MIN_BITS` (12) traced bits `R = rep & mask`, whose weights
 //!   quantize to more than twice the budget, first bounds from below the
@@ -62,34 +62,27 @@
 // Index-based loops below mirror the textbook formulations; iterator
 // rewrites obscure the row/column arithmetic.
 #![allow(clippy::needless_range_loop)]
-use crate::activation::{masked_weight_sum_words, triple_weight_sum_words, ActivationMatrix};
+use crate::activation::{triple_weight_sum_words, ActivationMatrix};
 use crate::error::{CoreError, Result};
 use crate::model::{check_artifacts, RuleModel};
 use crate::parallel::{map_chunks, plan_threads};
 use crate::shard::ShardedActivations;
-use ctfl_rulemine::{assign_groups, max_miner, MaxMinerConfig, TransactionSet};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Strategy for organising the `|D_te| × |D_N|` comparison.
+/// How the kernel groups test rows: signature dedup is the only grouping.
 ///
-/// All strategies produce **identical** [`TraceOutcome`]s; they differ only
-/// in speed (verified by property tests).
+/// The enum, [`TraceConfig::grouping`] and
+/// [`CtflConfig::grouping`](crate::estimator::CtflConfig::grouping) remain
+/// only because the benchmark in `perfbench/`, which changes only together
+/// with the benchmark itself, builds a `TraceConfig` literal with no `..`
+/// from the estimator's field. The next benchmark change deletes the enum
+/// and both fields (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GroupingStrategy {
-    /// Compare every test instance against every training instance.
-    BruteForce,
     /// Deduplicate test instances with identical activation rows and
     /// traced class; each unique row is traced once.
     SignatureDedup,
-    /// Paper Section III-C: mine maximal frequent activated-rule sets over
-    /// the test activation vectors with Max-Miner, partition test instances
-    /// into groups sharing a frequent subset, prefilter candidate training
-    /// rows per group with an admissible bound, then refine exactly.
-    FrequentRuleSets {
-        /// Minimum support as a fraction of the test set size, in `(0, 1]`.
-        min_support: f64,
-    },
 }
 
 /// Tracing configuration.
@@ -107,7 +100,8 @@ pub struct TraceConfig {
     /// `|D_te| × |D_N|` pair volume); a positive value pins the count, which
     /// property tests use to force multi-threaded merges on tiny inputs.
     pub threads: usize,
-    /// Comparison organisation.
+    /// Always [`GroupingStrategy::SignatureDedup`]; see the enum for why the
+    /// field remains.
     pub grouping: GroupingStrategy,
 }
 
@@ -129,14 +123,6 @@ impl TraceConfig {
                 name: "tau_w",
                 message: format!("must be in (0, 1], got {}", self.tau_w),
             });
-        }
-        if let GroupingStrategy::FrequentRuleSets { min_support } = self.grouping {
-            if !(min_support > 0.0 && min_support <= 1.0) {
-                return Err(CoreError::InvalidParameter {
-                    name: "min_support",
-                    message: format!("must be in (0, 1], got {min_support}"),
-                });
-            }
         }
         Ok(())
     }
@@ -470,15 +456,15 @@ const PAIR_FLOOR: usize = 65_536;
 
 /// Runs the tracing pass over monolithic inputs.
 ///
-/// Complexity: `O(|D_te| · |D_N|)` pairwise worst case, reduced by the
-/// configured [`GroupingStrategy`] and chunked over scoped worker threads
-/// when `config.parallel` is set. Output is identical for every strategy,
-/// thread count, and for [`trace_sharded`] over the same rows — the
-/// aggregate tables are defined as `weight × exact integer match-count`,
-/// so merges are integer sums that no thread interleaving can perturb.
-/// Malformed inputs (mismatched widths or lengths, out-of-range owners,
-/// labels or predictions, class masks of the wrong word count) are typed
-/// errors.
+/// Complexity: `O(|D_te| · |D_N|)` pairwise worst case, reduced by tracing
+/// each distinct (traced class, activation row) of the test set once, and
+/// chunked over scoped worker threads when `config.parallel` is set. Output
+/// is identical for every thread count, and for [`trace_sharded`] over the
+/// same rows — the aggregate tables are defined as `weight × exact integer
+/// match-count`, so merges are integer sums that no thread interleaving can
+/// perturb. Malformed inputs (mismatched widths or lengths, out-of-range
+/// owners, labels or predictions, class masks of the wrong word count) are
+/// typed errors.
 pub fn trace(inputs: &TraceInputs<'_>, config: &TraceConfig) -> Result<TraceOutcome> {
     trace_checked(inputs, inputs.n_clients, &inputs.test_side(), config)
 }
@@ -645,27 +631,8 @@ fn trace_kernel<T: TrainAccess>(
     // its traced class, in ascending order, whichever store they came from.
     let arenas = ClassArena::gather(train, test.class_masks.len(), test.acts.words_per_row());
 
-    // Organise test rows into work groups according to the strategy. Each
-    // group: (representative handling, member test indices, optional
-    // candidate prefilter for training rows).
-    let groups: Vec<WorkGroup> = match config.grouping {
-        GroupingStrategy::BruteForce => {
-            (0..n_test).map(|t| WorkGroup { members: vec![t as u32], candidates: None }).collect()
-        }
-        GroupingStrategy::SignatureDedup => signature_groups(test, &traced_class)
-            .into_values()
-            .map(|members| WorkGroup { members, candidates: None })
-            .collect(),
-        GroupingStrategy::FrequentRuleSets { min_support } => build_frequent_groups(
-            train,
-            test,
-            &traced_class,
-            &denoms,
-            min_support,
-            config.tau_w,
-            &arenas,
-        ),
-    };
+    // Each work group is the member test indices of one signature.
+    let groups: Vec<Vec<u32>> = signature_groups(test, &traced_class).into_values().collect();
 
     // Scan group chunks on worker threads, each applying a group's related
     // rows to the one set of tables as soon as it has them. Counts and
@@ -734,21 +701,10 @@ fn signature_groups<'a>(
     groups
 }
 
-struct WorkGroup {
-    /// Test rows in this group. All members share the same traced class and
-    /// activation words (SignatureDedup) or a frequent rule subset
-    /// (FrequentRuleSets). BruteForce uses singleton groups.
-    members: Vec<u32>,
-    /// Optional prefiltered candidates: a bit set over the positions of the
-    /// traced class's [`ClassArena`], one word per 64-row block (an
-    /// admissible superset of the related set of every member).
-    candidates: Option<Vec<u64>>,
-}
-
 /// One class's training rows, gathered once per trace. Both stores gather
 /// through [`TrainAccess`], so the pair scan visits the same rows, in the
-/// same order, for either; the exact test and the `FrequentRuleSets`
-/// candidate pass read each row's words from the store.
+/// same order, for either; the exact test reads each row's words from the
+/// store.
 ///
 /// The first work group that scans the class with a [`MissBound`] also
 /// builds the class's rows bit-major, which the bound reads; a trace in
@@ -825,15 +781,13 @@ impl ClassArena {
         &cols[k * wpr * 64..(k + 1) * wpr * 64]
     }
 
-    /// Global row indices, ascending, of the arena rows (all of them, or
-    /// the `candidates` positions) that `bound` keeps and `related`
-    /// accepts. The walk goes 64 positions at a time: the block's live
-    /// rows are a mask, the bound clears the rows it rules out, and only
-    /// the rest reach `related`.
+    /// Global row indices, ascending, of the arena rows that `bound` keeps
+    /// and `related` accepts. The walk goes 64 positions at a time: the
+    /// block's live rows are a mask, the bound clears the rows it rules
+    /// out, and only the rest reach `related`.
     fn scan<T: TrainAccess>(
         &self,
         train: &T,
-        candidates: Option<&[u64]>,
         bound: Option<&MissBound>,
         related: impl Fn(&[u64]) -> bool,
     ) -> Vec<u32> {
@@ -841,10 +795,7 @@ impl ClassArena {
         let mut out = Vec::new();
         for k in 0..n.div_ceil(64) {
             let tail = n - k * 64;
-            let mut live = if tail >= 64 { !0 } else { (1u64 << tail) - 1 };
-            if let Some(c) = candidates {
-                live &= c[k];
-            }
+            let live = if tail >= 64 { !0 } else { (1u64 << tail) - 1 };
             let mut keep = bound.map_or(live, |b| b.survivors(self.block(train, k), live));
             while keep != 0 {
                 let row = self.rows[k * 64 + keep.trailing_zeros() as usize];
@@ -1012,12 +963,12 @@ fn related_rows<T: TrainAccess>(
     train: &T,
     test: &TestSide<'_>,
     config: &TraceConfig,
-    group: &WorkGroup,
+    members: &[u32],
     traced_class: &[usize],
     denoms: &[f64],
     arenas: &[ClassArena],
 ) -> Vec<u32> {
-    let rep = group.members[0] as usize;
+    let rep = members[0] as usize;
     let c = traced_class[rep];
     let denom = denoms[rep];
     if denom <= 0.0 {
@@ -1029,7 +980,7 @@ fn related_rows<T: TrainAccess>(
     let exact =
         |row: &[u64]| triple_weight_sum_words(rep_words, row, mask, test.weights) >= threshold;
     let bound = MissBound::new(rep_words, mask, test.weights, denom, threshold);
-    arenas[c].scan(train, group.candidates.as_deref(), bound.as_ref(), exact)
+    arenas[c].scan(train, bound.as_ref(), exact)
 }
 
 /// The kernel's output under construction: per-test traces by index, and
@@ -1049,27 +1000,27 @@ impl GroupTables {
     /// Applies one work group's related rows. Each related row's
     /// rule-overlap profile is applied once per group, with integer
     /// multipliers — `n_correct` members feed the benefit tables, `n_wrong`
-    /// the harm tables. Under `SignatureDedup` on a skewed test set this
-    /// removes almost all duplicate pair work.
+    /// the harm tables. On a skewed test set this removes almost all
+    /// duplicate pair work.
     #[allow(clippy::too_many_arguments)]
     fn apply<T: TrainAccess>(
         &mut self,
         train: &T,
         test: &TestSide<'_>,
-        group: &WorkGroup,
+        members: &[u32],
         related: &[u32],
         traced_class: &[usize],
         denoms: &[f64],
         n_clients: usize,
     ) {
-        let rep = group.members[0] as usize;
+        let rep = members[0] as usize;
         let c = traced_class[rep];
         let mask = &test.class_masks[c];
         let rep_words = test.acts.row_words(rep);
         let n_rules = test.acts.n_bits();
         let is_correct = |t: u32| test.predictions[t as usize] == test.labels[t as usize] as usize;
-        let n_correct = group.members.iter().filter(|&&t| is_correct(t)).count() as u32;
-        let n_wrong = group.members.len() as u32 - n_correct;
+        let n_correct = members.iter().filter(|&&t| is_correct(t)).count() as u32;
+        let n_wrong = members.len() as u32 - n_correct;
 
         let mut related_per_client = vec![0u32; n_clients];
         for &tr in related {
@@ -1100,7 +1051,7 @@ impl GroupTables {
             }
         }
 
-        for &t in &group.members {
+        for &t in members {
             let t = t as usize;
             self.per_test[t] = Some(TestTrace {
                 predicted: test.predictions[t],
@@ -1113,83 +1064,10 @@ impl GroupTables {
     }
 }
 
-/// Builds work groups for the FrequentRuleSets strategy.
-///
-/// Within each traced class, test activation vectors (restricted to the
-/// class mask) form transactions; Max-Miner yields maximal frequent rule
-/// sets; test rows sharing both the heaviest covering set *and* the full
-/// activation row form a group. The frequent set `F` gives an
-/// admissible candidate prefilter: a training row can relate to a member
-/// `t` only if its weighted overlap with `F` is at least
-/// `weight(F) - (1 - τ_w) · denom(t)`.
-fn build_frequent_groups<T: TrainAccess>(
-    train: &T,
-    test: &TestSide<'_>,
-    traced_class: &[usize],
-    denoms: &[f64],
-    min_support: f64,
-    tau_w: f64,
-    arenas: &[ClassArena],
-) -> Vec<WorkGroup> {
-    let n_rules = test.acts.n_bits();
-    let n_classes = test.class_masks.len();
-
-    // First dedup by (class, row words) — members of a signature group have
-    // identical related sets, so the frequent-set machinery only needs to
-    // run per unique row.
-    let sig_groups = signature_groups(test, traced_class);
-
-    let mut out = Vec::new();
-    for c in 0..n_classes {
-        let reps: Vec<Vec<u32>> = sig_groups
-            .iter()
-            .filter(|((cls, _), _)| *cls == c)
-            .map(|(_, members)| members.clone())
-            .collect();
-        if reps.is_empty() {
-            continue;
-        }
-        // Transactions: masked activation words of each representative.
-        let mask = &test.class_masks[c];
-        let mut txs = TransactionSet::new(n_rules.max(1));
-        for members in &reps {
-            let rep = members[0] as usize;
-            let masked: Vec<u64> =
-                test.acts.row_words(rep).iter().zip(mask).map(|(a, m)| a & m).collect();
-            txs.push_words(&masked);
-        }
-        let support = ((min_support * reps.len() as f64).ceil() as usize).max(1);
-        let mined = max_miner(&txs, MaxMinerConfig { min_support: support, max_expansions: 4096 });
-        let sets: Vec<_> = mined.iter().map(|(s, _)| s.clone()).collect();
-        let assignment = assign_groups(&txs, &sets, test.weights);
-
-        for (gi, members) in reps.into_iter().enumerate() {
-            let rep = members[0] as usize;
-            let candidates = assignment[gi].map(|set_idx| {
-                let f = &sets[set_idx];
-                let f_weight = f.weight(test.weights);
-                // Admissible bound (see module docs): overlap(tr, F) >=
-                // weight(F) - (1 - τ_w) * denom(rep).
-                let bound = f_weight - (1.0 - tau_w) * denoms[rep] - 1e-9;
-                let arena = &arenas[c];
-                let mut candidates = vec![0u64; arena.rows.len().div_ceil(64)];
-                for (pos, &row) in arena.rows.iter().enumerate() {
-                    let row = train.row_words(row as usize);
-                    if masked_weight_sum_words(row, f.words(), test.weights) >= bound {
-                        candidates[pos / 64] |= 1 << (pos % 64);
-                    }
-                }
-                candidates
-            });
-            out.push(WorkGroup { members, candidates });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::masked_weight_sum_words;
     use crate::shard::ActivationShard;
 
     type Figure2 =
@@ -1248,7 +1126,7 @@ mod tests {
         (train, labels, clients, test, test_labels, predictions, weights, class_masks)
     }
 
-    fn run(tau_w: f64, grouping: GroupingStrategy) -> TraceOutcome {
+    fn run(tau_w: f64) -> TraceOutcome {
         let (train, labels, clients, test, test_labels, preds, weights, masks) = figure2();
         let inputs = TraceInputs {
             train_acts: &train,
@@ -1261,22 +1139,22 @@ mod tests {
             weights: &weights,
             class_masks: &masks,
         };
-        trace(&inputs, &TraceConfig { tau_w, parallel: false, threads: 0, grouping }).unwrap()
+        trace(&inputs, &TraceConfig { tau_w, parallel: false, ..TraceConfig::default() }).unwrap()
     }
 
     #[test]
     fn example_iii3_strict_and_soft_thresholds() {
         // tau_w = 1.0: x3 relates only to B's 6 rows.
-        let strict = run(1.0, GroupingStrategy::BruteForce);
+        let strict = run(1.0);
         assert_eq!(strict.per_test[2].related_per_client, vec![0, 6, 0]);
         // tau_w = 0.6: C's two r1--only rows also match (2/3 >= 0.6).
-        let soft = run(0.6, GroupingStrategy::BruteForce);
+        let soft = run(0.6);
         assert_eq!(soft.per_test[2].related_per_client, vec![0, 6, 2]);
     }
 
     #[test]
     fn four_cases() {
-        let out = run(0.6, GroupingStrategy::BruteForce);
+        let out = run(0.6);
         // TP: x1 matches A's 4 rows.
         assert!(out.per_test[0].correct());
         assert_eq!(out.per_test[0].related_per_client, vec![4, 0, 0]);
@@ -1322,22 +1200,8 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree() {
-        for tau in [0.6, 0.8, 1.0] {
-            let bf = run(tau, GroupingStrategy::BruteForce);
-            let sig = run(tau, GroupingStrategy::SignatureDedup);
-            let frs = run(tau, GroupingStrategy::FrequentRuleSets { min_support: 0.25 });
-            assert_eq!(bf.per_test, sig.per_test, "tau={tau}");
-            assert_eq!(bf.per_test, frs.per_test, "tau={tau}");
-            assert_eq!(bf.train_benefit_counts, sig.train_benefit_counts);
-            assert_eq!(bf.train_benefit_counts, frs.train_benefit_counts);
-            assert_eq!(bf.train_harm_counts, frs.train_harm_counts);
-        }
-    }
-
-    #[test]
     fn benefit_frequencies_follow_matches() {
-        let out = run(0.6, GroupingStrategy::BruteForce);
+        let out = run(0.6);
         // Client A's beneficial frequency concentrates on rule 1 (r2+):
         // 4 related rows × weight 1.0.
         assert_eq!(out.benefit_freq(0, 1), 4.0);
@@ -1352,7 +1216,7 @@ mod tests {
 
     #[test]
     fn accuracy_and_denominators() {
-        let out = run(1.0, GroupingStrategy::BruteForce);
+        let out = run(1.0);
         assert_eq!(out.test_accuracy(), 0.5);
         assert_eq!(out.per_test[2].denom, 1.5); // r1- (1.0) + r2- (0.5)
         assert_eq!(out.per_test[0].denom, 1.0);
@@ -1390,11 +1254,6 @@ mod tests {
         let bad_cfg = TraceConfig { tau_w: 0.0, ..TraceConfig::default() };
         assert!(trace(&inputs, &bad_cfg).is_err());
         let bad_cfg = TraceConfig { tau_w: 1.5, ..TraceConfig::default() };
-        assert!(trace(&inputs, &bad_cfg).is_err());
-        let bad_cfg = TraceConfig {
-            grouping: GroupingStrategy::FrequentRuleSets { min_support: 0.0 },
-            ..TraceConfig::default()
-        };
         assert!(trace(&inputs, &bad_cfg).is_err());
 
         // A 70-rule model needs two mask words per class. One train and one
@@ -1748,18 +1607,18 @@ mod tests {
                     2 => bits(g, density),
                     _ => vec![0; n_bits.div_ceil(64)],
                 });
-                // Candidate masks: every row, or a random subset.
+                // Live masks for `survivors`: every row, or a random subset.
                 let full = g.bool();
-                let candidates = g.vec(n_rows.div_ceil(64), |g| {
+                let live_masks = g.vec(n_rows.div_ceil(64), |g| {
                     if full {
                         !0
                     } else {
                         (0..64).fold(0, |w, i| w | u64::from(g.bool()) << i)
                     }
                 });
-                (weights, tau_w, rep, mask, rows, candidates)
+                (weights, tau_w, rep, mask, rows, live_masks)
             },
-            |(weights, tau_w, rep, mask, rows, candidates)| {
+            |(weights, tau_w, rep, mask, rows, live_masks)| {
                 let n_bits = weights.len();
                 let denom = masked_weight_sum_words(rep, mask, weights);
                 let threshold = tau_w * denom - 1e-12;
@@ -1792,10 +1651,9 @@ mod tests {
                 let words_per_row = n_bits.div_ceil(64);
                 let store = Rows { n_bits, words: rows.clone() };
                 let arenas = ClassArena::gather(&store, 1, words_per_row);
-                let mut expected_related = Vec::new();
                 for k in 0..rows.len().div_ceil(64) {
                     let tail = rows.len() - k * 64;
-                    let live = candidates[k] & if tail >= 64 { !0 } else { (1u64 << tail) - 1 };
+                    let live = live_masks[k] & if tail >= 64 { !0 } else { (1u64 << tail) - 1 };
                     let got = bound.survivors(arenas[0].block(&store, k), live);
                     // The term after which every live row is ruled out.
                     let mut exit_at = Some(0);
@@ -1803,9 +1661,6 @@ mod tests {
                         let row = &rows[k * 64 + j];
                         let units = row_units(row);
                         prop_assert_eq!(got >> j & 1 == 1, units <= BUDGET_UNITS);
-                        if units <= BUDGET_UNITS {
-                            expected_related.push((k * 64 + j) as u32);
-                        }
                         if bound.terms.iter().any(|&(b, q)| q > BUDGET_UNITS && missed(row, b as usize))
                         {
                             seen[1].fetch_add(1, Relaxed);
@@ -1820,10 +1675,12 @@ mod tests {
                         seen[3].fetch_add(1, Relaxed);
                     }
                 }
-                // The scan keeps the same rows, in ascending order.
-                let scanned =
-                    arenas[0].scan(&store, Some(candidates), Some(&bound), |_| true);
-                prop_assert_eq!(scanned, expected_related);
+                // The scan keeps every in-budget row of the arena, tail
+                // block included, in ascending order.
+                let in_budget: Vec<u32> = (0..rows.len() as u32)
+                    .filter(|&i| row_units(&rows[i as usize]) <= BUDGET_UNITS)
+                    .collect();
+                prop_assert_eq!(arenas[0].scan(&store, Some(&bound), |_| true), in_budget);
                 Ok(())
             },
         );
@@ -1901,16 +1758,10 @@ mod tests {
         for tau_w in [0.6, 0.8, 0.9, 1.0] {
             let reference =
                 trace_reference(&inputs, &TraceConfig { tau_w, ..TraceConfig::default() }).unwrap();
-            for grouping in [
-                GroupingStrategy::BruteForce,
-                GroupingStrategy::SignatureDedup,
-                GroupingStrategy::FrequentRuleSets { min_support: 0.25 },
-            ] {
-                let fast =
-                    trace(&inputs, &TraceConfig { tau_w, parallel: false, threads: 0, grouping })
-                        .unwrap();
-                assert_eq!(fast, reference, "tau_w={tau_w} grouping={grouping:?}");
-            }
+            let fast =
+                trace(&inputs, &TraceConfig { tau_w, parallel: false, ..TraceConfig::default() })
+                    .unwrap();
+            assert_eq!(fast, reference, "tau_w={tau_w}");
         }
     }
 

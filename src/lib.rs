@@ -4,5 +4,4 @@ pub use ctfl_data as data;
 pub use ctfl_fl as fl;
 pub use ctfl_lp as lp;
 pub use ctfl_nn as nn;
-pub use ctfl_rulemine as rulemine;
 pub use ctfl_valuation as valuation;

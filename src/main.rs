@@ -179,6 +179,16 @@ fn estimate(args: &[String]) -> ExitCode {
     let seed: u64 = parse_flag(args, "--seed", 7);
     let tau_w: f64 = parse_flag(args, "--tau-w", 0.9);
     let delta: u32 = parse_flag(args, "--delta", 2);
+    // The estimator's own contracts (τ_w in (0, 1], δ ≥ 1), checked before
+    // training rather than after it.
+    if !(tau_w > 0.0 && tau_w <= 1.0) {
+        eprintln!("invalid value for --tau-w: {tau_w}");
+        return ExitCode::from(2);
+    }
+    if delta == 0 {
+        eprintln!("invalid value for --delta: {delta}");
+        return ExitCode::from(2);
+    }
     let rounds: usize = parse_flag(args, "--rounds", 30);
     let local_epochs: usize = parse_flag(args, "--local-epochs", 5);
 

@@ -73,6 +73,26 @@ fn estimate_rejects_a_test_fraction_outside_the_unit_interval() {
 }
 
 #[test]
+fn estimate_rejects_a_bad_tau_w_or_delta_before_training() {
+    let cases = [("--tau-w", "0"), ("--tau-w", "1.5"), ("--tau-w", "-0.1"), ("--tau-w", "nan")];
+    for (flag, value) in cases.into_iter().chain([("--delta", "0")]) {
+        let out = estimate("estimator-flags", ["a", "b", "c", "d"], &[flag, value]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(&format!("invalid value for {flag}: ")), "{stderr}");
+        assert!(!stdout.contains("global model"), "{flag} {value} trained first: {stdout}");
+    }
+    // τ_w = 1 is the strict end of the interval, not an error.
+    let out = estimate(
+        "estimator-tau-1",
+        ["a", "b", "c", "d"],
+        &["--tau-w", "1", "--rounds", "1", "--local-epochs", "1"],
+    );
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn estimate_rejects_a_numeric_client_id_that_is_not_a_non_negative_integer() {
     // `as u32` used to merge -1 into 0 and 0.25/0.75 into 0.
     for (owners, bad) in [(["-1", "0", "1", "2"], "-1"), (["0.25", "0.75", "1", "2"], "0.25")] {

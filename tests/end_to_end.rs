@@ -2,7 +2,7 @@
 //! contribution tracing → allocation → robustness → interpretation.
 
 use ctfl::core::estimator::{CtflConfig, CtflEstimator};
-use ctfl::core::tracing::GroupingStrategy;
+use ctfl::core::tracing::{inputs_from_model, trace_reference, TraceConfig, TraceParts};
 use ctfl::data::adverse::flip_labels;
 use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
@@ -61,6 +61,9 @@ fn tictactoe_pipeline_satisfies_group_rationality() {
     assert!(report.robustness.suspected_label_flippers.is_empty());
 }
 
+/// The estimator's trace, grouped by signature and threaded, equals the
+/// ungrouped per-bit oracle on a trained model's rules, not only on the
+/// random or planted bits of the property tests.
 #[test]
 fn grouping_strategies_agree_end_to_end() {
     let mut rng = StdRng::seed_from_u64(5);
@@ -71,24 +74,27 @@ fn grouping_strategies_agree_end_to_end() {
     let net = train_federated(&shards, 2, &net_config(7), &fl_config()).unwrap();
     let model = extract_rules(&net, ExtractOptions::default()).unwrap();
 
-    let run = |grouping| {
-        let estimator = CtflEstimator::new(
-            model.clone(),
-            CtflConfig { grouping, parallel: false, ..CtflConfig::default() },
-        );
-        estimator.estimate(&train, &partition.client_of, &test).unwrap()
+    let config = CtflConfig::default();
+    let estimator = CtflEstimator::new(model, config);
+    let report = estimator.estimate(&train, &partition.client_of, &test).unwrap();
+
+    let model = estimator.model();
+    let train_acts = model.activation_matrix(&train, false).unwrap();
+    let test_acts = model.activation_matrix(&test, false).unwrap();
+    let predictions: Vec<usize> =
+        (0..test.len()).map(|i| model.classify_from_activations(&test_acts, i)).collect();
+    let parts = TraceParts {
+        train_acts: &train_acts,
+        train_labels: train.labels(),
+        client_of: &partition.client_of,
+        n_clients: partition.n_clients,
+        test_acts: &test_acts,
+        test_labels: test.labels(),
+        predictions: &predictions,
     };
-    let brute = run(GroupingStrategy::BruteForce);
-    let dedup = run(GroupingStrategy::SignatureDedup);
-    let mined = run(GroupingStrategy::FrequentRuleSets { min_support: 0.05 });
-    for (a, b) in brute.micro.iter().zip(&dedup.micro) {
-        assert!((a - b).abs() < 1e-12, "dedup differs: {a} vs {b}");
-    }
-    for (a, b) in brute.micro.iter().zip(&mined.micro) {
-        assert!((a - b).abs() < 1e-12, "max-miner grouping differs: {a} vs {b}");
-    }
-    assert_eq!(brute.macro_, dedup.macro_);
-    assert_eq!(brute.macro_, mined.macro_);
+    let oracle_config = TraceConfig { tau_w: config.tau_w, ..TraceConfig::default() };
+    let oracle = trace_reference(&inputs_from_model(model, parts), &oracle_config).unwrap();
+    assert_eq!(report.trace, oracle);
 }
 
 #[test]

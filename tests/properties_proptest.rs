@@ -1,8 +1,8 @@
 //! Property-based tests over the core invariants (ctfl-testkit harness;
 //! this file replaced its `proptest` ancestor one strategy at a time).
 //!
-//! These fuzz the *contracts* the paper's correctness rests on: the three
-//! tracing strategies are semantically identical; allocation satisfies the
+//! These fuzz the *contracts* the paper's correctness rests on: the trace
+//! kernel equals its pinned per-bit oracle; allocation satisfies the
 //! Section III-D properties on arbitrary traces; the macro scheme is
 //! replication-invariant; Shapley satisfies its axioms on random games; the
 //! bit-packed activation matrix matches a naive reference.
@@ -14,9 +14,8 @@ use ctfl::core::activation::ActivationMatrix;
 use ctfl::core::allocation::{macro_scores, micro_scores, CreditDirection};
 use ctfl::core::properties;
 use ctfl::core::tracing::{
-    trace, GroupingStrategy, TestTrace, TraceConfig, TraceInputs, TraceOutcome,
+    trace, trace_reference, TestTrace, TraceConfig, TraceInputs, TraceOutcome,
 };
-use ctfl::rulemine::{max_miner, MaxMinerConfig, TransactionSet};
 use ctfl::valuation::shapley::exact_shapley;
 use ctfl::valuation::utility::TableUtility;
 use ctfl_testkit::prop::Gen;
@@ -45,7 +44,11 @@ fn trace_setup(g: &mut Gen) -> RandomTraceSetup {
     RandomTraceSetup { n_rules, train_rows, test_rows, weights, tau_w }
 }
 
-fn run_trace(setup: &RandomTraceSetup, grouping: GroupingStrategy) -> TraceOutcome {
+/// Traces `setup` serially with `tracer`: the kernel or its oracle.
+fn run_trace(
+    setup: &RandomTraceSetup,
+    tracer: fn(&TraceInputs<'_>, &TraceConfig) -> ctfl::core::Result<TraceOutcome>,
+) -> TraceOutcome {
     let mut train = ActivationMatrix::zeros(0, setup.n_rules);
     let mut train_labels = Vec::new();
     let mut client_of = Vec::new();
@@ -78,22 +81,18 @@ fn run_trace(setup: &RandomTraceSetup, grouping: GroupingStrategy) -> TraceOutco
         weights: &setup.weights,
         class_masks: &masks,
     };
-    trace(&inputs, &TraceConfig { tau_w: setup.tau_w, parallel: false, threads: 0, grouping }).unwrap()
+    tracer(&inputs, &TraceConfig { tau_w: setup.tau_w, parallel: false, ..TraceConfig::default() })
+        .unwrap()
 }
 
-// ---------- tracing strategy equivalence ----------
+// ---------- kernel vs oracle ----------
 
+/// The grouped kernel and the ungrouped per-bit oracle, compared on every
+/// field with `==`.
 #[test]
 fn tracing_strategies_are_semantically_identical() {
     check("tracing_strategies_are_semantically_identical", 64, trace_setup, |setup| {
-        let brute = run_trace(setup, GroupingStrategy::BruteForce);
-        let dedup = run_trace(setup, GroupingStrategy::SignatureDedup);
-        let mined = run_trace(setup, GroupingStrategy::FrequentRuleSets { min_support: 0.2 });
-        prop_assert_eq!(&brute.per_test, &dedup.per_test);
-        prop_assert_eq!(&brute.per_test, &mined.per_test);
-        prop_assert_eq!(&brute.train_benefit_counts, &dedup.train_benefit_counts);
-        prop_assert_eq!(&brute.train_benefit_counts, &mined.train_benefit_counts);
-        prop_assert_eq!(&brute.train_harm_counts, &mined.train_harm_counts);
+        prop_assert_eq!(run_trace(setup, trace), run_trace(setup, trace_reference));
         Ok(())
     });
 }
@@ -104,9 +103,9 @@ fn tau_w_is_monotone() {
         // Raising tau_w can only shrink the related sets.
         let loose = run_trace(
             &RandomTraceSetup { tau_w: (setup.tau_w * 0.5).max(0.05), ..setup.clone() },
-            GroupingStrategy::BruteForce,
+            trace,
         );
-        let strict = run_trace(setup, GroupingStrategy::BruteForce);
+        let strict = run_trace(setup, trace);
         for (l, s) in loose.per_test.iter().zip(&strict.per_test) {
             for (cl, cs) in l.related_per_client.iter().zip(&s.related_per_client) {
                 prop_assert!(cl >= cs, "loose {cl} < strict {cs}");
@@ -322,42 +321,6 @@ fn activation_matrix_matches_naive_reference() {
                 prop_assert_eq!(m.row_count(i) as usize, row.iter().filter(|&&b| b).count());
                 for (bit, &b) in row.iter().enumerate() {
                     prop_assert_eq!(m.get(i, bit), b);
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn max_miner_results_are_frequent_and_maximal() {
-    check(
-        "max_miner_results_are_frequent_and_maximal",
-        128,
-        |g| {
-            let n_txs = g.len_in(1, 24);
-            let txs_data = g.vec(n_txs, |g| g.vec(10, Gen::bool));
-            (txs_data, g.usize_in(1, 4))
-        },
-        |(txs_data, min_support)| {
-            let mut txs = TransactionSet::new(10);
-            for bits in txs_data {
-                let items: Vec<usize> =
-                    bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
-                txs.push(&items);
-            }
-            let mined =
-                max_miner(&txs, MaxMinerConfig { min_support: *min_support, max_expansions: 0 });
-            for (set, support) in &mined {
-                prop_assert_eq!(txs.support(set), *support);
-                prop_assert!(*support >= *min_support);
-            }
-            // Mutual incomparability (maximality among results).
-            for (i, (a, _)) in mined.iter().enumerate() {
-                for (j, (b, _)) in mined.iter().enumerate() {
-                    if i != j {
-                        prop_assert!(!a.is_subset_of(b.words()));
-                    }
                 }
             }
             Ok(())

@@ -12,8 +12,7 @@ use ctfl::core::batch::CompiledRules;
 use ctfl::core::data::DatasetView;
 use ctfl::core::shard::{ActivationShard, ShardedActivations};
 use ctfl::core::tracing::{
-    trace, trace_reference, trace_sharded, GroupingStrategy, ShardedTraceInputs, TraceConfig,
-    TraceInputs,
+    trace, trace_reference, trace_sharded, ShardedTraceInputs, TraceConfig, TraceInputs,
 };
 use ctfl::data::synthetic::{federated_shards, generate, SyntheticConfig, SyntheticStream};
 use ctfl::data::Partition;
@@ -197,32 +196,26 @@ fn parallel_trace_is_bitwise_equal_to_serial_across_thread_counts() {
         trace_setup,
         |setup| {
             let b = build(setup);
-            for grouping in [GroupingStrategy::BruteForce, GroupingStrategy::SignatureDedup] {
-                let inputs = TraceInputs {
-                    train_acts: &b.train,
-                    train_labels: &b.train_labels,
-                    client_of: &b.client_of,
-                    n_clients: setup.n_clients,
-                    test_acts: &b.test,
-                    test_labels: &b.test_labels,
-                    predictions: &b.predictions,
-                    weights: &setup.weights,
-                    class_masks: &b.class_masks,
-                };
-                let base = TraceConfig {
-                    tau_w: setup.tau_w,
-                    parallel: false,
-                    threads: 0,
-                    grouping,
-                };
-                let serial = trace(&inputs, &base).unwrap();
-                let oracle = trace_reference(&inputs, &base).unwrap();
-                prop_assert!(serial == oracle, "fast serial vs per-bit oracle diverged");
-                for threads in [0usize, 1, 2, 3, 5] {
-                    let parallel =
-                        trace(&inputs, &TraceConfig { parallel: true, threads, ..base }).unwrap();
-                    prop_assert!(serial == parallel, "diverged at threads={threads}");
-                }
+            let inputs = TraceInputs {
+                train_acts: &b.train,
+                train_labels: &b.train_labels,
+                client_of: &b.client_of,
+                n_clients: setup.n_clients,
+                test_acts: &b.test,
+                test_labels: &b.test_labels,
+                predictions: &b.predictions,
+                weights: &setup.weights,
+                class_masks: &b.class_masks,
+            };
+            let base =
+                TraceConfig { tau_w: setup.tau_w, parallel: false, ..TraceConfig::default() };
+            let serial = trace(&inputs, &base).unwrap();
+            let oracle = trace_reference(&inputs, &base).unwrap();
+            prop_assert!(serial == oracle, "fast serial vs per-bit oracle diverged");
+            for threads in [0usize, 1, 2, 3, 5] {
+                let parallel =
+                    trace(&inputs, &TraceConfig { parallel: true, threads, ..base }).unwrap();
+                prop_assert!(serial == parallel, "diverged at threads={threads}");
             }
             Ok(())
         },
@@ -259,12 +252,7 @@ fn sharded_trace_is_bitwise_equal_to_monolithic_on_random_shardings() {
             let store = ShardedActivations::from_shards(shards).unwrap();
             prop_assert_eq!(store.n_rows(), n_train);
 
-            let config = TraceConfig {
-                tau_w: setup.tau_w,
-                parallel: true,
-                threads: 3,
-                grouping: GroupingStrategy::SignatureDedup,
-            };
+            let config = TraceConfig { tau_w: setup.tau_w, threads: 3, ..TraceConfig::default() };
             let mono = TraceInputs {
                 train_acts: &b.train,
                 train_labels: &b.train_labels,

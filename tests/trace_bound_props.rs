@@ -3,9 +3,9 @@
 //! build the bound, and many train rows sit at the Eq. 4 threshold.
 //!
 //! The kernel rules a train row out only when the bound proves it cannot
-//! reach the threshold, and tests every other row exactly, so every
-//! grouping, both row stores and every thread count must equal the
-//! pinned per-bit oracle `trace_reference` with `==`.
+//! reach the threshold, and tests every other row exactly, so both row
+//! stores and every thread count must equal the pinned per-bit oracle
+//! `trace_reference` with `==`.
 //!
 //! Every failing case prints its seed; replay with
 //! `CTFL_PROP_SEED=<seed> cargo test -q <test_name>`.
@@ -13,8 +13,7 @@
 use ctfl::core::activation::ActivationMatrix;
 use ctfl::core::shard::{ActivationShard, ShardedActivations};
 use ctfl::core::tracing::{
-    trace, trace_reference, trace_sharded, GroupingStrategy, ShardedTraceInputs, TraceConfig,
-    TraceInputs,
+    trace, trace_reference, trace_sharded, ShardedTraceInputs, TraceConfig, TraceInputs,
 };
 use ctfl_testkit::prop::Gen;
 use ctfl_testkit::{check, prop_assert};
@@ -146,33 +145,23 @@ fn wide_dense_traces_match_the_oracle_for_every_grouping_store_and_thread_count(
                 weights: &case.weights,
                 class_masks: &class_masks,
             };
-            let serial = TraceConfig {
-                tau_w: case.tau_w,
-                parallel: false,
-                threads: 0,
-                grouping: GroupingStrategy::BruteForce,
-            };
+            let serial =
+                TraceConfig { tau_w: case.tau_w, parallel: false, ..TraceConfig::default() };
             let oracle = trace_reference(&mono, &serial).unwrap();
-            for grouping in [
-                GroupingStrategy::BruteForce,
-                GroupingStrategy::SignatureDedup,
-                GroupingStrategy::FrequentRuleSets { min_support: 0.2 },
-            ] {
-                for threads in [1, 2, 3] {
-                    let cfg = TraceConfig { parallel: true, threads, grouping, ..serial };
-                    let (from_mono, from_store) =
-                        (trace(&mono, &cfg).unwrap(), trace_sharded(&sharded, &cfg).unwrap());
-                    prop_assert!(
-                        from_mono == oracle,
-                        "pooled store diverged: family {} {grouping:?} threads={threads}",
-                        case.family
-                    );
-                    prop_assert!(
-                        from_store == oracle,
-                        "sharded store diverged: family {} {grouping:?} threads={threads}",
-                        case.family
-                    );
-                }
+            for threads in [1, 2, 3] {
+                let cfg = TraceConfig { parallel: true, threads, ..serial };
+                let (from_mono, from_store) =
+                    (trace(&mono, &cfg).unwrap(), trace_sharded(&sharded, &cfg).unwrap());
+                prop_assert!(
+                    from_mono == oracle,
+                    "pooled store diverged: family {} threads={threads}",
+                    case.family
+                );
+                prop_assert!(
+                    from_store == oracle,
+                    "sharded store diverged: family {} threads={threads}",
+                    case.family
+                );
             }
             Ok(())
         },
