@@ -1,13 +1,13 @@
 //! Logical-network micro-benchmarks: soft vs. discrete forward, the
 //! grafted training step, and rule extraction — the building blocks whose
 //! cost dominates CTFL's single training pass. One group times the layer's
-//! general kernels against its literal kernels at the `federate_adult`
-//! shape.
+//! naive kernels, which a training step that fails a literal check runs,
+//! against its literal kernels at the `federate_adult` shape.
 
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_nn::extract::{extract_rules, ExtractOptions};
-use ctfl_nn::logical::{DiscretePlan, LiteralBatch, LiteralPlan, LogicalLayer};
-use ctfl_nn::matrix::{Matrix, PackedRhs};
+use ctfl_nn::logical::{LiteralBatch, LiteralPlan, LogicalLayer};
+use ctfl_nn::matrix::Matrix;
 use ctfl_nn::net::{LogicalNet, LogicalNetConfig};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::Rng;
@@ -35,10 +35,9 @@ fn bench_layer_forward() {
 
 /// The layer at the `federate_adult` shape: 168 literals × 64 nodes,
 /// batch 64, 42% of literals set (the adult-like encoding's density). Each
-/// general kernel (packed soft forward, planned discrete forward,
-/// `backward_into`) runs against the literal kernel
-/// that replaces it on 0/1 batches, and each side's per-step set-up
-/// against the other's.
+/// naive kernel runs against the literal kernel that replaces it on 0/1
+/// batches, so the group shows what a step that falls back costs; the
+/// literal kernels' per-step set-up is timed on its own.
 fn bench_first_layer_literals() {
     let mut rng = StdRng::seed_from_u64(23);
     let layer = LogicalLayer::new(168, 64, &mut rng);
@@ -50,10 +49,6 @@ fn bench_first_layer_literals() {
     for v in dy.data_mut() {
         *v = (rng.gen::<f32>() - 0.5) * 0.1;
     }
-    let mut packed = PackedRhs::default();
-    packed.pack_from(layer.weights());
-    let mut plan = DiscretePlan::default();
-    layer.plan_discrete_into(&mut plan);
     let mut lits = LiteralBatch::default();
     assert!(lits.rebuild(&x));
     let mut lit_plan = LiteralPlan::default();
@@ -62,26 +57,18 @@ fn bench_first_layer_literals() {
     let (mut out, mut dw, mut dwt) = (Matrix::default(), Matrix::zeros(64, 168), Matrix::default());
 
     let mut group = Bencher::new("layer0_168x64_batch64_ones42");
-    group.bench("setup_general", || {
-        layer.plan_discrete_into(&mut plan);
-        packed.pack_from(layer.weights());
-    });
     group.bench("setup_literals", || lits.rebuild(&x) && layer.plan_literals_into(&mut lit_plan));
-    group.bench("forward_soft_packed_into", || {
-        layer.forward_soft_packed_into(&x, &packed, &mut out);
-    });
+    group.bench("forward_soft", || layer.forward_soft(&x));
     group.bench("forward_soft_literals_into", || {
         layer.forward_soft_literals_into(&lits, &lit_plan, &mut out);
     });
-    group.bench("forward_discrete_planned_into", || {
-        layer.forward_discrete_planned_into(&x, &plan, &mut out);
-    });
+    group.bench("forward_discrete", || layer.forward_discrete(&x));
     group.bench("forward_discrete_literals_into", || {
         layer.forward_discrete_literals_into(&lits, &lit_plan, &mut out);
     });
-    group.bench("backward_into", || {
+    group.bench("backward", || {
         dw.fill_zero();
-        layer.backward_into(&x, &y, &dy, &mut dw);
+        layer.backward(&x, &y, &dy, &mut dw);
     });
     group.bench("backward_literals_into", || {
         layer.backward_literals_into(&lits, &lit_plan, &y, &dy, &mut dwt, &mut dw);

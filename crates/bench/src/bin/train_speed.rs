@@ -1,7 +1,7 @@
-//! **Training-speed gate**: the workspace data plane (packed matmul,
-//! planned discrete forward, zero-alloc batch loop) against the pinned
-//! naive baseline (`LogicalNet::train_reference`), on a fixed synthetic
-//! workload.
+//! **Training-speed gate**: the workspace data plane (the layer's literal
+//! kernels, the head's packed matmul, zero-alloc batch loop) against the
+//! pinned naive baseline (`LogicalNet::train_reference`), on a fixed
+//! synthetic workload.
 //!
 //! Three gates, all of which must hold for `TRAIN_SPEED_OK` to print:
 //!

@@ -366,6 +366,14 @@ mod tests {
         let mut b = Dataset::empty(other, 2);
         b.push_row(&[0.5f32.into()], 1).unwrap();
         assert!(train_federated(&[a.clone(), b], 2, &cfg(0), &FlConfig::default()).is_err());
+        // Labels of a third class for a two-class net: a typed error, not a
+        // client panic.
+        let mut three = Dataset::empty(Arc::clone(&schema), 3);
+        three.push_row(&[0.5f32.into()], 2).unwrap();
+        assert_eq!(
+            train_federated(&[a.clone(), three], 2, &cfg(0), &FlConfig::default()).unwrap_err(),
+            CoreError::ClassOutOfRange { class: 2, n_classes: 2 }
+        );
         // Fault plan sized for the wrong federation.
         let plan = FaultPlan::none(3, 2);
         assert!(run_with(&[a], &cfg(0), &FlConfig::default(), &plan, &GuardConfig::default())

@@ -44,5 +44,5 @@ pub mod net;
 pub mod optim;
 
 pub use encoding::{EncodedData, Encoder, Literal};
-pub use logical::{DiscretePlan, LiteralBatch, LiteralPlan, LogicalLayer};
+pub use logical::{LiteralBatch, LiteralPlan, LogicalLayer};
 pub use net::{LogicalNet, LogicalNetConfig, TrainReport};

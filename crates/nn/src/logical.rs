@@ -13,23 +13,23 @@
 //! `∧_{w_i=1} x_i` and `∨_{w_i=1} x_i` — the *discrete* forward used by
 //! gradient grafting and rule extraction.
 //!
-//! Every fast kernel here is bit-identical to its naive oracle
+//! The layer has two kernel tiers: the naive oracles
 //! ([`LogicalLayer::forward_soft`], [`LogicalLayer::forward_discrete`],
-//! [`LogicalLayer::backward`]). Three kinds of rearrangement keep that
-//! exact:
+//! [`LogicalLayer::backward`]) and the literal kernels over
+//! [`LiteralBatch`] and [`LiteralPlan`], which are bit-identical to them.
+//! Three kinds of rearrangement keep that exact:
 //! 1. instruction-level parallelism across *independent* chains, each
 //!    chain keeping the naive k-ascending order;
 //! 2. removing data-dependent branches that are IEEE-754 no-ops;
 //! 3. skipping terms that a *checked* input property makes exactly `×1.0`
-//!    or `±0`. The literal kernels ([`LiteralBatch`], [`LiteralPlan`])
-//!    rely on three checks: every
+//!    or `±0`. The literal kernels rely on three checks: every
 //!    input is bit-exactly `+0.0` or `1.0` (checked once per training call
 //!    over the whole shard), every weight lies in `[0, 1]`, and (for the
 //!    backward) every upstream gradient is finite (both once per step).
 //!    Under them a Conj factor is exactly `1.0` at `x = 1` and a Disj
 //!    factor at `x = 0`, and each skipped gradient term is `±0`, which
 //!    cannot change a `+0.0`-seeded sum. When a check fails, the step (or,
-//!    for a shard that is not 0/1, the whole call) runs the general kernels
+//!    for a shard that is not 0/1, the whole call) runs the naive oracles
 //!    instead.
 //!
 //! The backward kernels compute the weight gradient only: the layer's
@@ -43,7 +43,7 @@ use std::ops::Range;
 
 use ctfl_rng::Rng;
 
-use crate::matrix::{Matrix, PackedRhs};
+use crate::matrix::Matrix;
 
 /// Node connective kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,31 +58,6 @@ pub enum NodeKind {
 /// backward pass. Clamping the divisor is the standard stabilisation for
 /// soft-logic layers; the bias it introduces vanishes away from saturation.
 const FACTOR_EPS: f32 = 1e-6;
-
-/// The binarized execution plan of one layer's discrete forward: per-node
-/// CSR lists of the input indices selected by `1(w > 0.5)`.
-///
-/// The naive discrete forward re-tests every weight against 0.5 for every
-/// row of the batch; the plan performs that scan **once per training step**
-/// (weights only change at optimizer steps) and the per-row work shrinks to
-/// the few selected literals per node. The output is pure boolean logic, so
-/// the planned forward is trivially bit-identical to
-/// [`LogicalLayer::forward_discrete`].
-#[derive(Debug, Clone, Default)]
-pub struct DiscretePlan {
-    /// `n_nodes + 1` CSR offsets into `indices`.
-    offsets: Vec<u32>,
-    /// Concatenated selected-input indices of all nodes.
-    indices: Vec<u32>,
-}
-
-impl DiscretePlan {
-    /// The selected input indices of `node`.
-    #[inline]
-    fn selected(&self, node: usize) -> &[u32] {
-        &self.indices[self.offsets[node] as usize..self.offsets[node + 1] as usize]
-    }
-}
 
 /// The bit pattern of `1.0f32`.
 const ONE_BITS: u32 = 0x3F80_0000;
@@ -289,7 +264,9 @@ impl LogicalLayer {
     }
 
     /// Continuous (soft) forward: `x` is `batch × in_dim`, returns
-    /// `batch × n_nodes`.
+    /// `batch × n_nodes`. A pinned naive oracle (do not optimize): the
+    /// literal kernels are tested against it, and a training step that
+    /// fails a literal check runs it.
     pub fn forward_soft(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "input width mismatch");
         let mut y = Matrix::zeros(x.rows(), self.n_nodes());
@@ -321,7 +298,8 @@ impl LogicalLayer {
     }
 
     /// Discrete forward with binarized weights `1(w > 0.5)`; inputs are
-    /// expected to be (near-)binary.
+    /// expected to be (near-)binary. A pinned naive oracle, like
+    /// [`Self::forward_soft`].
     pub fn forward_discrete(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "input width mismatch");
         let mut y = Matrix::zeros(x.rows(), self.n_nodes());
@@ -361,192 +339,6 @@ impl LogicalLayer {
             }
         }
         y
-    }
-
-    /// Rebuilds `plan` from the current binarized weights (CSR over
-    /// `w > 0.5`), reusing its allocations.
-    pub fn plan_discrete_into(&self, plan: &mut DiscretePlan) {
-        plan.offsets.clear();
-        plan.indices.clear();
-        plan.offsets.push(0);
-        for j in 0..self.n_nodes() {
-            let wr = self.w.row(j);
-            for (i, &w) in wr.iter().enumerate() {
-                if w > 0.5 {
-                    plan.indices.push(i as u32);
-                }
-            }
-            plan.offsets.push(plan.indices.len() as u32);
-        }
-    }
-
-    /// Discrete forward through a prebuilt [`DiscretePlan`], writing into a
-    /// caller-owned buffer. Bit-identical to [`Self::forward_discrete`]
-    /// (same boolean semantics, including the empty-AND=true / empty-OR=false
-    /// conventions), but touches only the selected inputs per node.
-    ///
-    /// # Panics
-    /// Panics if `x`'s width or the plan's node count disagree with the
-    /// layer.
-    pub fn forward_discrete_planned_into(&self, x: &Matrix, plan: &DiscretePlan, y: &mut Matrix) {
-        assert_eq!(x.cols(), self.in_dim, "input width mismatch");
-        assert_eq!(plan.offsets.len(), self.n_nodes() + 1, "plan node count mismatch");
-        y.resize(x.rows(), self.n_nodes());
-        for b in 0..x.rows() {
-            let xr = x.row(b);
-            let yr = y.row_mut(b);
-            for (j, kind) in self.kinds.iter().enumerate() {
-                let sel = plan.selected(j);
-                let hit = match kind {
-                    NodeKind::Conj => sel.iter().all(|&i| xr[i as usize] > 0.5),
-                    NodeKind::Disj => sel.iter().any(|&i| xr[i as usize] > 0.5),
-                };
-                yr[j] = if hit { 1.0 } else { 0.0 };
-            }
-        }
-    }
-
-    /// Continuous forward into a caller-owned buffer, reading the weights
-    /// through a pre-transposed pack.
-    ///
-    /// Bit-identical to [`Self::forward_soft`], restructured for
-    /// instruction-level parallelism: each node's soft product is a serial
-    /// FP multiply chain (`p *= …` depends on the previous multiply), so
-    /// single-node evaluation is latency-bound. Nodes are therefore
-    /// processed eight at a time — eight *independent* chains keep the
-    /// multiplier pipeline full — while each chain still multiplies its
-    /// factors in the same k-ascending order as the naive loop.
-    ///
-    /// `wt` must be this layer's weight matrix packed column-major
-    /// (`wt.col(i)` holds every node's weight for input `i`, contiguous),
-    /// so the eight chains advance on one contiguous load per input
-    /// column — the layout the vectorizer needs. Two further identities
-    /// keep the blocked lanes exact:
-    /// * terms with `w_i == 0` contribute a factor of exactly `1.0`
-    ///   (`1 − 0·(1−x) = 1` and `1 − 0·x = 1`), and `p × 1.0 == p` in
-    ///   IEEE-754 — so the lanes multiply unconditionally where the scalar
-    ///   loop skips;
-    /// * hoisting `1 − x_i` out of the eight lanes reuses the identical
-    ///   subtraction the scalar loop performs per term.
-    ///
-    /// # Panics
-    /// Panics if `x`'s width or `wt`'s shape disagree with the layer.
-    pub fn forward_soft_packed_into(&self, x: &Matrix, wt: &PackedRhs, y: &mut Matrix) {
-        assert_eq!(x.cols(), self.in_dim, "input width mismatch");
-        assert_eq!(wt.rows(), self.n_nodes(), "packed weight rows mismatch");
-        assert_eq!(wt.cols(), self.in_dim, "packed weight cols mismatch");
-        y.resize(x.rows(), self.n_nodes());
-        let in_dim = self.in_dim;
-        for b in 0..x.rows() {
-            let xr = &x.row(b)[..in_dim];
-            let yr = y.row_mut(b);
-            for (kind, nodes) in self.runs() {
-                let (s, e) = (nodes.start, nodes.end);
-                let mut j = s;
-                while j + 8 <= e {
-                    let mut p = [1.0f32; 8];
-                    match kind {
-                        NodeKind::Conj => {
-                            for i in 0..in_dim {
-                                let u = 1.0 - xr[i];
-                                let w = &wt.col(i)[j..j + 8];
-                                for l in 0..8 {
-                                    p[l] *= 1.0 - w[l] * u;
-                                }
-                            }
-                            yr[j..j + 8].copy_from_slice(&p);
-                        }
-                        NodeKind::Disj => {
-                            for i in 0..in_dim {
-                                let xi = xr[i];
-                                let w = &wt.col(i)[j..j + 8];
-                                for l in 0..8 {
-                                    p[l] *= 1.0 - w[l] * xi;
-                                }
-                            }
-                            for (dst, pk) in yr[j..j + 8].iter_mut().zip(p) {
-                                *dst = 1.0 - pk;
-                            }
-                        }
-                    }
-                    j += 8;
-                }
-                for jj in j..e {
-                    let wr = self.w.row(jj);
-                    yr[jj] = match kind {
-                        NodeKind::Conj => {
-                            let mut p = 1.0f32;
-                            for (xi, wi) in xr.iter().zip(wr) {
-                                if *wi == 0.0 {
-                                    continue;
-                                }
-                                p *= 1.0 - wi * (1.0 - xi);
-                            }
-                            p
-                        }
-                        NodeKind::Disj => {
-                            let mut p = 1.0f32;
-                            for (xi, wi) in xr.iter().zip(wr) {
-                                if *wi == 0.0 {
-                                    continue;
-                                }
-                                p *= 1.0 - wi * xi;
-                            }
-                            1.0 - p
-                        }
-                    };
-                }
-            }
-        }
-    }
-
-    /// Backward through the soft forward: accumulates the weight gradient
-    /// into `dw` as passed, exactly like [`Self::backward`].
-    ///
-    /// Bit-identical to [`Self::backward`]: the arithmetic is the naive
-    /// loop's, element for element — same saturation guard, same
-    /// per-element accumulation order into `dw`. The only change is
-    /// structural: the inner loop is branch-free straight-line FP over
-    /// pre-sliced rows so the compiler can keep the (SIMD) divider busy. In
-    /// particular there is deliberately *no* skip of `w_i == 0` terms here
-    /// — the division skip would be exact (`y / 1.0 == y`), but a
-    /// data-dependent branch in the middle of the division pipeline costs
-    /// more than the divisions it saves, and it blocks vectorization of the
-    /// whole loop.
-    pub fn backward_into(&self, x: &Matrix, y: &Matrix, dy: &Matrix, dw: &mut Matrix) {
-        assert_eq!(dy.cols(), self.n_nodes());
-        assert_eq!(dw.rows(), self.n_nodes());
-        assert_eq!(dw.cols(), self.in_dim);
-        let in_dim = self.in_dim;
-        for b in 0..x.rows() {
-            let xr = &x.row(b)[..in_dim];
-            let yr = y.row(b);
-            let dyr = dy.row(b);
-            for (j, kind) in self.kinds.iter().enumerate() {
-                let g = dyr[j];
-                if g == 0.0 {
-                    continue;
-                }
-                let wr = &self.w.row(j)[..in_dim];
-                let dwr = &mut dw.row_mut(j)[..in_dim];
-                match kind {
-                    NodeKind::Conj => {
-                        let yj = yr[j];
-                        for i in 0..in_dim {
-                            let f = (1.0 - wr[i] * (1.0 - xr[i])).max(FACTOR_EPS);
-                            dwr[i] += g * (-(1.0 - xr[i])) * (yj / f);
-                        }
-                    }
-                    NodeKind::Disj => {
-                        let p = 1.0 - yr[j];
-                        for i in 0..in_dim {
-                            let gi = (1.0 - wr[i] * xr[i]).max(FACTOR_EPS);
-                            dwr[i] += g * xr[i] * (p / gi);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Maximal runs of consecutive nodes of one kind, in node order.
@@ -751,7 +543,8 @@ impl LogicalLayer {
     ///
     /// Given the cached input `x`, cached soft output `y` and upstream
     /// gradient `dy`, accumulates weight gradients into `dw`
-    /// (`n_nodes × in_dim`).
+    /// (`n_nodes × in_dim`). A pinned naive oracle, like
+    /// [`Self::forward_soft`].
     pub fn backward(&self, x: &Matrix, y: &Matrix, dy: &Matrix, dw: &mut Matrix) {
         assert_eq!(dy.cols(), self.n_nodes());
         assert_eq!(dw.rows(), self.n_nodes());

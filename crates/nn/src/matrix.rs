@@ -128,10 +128,12 @@ impl Matrix {
     /// `self · other` written into a caller-owned buffer (resized to fit,
     /// no allocation once warm).
     ///
-    /// Floating-point contract: for every output element, partial products
-    /// are accumulated in ascending inner-index order with exact-zero LHS
-    /// entries skipped — the summation order of the original axpy loop, so
-    /// results are **bitwise identical** to [`Self::matmul`]'s history.
+    /// Floating-point contract: every output element is the `+0.0`-seeded
+    /// sum of all its partial products in ascending inner-index order.
+    /// There is no skip of exact-zero LHS entries: for a finite right-hand
+    /// side it would change no bit (a `±0.0` product never changes such a
+    /// sum), and a NaN or infinite right-hand-side entry must reach every
+    /// output it multiplies, as in [`Self::matmul_packed_into`].
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -143,9 +145,6 @@ impl Matrix {
             let a_row = self.row(r);
             let out_row = out.row_mut(r);
             for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue; // rule activations are sparse in practice
-                }
                 let b_row = other.row(i);
                 for (o, &b) in out_row.iter_mut().zip(b_row) {
                     *o += a * b;
@@ -157,19 +156,12 @@ impl Matrix {
     /// `self · rhs` against a pre-transposed right-hand side.
     ///
     /// Each output element is a k-ascending dot product over one contiguous
-    /// LHS row and one contiguous packed column — bitwise identical to
-    /// [`Self::matmul`]'s axpy loop. Two deliberate differences from the
-    /// axpy form, both exact:
-    ///
-    /// * no zero-skip: a `±0.0` product never changes the accumulator,
-    ///   because the running sum starts at `+0.0` and can only be `+0.0` or
-    ///   nonzero (opposite-sign cancellation rounds to `+0.0` in
-    ///   round-to-nearest), and `s + ±0.0 == s` for such `s`. On the 0/1
-    ///   rule activations this path serves, a data-dependent skip branch
-    ///   mispredicts roughly every other element — costlier than the
-    ///   multiply it avoids;
-    /// * rows are processed four at a time: four independent accumulator
-    ///   chains hide the FP add latency a single running dot is bound by.
+    /// LHS row and one contiguous packed column: the additions of
+    /// [`Self::matmul`]'s axpy loop in the same order, so the output is
+    /// bitwise identical to it (a NaN output may carry another NaN
+    /// payload). Rows are processed four at a time: four independent
+    /// accumulator chains hide the FP add latency a single running dot is
+    /// bound by.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::encoding::{EncodedData, Encoder};
 use crate::linear::LinearHead;
-use crate::logical::{DiscretePlan, LiteralBatch, LiteralPlan, LogicalLayer};
+use crate::logical::{LiteralBatch, LiteralPlan, LogicalLayer};
 use crate::loss::{accuracy, argmax_tie_high, cross_entropy, cross_entropy_grad, cross_entropy_grad_into};
 use crate::matrix::{Matrix, PackedRhs};
 use crate::optim::{Adam, ProjectedSgd};
@@ -127,8 +127,8 @@ struct OptimState {
 }
 
 /// One forward pass's intermediates (discrete or continuous). In the
-/// workspace both matrices are resized in place and fully overwritten each
-/// pass.
+/// workspace both matrices are fully overwritten each pass, in place unless
+/// the pass falls back to a naive forward.
 #[derive(Debug, Clone, Default)]
 struct PassBuffers {
     /// The layer's output.
@@ -137,10 +137,10 @@ struct PassBuffers {
     rules: Matrix,
 }
 
-/// Reusable training scratch: batch staging, forward/backward
-/// intermediates, packed weights, the discrete execution plan, and the
-/// best-epoch snapshot slot. Once warm, a training step touches no
-/// allocator.
+/// Reusable training scratch: batch staging, the literal bit sets and
+/// plan, forward/backward intermediates, the packed head weights, and the
+/// best-epoch snapshot slot. Once warm, a training step that passes the
+/// literal checks touches no allocator.
 #[derive(Debug, Clone, Default)]
 struct TrainWorkspace {
     /// Gathered minibatch rows.
@@ -149,12 +149,6 @@ struct TrainWorkspace {
     labels: Vec<u32>,
     /// Shuffled row order for the epoch loop.
     order: Vec<usize>,
-    /// CSR plan over the binarized weights (rebuilt per step when the step
-    /// cannot take the literal path, and before each accuracy pass).
-    plan: DiscretePlan,
-    /// The layer's weights packed transposed for the continuous forward
-    /// (repacked per step when the step cannot take the literal path).
-    packed_layer: PackedRhs,
     /// The batch as per-row literal bit sets (gathered from
     /// `shard_literals` per step when the shard is 0/1).
     literals: LiteralBatch,
@@ -164,7 +158,8 @@ struct TrainWorkspace {
     /// Whether every shard input is exactly `+0.0` or `1.0`, so that
     /// `shard_literals` holds them.
     shard_is_binary: bool,
-    /// The selected-literal masks and `(1 − w)ᵀ` (rebuilt per step).
+    /// The selected-literal masks and `(1 − w)ᵀ` (rebuilt per step and
+    /// before each accuracy pass).
     literal_plan: LiteralPlan,
     /// Head weights packed transposed (repacked per step).
     packed_head: PackedRhs,
@@ -212,15 +207,6 @@ impl TrainWorkspace {
     }
 }
 
-/// The two forward passes a training step runs.
-#[derive(Clone, Copy)]
-enum Pass<'a> {
-    /// Binarized weights and boolean logic, through the CSR plan.
-    Discrete(&'a DiscretePlan),
-    /// Soft logic, through the transposed weight pack.
-    Soft(&'a PackedRhs),
-}
-
 /// Writes the head input: each row of the layer's output `y` followed by
 /// the same row of the literals `x`.
 fn rules_into(y: &Matrix, x: &Matrix, rules: &mut Matrix) {
@@ -232,25 +218,24 @@ fn rules_into(y: &Matrix, x: &Matrix, rules: &mut Matrix) {
     }
 }
 
-/// Forward pass through `layer` into `buf`, reading the batch from `x`, or
-/// from `literals` when the step passed the literal checks. Bit-identical
-/// to [`LogicalNet::forward`]: the kernels replay the naive summation order
-/// exactly and the rule concatenation copies the same slices.
+/// Discrete or soft forward pass through `layer` into `buf`: from
+/// `literals` when the step passed the literal checks, else through the
+/// naive oracle on `x`, which allocates a fresh output. Bit-identical to
+/// [`LogicalNet::forward`]: the literal kernels replay the naive summation
+/// order exactly and the rule concatenation copies the same slices.
 fn forward_ws(
     layer: &LogicalLayer,
     x: &Matrix,
-    pass: Pass<'_>,
+    discrete: bool,
     literals: Option<(&LiteralBatch, &LiteralPlan)>,
     buf: &mut PassBuffers,
 ) {
     let out = &mut buf.output;
-    match (pass, literals) {
-        (Pass::Discrete(_), Some((lits, plan))) => {
-            layer.forward_discrete_literals_into(lits, plan, out);
-        }
-        (Pass::Soft(_), Some((lits, plan))) => layer.forward_soft_literals_into(lits, plan, out),
-        (Pass::Discrete(plan), None) => layer.forward_discrete_planned_into(x, plan, out),
-        (Pass::Soft(pack), None) => layer.forward_soft_packed_into(x, pack, out),
+    match (literals, discrete) {
+        (Some((lits, plan)), true) => layer.forward_discrete_literals_into(lits, plan, out),
+        (Some((lits, plan)), false) => layer.forward_soft_literals_into(lits, plan, out),
+        (None, true) => *out = layer.forward_discrete(x),
+        (None, false) => *out = layer.forward_soft(x),
     }
     rules_into(out, x, &mut buf.rules);
 }
@@ -398,35 +383,30 @@ impl LogicalNet {
     /// with every intermediate living in `ws`. Returns the discrete
     /// cross-entropy before the step.
     ///
-    /// Bit-identical to [`Self::grafted_step_reference`]: the packed/planned
-    /// kernels replay the naive floating-point summation order exactly, the
-    /// literal kernels skip only terms their checks make exact no-ops, and
-    /// the optimizer calls are unchanged.
+    /// Bit-identical to [`Self::grafted_step_reference`]: the literal
+    /// kernels skip only terms their checks make exact no-ops, a step that
+    /// fails a check runs the layer's naive oracles, and the optimizer calls
+    /// are unchanged. A step that falls back allocates: the naive forwards
+    /// return fresh matrices.
     fn grafted_step_ws(&mut self, ws: &mut TrainWorkspace, state: &mut OptimState) -> f32 {
         // The layer reads the encoder's literals. When the shard is exactly
         // 0/1 and the weights lie in [0, 1], its forwards work from the
-        // per-row literal sets gathered with the batch; otherwise it runs
-        // the general kernels, which give the same bits.
+        // per-row literal sets gathered with the batch; otherwise they run
+        // the naive oracles, which give the same bits.
         let literal = ws.shard_is_binary && self.layer.plan_literals_into(&mut ws.literal_plan);
-
-        // Rebuild the discrete plan and the packings — they change at every
-        // optimizer step, but once per *step* instead of once per row. On
-        // the literal path the layer needs neither.
-        if !literal {
-            self.layer.plan_discrete_into(&mut ws.plan);
-            ws.packed_layer.pack_from(self.layer.weights());
-        }
+        // The head's packing changes at every optimizer step: once per step
+        // instead of once per row.
         self.head.pack_weights_into(&mut ws.packed_head);
         let literals = literal.then_some((&ws.literals, &ws.literal_plan));
 
         // Discrete forward → loss gradient at the binarized output.
-        forward_ws(&self.layer, &ws.x, Pass::Discrete(&ws.plan), literals, &mut ws.disc);
+        forward_ws(&self.layer, &ws.x, true, literals, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         let loss = cross_entropy(&ws.logits, &ws.labels);
         cross_entropy_grad_into(&ws.logits, &ws.labels, &mut ws.dlogits, &mut ws.exp_scratch);
 
         // Continuous forward (cached) → backward with the grafted gradient.
-        forward_ws(&self.layer, &ws.x, Pass::Soft(&ws.packed_layer), literals, &mut ws.cont);
+        forward_ws(&self.layer, &ws.x, false, literals, &mut ws.cont);
         ws.dv.resize(self.head.n_rules(), self.n_classes);
         ws.dv.fill_zero();
         ws.dbias.clear();
@@ -457,7 +437,7 @@ impl LogicalNet {
         } else {
             ws.dw.resize(n_nodes, self.layer.in_dim());
             ws.dw.fill_zero();
-            self.layer.backward_into(&ws.x, &ws.cont.output, &ws.dr, &mut ws.dw);
+            self.layer.backward(&ws.x, &ws.cont.output, &ws.dr, &mut ws.dw);
         }
 
         state.sgd.step(self.layer.weights_mut().data_mut(), ws.dw.data());
@@ -466,13 +446,19 @@ impl LogicalNet {
         loss
     }
 
-    /// Discrete accuracy on `data` through the workspace buffers (plan and
-    /// packing are rebuilt first — the optimizer just moved the weights).
-    /// Produces logits bit-identical to [`Self::logits_discrete`].
+    /// Discrete accuracy on `data` (the shard the workspace started the
+    /// call on) through the workspace buffers; the literal plan and the head
+    /// packing are rebuilt first, as the optimizer just moved the weights.
+    /// Produces logits bit-identical to [`Self::logits_discrete`]: the
+    /// literal discrete forward is exact for any weights, so only a shard
+    /// that is not 0/1 runs the naive one.
     fn accuracy_ws(&self, data: &EncodedData, ws: &mut TrainWorkspace) -> f64 {
-        self.layer.plan_discrete_into(&mut ws.plan);
+        if ws.shard_is_binary {
+            self.layer.plan_literals_into(&mut ws.literal_plan);
+        }
         self.head.pack_weights_into(&mut ws.packed_head);
-        forward_ws(&self.layer, &data.x, Pass::Discrete(&ws.plan), None, &mut ws.disc);
+        let literals = ws.shard_is_binary.then_some((&ws.shard_literals, &ws.literal_plan));
+        forward_ws(&self.layer, &data.x, true, literals, &mut ws.disc);
         self.head.forward_packed_into(&ws.disc.rules, &ws.packed_head, &mut ws.logits);
         accuracy(&ws.logits, &data.labels)
     }
@@ -516,7 +502,9 @@ impl LogicalNet {
         loss
     }
 
-    /// Rejects empty training data and data encoded at another width.
+    /// Rejects empty training data, data encoded at another width, a label
+    /// count that differs from the row count, and a label of a class the
+    /// network does not have.
     fn check_training_data(&self, data: &EncodedData) -> Result<()> {
         if data.is_empty() {
             return Err(CoreError::Empty { what: "training data" });
@@ -526,6 +514,19 @@ impl LogicalNet {
                 what: "encoded width",
                 expected: self.encoder.width(),
                 actual: data.x.cols(),
+            });
+        }
+        if data.labels.len() != data.len() {
+            return Err(CoreError::LengthMismatch {
+                what: "training labels",
+                expected: data.len(),
+                actual: data.labels.len(),
+            });
+        }
+        if let Some(&class) = data.labels.iter().find(|&&l| l as usize >= self.n_classes) {
+            return Err(CoreError::ClassOutOfRange {
+                class: class as usize,
+                n_classes: self.n_classes,
             });
         }
         Ok(())
@@ -576,9 +577,9 @@ impl LogicalNet {
     /// snapshot with the best discrete training accuracy.
     ///
     /// Runs the workspace data plane: once the scratch buffers are warm
-    /// (first batch of the first call), each step performs zero heap
-    /// allocations. The parameter stream is bit-identical to
-    /// [`Self::train_reference`].
+    /// (first batch of the first call), each step that passes the literal
+    /// checks performs zero heap allocations. The parameter stream is
+    /// bit-identical to [`Self::train_reference`].
     pub fn train(&mut self, data: &EncodedData) -> Result<TrainReport> {
         self.check_training_data(data)?;
         let mut state = self.fresh_optim_state();
@@ -869,6 +870,40 @@ mod tests {
         assert!(mismatch(net.train_reference(&wide).map(drop)));
         assert!(mismatch(net.train_local(&wide, 1)));
         assert!(mismatch(net.train_local_reference(&wide, 1)));
+    }
+
+    #[test]
+    fn mismatched_or_out_of_range_labels_rejected() {
+        let ds = threshold_dataset();
+        let mut net = LogicalNet::new(Arc::clone(ds.schema()), 2, small_config(0)).unwrap();
+        let encoded = net.encode(&ds).unwrap();
+        let mut short = encoded.clone();
+        short.labels.pop();
+        let mut third_class = encoded.clone();
+        third_class.labels[7] = 2;
+        let before = net.params();
+        // Every training entry point rejects them before it trains.
+        let entry_points: [fn(&mut LogicalNet, &EncodedData) -> Result<()>; 4] = [
+            |n, d| n.train(d).map(drop),
+            |n, d| n.train_reference(d).map(drop),
+            |n, d| n.train_local(d, 1),
+            |n, d| n.train_local_reference(d, 1),
+        ];
+        for train in entry_points {
+            assert_eq!(
+                train(&mut net, &short),
+                Err(CoreError::LengthMismatch {
+                    what: "training labels",
+                    expected: 200,
+                    actual: 199
+                })
+            );
+            assert_eq!(
+                train(&mut net, &third_class),
+                Err(CoreError::ClassOutOfRange { class: 2, n_classes: 2 })
+            );
+        }
+        assert_eq!(net.params(), before);
     }
 
     #[test]

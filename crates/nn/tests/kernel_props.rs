@@ -1,6 +1,7 @@
-//! Property suite for the training data-plane kernels (packed matmul,
-//! planned discrete forward, zero-alloc backward, the layer's literal
-//! kernels) and the workspace-routed training loops.
+//! Property suite for the training data-plane kernels (the head's packed
+//! matmul, the logical layer's literal kernels) and the workspace-routed
+//! training loops, including the steps that fail a literal check and fall
+//! back to the layer's naive oracles.
 //!
 //! The contract under test is **bitwise identity**: every kernel must
 //! reproduce its naive counterpart's floating-point output exactly, and the
@@ -12,9 +13,7 @@
 
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_nn::matrix::{Matrix, PackedRhs};
-use ctfl_nn::{
-    DiscretePlan, LiteralBatch, LiteralPlan, LogicalLayer, LogicalNet, LogicalNetConfig,
-};
+use ctfl_nn::{LiteralBatch, LiteralPlan, LogicalLayer, LogicalNet, LogicalNetConfig};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::{Rng, SeedableRng};
 use ctfl_testkit::{check, prop_assert, Gen};
@@ -32,7 +31,10 @@ fn fnv1a_bits(values: &[f32]) -> u64 {
     h
 }
 
-/// Asserts two matrices are equal down to the bit pattern.
+/// Asserts two matrices are equal down to the bit pattern, except that a
+/// NaN matches any NaN: a NaN's payload follows the operand order of the
+/// add that made it, and the compiler may swap the operands of a
+/// commutative add.
 fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) -> Result<(), String> {
     if a.rows() != b.rows() || a.cols() != b.cols() {
         return Err(format!(
@@ -44,7 +46,7 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) -> Result<(), String> {
         ));
     }
     for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-        if x.to_bits() != y.to_bits() {
+        if x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan()) {
             return Err(format!("{what}: element {i} differs: {x:?} vs {y:?}"));
         }
     }
@@ -52,7 +54,8 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) -> Result<(), String> {
 }
 
 /// A random matrix with a controllable fraction of exact zeros — the
-/// kernels take sparsity shortcuts, so zero-heavy inputs are the hard case.
+/// naive backward skips zero gradients, so zero-heavy inputs are the hard
+/// case.
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, zero_frac: f64) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
     for v in m.data_mut() {
@@ -81,6 +84,8 @@ struct MatmulCase {
     k: usize,
     n: usize,
     zero_frac: f64,
+    /// The share of right-hand-side entries set to NaN, `+∞` or `−∞`.
+    nonfinite_frac: f64,
 }
 
 fn gen_matmul_case(g: &mut Gen) -> MatmulCase {
@@ -90,25 +95,31 @@ fn gen_matmul_case(g: &mut Gen) -> MatmulCase {
         k: g.len_in(1, 24),
         n: g.len_in(1, 12),
         zero_frac: g.f64_in(0.0, 0.95),
+        nonfinite_frac: g.f64_in(0.0, 0.2),
     }
 }
 
+/// Every matmul kernel sums every partial product, so a NaN or infinite
+/// right-hand-side entry reaches each output it multiplies, a zero
+/// left-hand-side entry included.
 #[test]
 fn matmul_kernels_match_naive_bitwise() {
     check("matmul_kernels_match_naive_bitwise", 64, gen_matmul_case, |c| {
         let mut rng = StdRng::seed_from_u64(c.seed);
         let a = random_matrix(&mut rng, c.m, c.k, c.zero_frac);
-        let b = random_matrix(&mut rng, c.k, c.n, c.zero_frac);
+        let mut b = random_matrix(&mut rng, c.k, c.n, c.zero_frac);
+        for v in b.data_mut() {
+            if rng.gen::<f64>() < c.nonfinite_frac {
+                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3usize)];
+            }
+        }
 
-        // Independent oracle: textbook triple loop in the axpy order the
-        // naive kernel used (i, k, j with the `a == 0` skip).
+        // Independent oracle: textbook triple loop in the axpy order
+        // (i, k, j), every product added.
         let mut oracle = Matrix::zeros(c.m, c.n);
         for i in 0..c.m {
             for kk in 0..c.k {
                 let av = a.get(i, kk);
-                if av == 0.0 {
-                    continue;
-                }
                 for j in 0..c.n {
                     oracle.add_at(i, j, av * b.get(kk, j));
                 }
@@ -154,99 +165,6 @@ fn select_rows_into_matches_naive() {
             assert_bits_eq(&out, &naive, "select_rows_into")
         },
     );
-}
-
-#[derive(Debug)]
-struct LayerCase {
-    seed: u64,
-    in_dim: usize,
-    n_nodes: usize,
-    batch: usize,
-    zero_frac: f64,
-}
-
-fn gen_layer_case(g: &mut Gen) -> LayerCase {
-    LayerCase {
-        seed: g.rng().gen(),
-        in_dim: g.len_in(1, 20),
-        n_nodes: g.len_in(2, 16),
-        batch: g.len_in(1, 10),
-        zero_frac: g.f64_in(0.0, 0.9),
-    }
-}
-
-fn random_layer(c: &LayerCase, rng: &mut StdRng) -> (LogicalLayer, Matrix) {
-    let mut layer = LogicalLayer::new(c.in_dim, c.n_nodes, rng);
-    // Push weights toward exact zeros/ones: the planned forward and the
-    // zero-skip soft forward special-case both.
-    for w in layer.weights_mut().data_mut() {
-        let r = rng.gen::<f64>();
-        *w = if r < c.zero_frac {
-            0.0
-        } else if r < c.zero_frac + 0.2 {
-            1.0
-        } else {
-            rng.gen::<f32>()
-        };
-    }
-    let mut x = Matrix::zeros(c.batch, c.in_dim);
-    for v in x.data_mut() {
-        let r = rng.gen::<f64>();
-        *v = if r < 0.35 {
-            0.0
-        } else if r < 0.7 {
-            1.0
-        } else {
-            rng.gen::<f32>()
-        };
-    }
-    (layer, x)
-}
-
-#[test]
-fn forward_soft_packed_into_matches_naive_bitwise() {
-    check("forward_soft_packed_into_matches_naive_bitwise", 64, gen_layer_case, |c| {
-        let mut rng = StdRng::seed_from_u64(c.seed);
-        let (layer, x) = random_layer(c, &mut rng);
-        let naive = layer.forward_soft(&x);
-        let mut packed = PackedRhs::default();
-        packed.pack_from(layer.weights());
-        let mut out = dirty(&mut rng);
-        layer.forward_soft_packed_into(&x, &packed, &mut out);
-        assert_bits_eq(&out, &naive, "forward_soft_packed_into")
-    });
-}
-
-#[test]
-fn planned_discrete_forward_matches_naive_bitwise() {
-    check("planned_discrete_forward_matches_naive_bitwise", 64, gen_layer_case, |c| {
-        let mut rng = StdRng::seed_from_u64(c.seed);
-        let (layer, x) = random_layer(c, &mut rng);
-        let naive = layer.forward_discrete(&x);
-        let mut plan = DiscretePlan::default();
-        layer.plan_discrete_into(&mut plan);
-        let mut out = dirty(&mut rng);
-        layer.forward_discrete_planned_into(&x, &plan, &mut out);
-        assert_bits_eq(&out, &naive, "forward_discrete_planned_into")
-    });
-}
-
-#[test]
-fn backward_into_matches_naive_bitwise() {
-    check("backward_into_matches_naive_bitwise", 64, gen_layer_case, |c| {
-        let mut rng = StdRng::seed_from_u64(c.seed);
-        let (layer, x) = random_layer(c, &mut rng);
-        let y = layer.forward_soft(&x);
-        let dy = random_matrix(&mut rng, c.batch, c.n_nodes, c.zero_frac);
-
-        let mut dw_naive = Matrix::zeros(c.n_nodes, c.in_dim);
-        layer.backward(&x, &y, &dy, &mut dw_naive);
-
-        let mut dw_new = Matrix::zeros(c.n_nodes, c.in_dim);
-        layer.backward_into(&x, &y, &dy, &mut dw_new);
-
-        assert_bits_eq(&dw_new, &dw_naive, "backward_into dw")
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -520,8 +438,8 @@ fn train_local_replays_reference_parameter_stream() {
     });
 }
 
-/// Where a step fails one of the literal checks, it must run the general
-/// kernels and still replay the reference.
+/// Where a step fails one of the literal checks, it must run the naive
+/// oracles and still replay the reference.
 #[derive(Debug, Clone, Copy)]
 enum Fallback {
     /// A logical weight set to this value.
@@ -572,22 +490,40 @@ fn inject(c: &FallbackCase, nets: [&mut LogicalNet; 2], x: &mut Matrix, rng: &mu
     }
 }
 
-/// One `train_local` step, a single epoch over a single batch, so the
-/// comparison sees the step that took the fallback before NaN or the
-/// optimizer's projection spreads over the other parameters.
+/// One step, a single epoch over a single batch, so the comparison sees
+/// the step that took the fallback before NaN or the optimizer's
+/// projection spreads over the other parameters: through `train_local`,
+/// and through `train`, whose accuracy pass after the step reads the
+/// shard through the naive discrete forward when the shard is not 0/1.
 #[test]
 fn literal_fallback_replays_reference() {
     check("literal_fallback_replays_reference", 48, gen_fallback_case, |c| {
         let ds = case_dataset(&c.train);
-        let cfg = LogicalNetConfig { batch_size: c.train.rows, ..case_config(&c.train) };
+        let cfg =
+            LogicalNetConfig { batch_size: c.train.rows, epochs: 1, ..case_config(&c.train) };
         let mut fast = LogicalNet::new(Arc::clone(ds.schema()), 2, cfg.clone()).unwrap();
         let mut naive = LogicalNet::new(Arc::clone(ds.schema()), 2, cfg).unwrap();
         let mut encoded = fast.encode(&ds).unwrap();
         let mut rng = StdRng::seed_from_u64(c.train.seed ^ 0xFA11);
         inject(c, [&mut fast, &mut naive], &mut encoded.x, &mut rng);
+        let (mut fast_train, mut naive_train) = (fast.clone(), naive.clone());
+
         fast.train_local(&encoded, 1).unwrap();
         naive.train_local_reference(&encoded, 1).unwrap();
         prop_assert!(params_bits(&fast) == params_bits(&naive), "parameter bits diverge");
+
+        let rf = fast_train.train(&encoded).unwrap();
+        let rn = naive_train.train_reference(&encoded).unwrap();
+        prop_assert!(
+            params_bits(&fast_train) == params_bits(&naive_train),
+            "train parameter bits diverge"
+        );
+        prop_assert!(
+            rf.best_accuracy.to_bits() == rn.best_accuracy.to_bits(),
+            "train accuracy diverges: {} vs {}",
+            rf.best_accuracy,
+            rn.best_accuracy
+        );
         Ok(())
     });
 }
